@@ -61,7 +61,6 @@ from .electrical import (
     charge_share_certificates,
     coupling_certificates,
     keeper_certificates,
-    noise_mutants,
     pass_chain_certificates,
     port_noise_margin,
     screen_electrical,
@@ -121,7 +120,6 @@ __all__ = [
     "lint_hier",
     "load_waivers",
     "macro_identity",
-    "noise_mutants",
     "parse_waivers",
     "pass_chain_certificates",
     "port_noise_margin",

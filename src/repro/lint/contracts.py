@@ -40,7 +40,7 @@ from ..netlist.fingerprint import circuit_fingerprint, facet_fingerprints
 from ..obs import trace
 from ..obs.log import get_logger
 from .dataflow.framework import solve_forward
-from .dataflow.interval import IntervalAnalysis, posy_box_bounds
+from .dataflow.interval import IntervalAnalysis, box_bounds, posy_box_bounds
 from .dataflow.monotone import solve_monotonicity
 from .dataflow.phase import solve_phases
 from .electrical.model import option as electrical_option
@@ -103,18 +103,6 @@ def macro_identity(topology: str, spec) -> str:
     return "|".join(parts)
 
 
-def _box_bounds(circuit: Circuit):
-    table = circuit.size_table
-
-    def bounds(name: str) -> Tuple[float, float]:
-        if name in table:
-            var = table[name]
-            return (var.lower, var.upper)
-        return (1e-3, 1e6)
-
-    return bounds
-
-
 def derive_contract(
     circuit: Circuit,
     library: Optional[ModelLibrary] = None,
@@ -152,7 +140,7 @@ def derive_contract(
         timing = {}
         try:
             analysis = IntervalAnalysis(
-                circuit, library, input_slope, _box_bounds(circuit)
+                circuit, library, input_slope, box_bounds(circuit)
             )
             analyzer = analysis._analyzer
             timing = solve_forward(circuit, analysis).values
@@ -174,7 +162,7 @@ def derive_contract(
             if analyzer is not None:
                 try:
                     cap_lo, cap_hi = posy_box_bounds(
-                        analyzer.load_posynomial(name), _box_bounds(circuit)
+                        analyzer.load_posynomial(name), box_bounds(circuit)
                     )
                     port["cap_lo"] = round(cap_lo, 9)
                     port["cap_hi"] = round(cap_hi, 9)
@@ -264,19 +252,21 @@ def build_registry_contracts(
     store,
     library: Optional[ModelLibrary] = None,
     *,
-    grid: Optional[Mapping[str, Sequence]] = None,
+    grid: Optional[Sequence[Tuple[str, int, Sequence]]] = None,
     options: Optional[Mapping[str, object]] = None,
     changed_only: bool = False,
     macro: Optional[str] = None,
 ) -> dict:
     """Characterize the macro registry into ``store``.
 
-    Iterates the same topology × width grid as the symbolic corpus; with
-    ``changed_only`` circuits whose fingerprints already have a matching
-    contract (same version and options) are skipped.  Returns summary
-    stats: ``{"derived": n, "reused": n, "wall_s": s}``.
+    Iterates a topology × width grid of ``(macro, width, params)``
+    triples, by default the lint corpus's
+    :data:`~repro.lint.corpus.WIDTH_GRID`; with ``changed_only`` circuits
+    whose fingerprints already have a matching contract (same version and
+    options) are skipped.  Returns summary stats:
+    ``{"derived": n, "reused": n, "wall_s": s}``.
     """
-    from .symbolic.corpus import WIDTH_GRID, corpus_circuits
+    from .corpus import WIDTH_GRID, corpus_circuits
 
     library = library or ModelLibrary()
     opts_digest = options_digest(options)

@@ -45,6 +45,7 @@ from typing import Callable, Dict, List, Tuple
 from ...models.gates import LN2, ModelLibrary
 from ...netlist.circuit import Circuit
 from ...netlist.nets import NetKind, PinClass
+from ...netlist.sizing_vars import DEFAULT_BOUNDS
 from ...netlist.stages import Stage, StageKind
 from ...obs import metrics, trace
 from ...sim.timing import StaticTimingAnalyzer, stage_arcs
@@ -122,6 +123,20 @@ def posy_box_bounds(expr, bounds: Callable[[str], Tuple[float, float]]):
         lo += v_lo
         hi += v_hi
     return lo, hi
+
+
+def box_bounds(circuit: Circuit) -> Callable[[str], Tuple[float, float]]:
+    """Per-variable width bounds over the circuit's sizing box; variables
+    the size table does not declare get :data:`DEFAULT_BOUNDS`."""
+    table = circuit.size_table
+
+    def bounds(name: str) -> Tuple[float, float]:
+        if name in table:
+            var = table[name]
+            return (var.lower, var.upper)
+        return DEFAULT_BOUNDS
+
+    return bounds
 
 
 class IntervalAnalysis(ForwardAnalysis):
@@ -448,14 +463,7 @@ def screen_feasibility(
     ``provably-infeasible`` implies the engine's first GP solve fails,
     ``provably-feasible`` implies it has a feasible point.
     """
-    table = circuit.size_table
-
-    def box_bounds(name: str) -> Tuple[float, float]:
-        if name in table:
-            var = table[name]
-            return (var.lower, var.upper)
-        return (1e-3, 1e6)  # GeometricProgram's own default box
-
+    bounds = box_bounds(circuit)
     report = LintReport(subject=f"{circuit.name}:interval-sta")
 
     def emit(message: str, **loc) -> None:
@@ -468,7 +476,7 @@ def screen_feasibility(
 
     with trace.span("interval_screen", circuit=circuit.name) as span:
         analysis = IntervalAnalysis(
-            circuit, library, spec.input_slope, box_bounds
+            circuit, library, spec.input_slope, bounds
         )
         result = solve_forward(circuit, analysis)
         widened = bool(result.widened)
@@ -496,7 +504,7 @@ def screen_feasibility(
         for cname, slope, limit, net in _slope_surface(
             circuit, library, spec, analysis
         ):
-            lo, _ = posy_box_bounds(slope, box_bounds)
+            lo, _ = posy_box_bounds(slope, bounds)
             if lo > limit * (1.0 + _EPS):
                 emit(
                     f"minimum achievable slope {lo:.1f} ps exceeds the "
@@ -505,7 +513,7 @@ def screen_feasibility(
                     constraint=cname,
                 )
         for cname, expr, stage_name in _noise_surface(circuit, library, spec):
-            lo, _ = posy_box_bounds(expr, box_bounds)
+            lo, _ = posy_box_bounds(expr, bounds)
             if lo > 1.0 + _EPS:
                 emit(
                     f"charge-sharing ratio is at least {lo:.2f}x the allowed "
@@ -520,7 +528,7 @@ def screen_feasibility(
             verdict = "unknown"
         else:
             verdict = _try_prove_feasible(
-                circuit, library, spec, sink_values, box_bounds
+                circuit, library, spec, sink_values, bounds
             )
 
         span.set_attrs(verdict=verdict, sinks=len(sink_values))
@@ -538,7 +546,7 @@ def screen_feasibility(
 
 
 def _try_prove_feasible(
-    circuit: Circuit, library: ModelLibrary, spec, sink_values, box_bounds
+    circuit: Circuit, library: ModelLibrary, spec, sink_values, bounds
 ) -> str:
     """Point certificate: rerun the propagation with the box collapsed to
     the nominal sizing and check every budget's ``hi`` side."""
@@ -551,7 +559,7 @@ def _try_prove_feasible(
     def point_bounds(name: str) -> Tuple[float, float]:
         width = env.get(name)
         if width is None:
-            lower, upper = box_bounds(name)
+            lower, upper = bounds(name)
             width = (lower * upper) ** 0.5
         return (width, width)
 

@@ -21,7 +21,6 @@ from .model import (
     screen_electrical,
     worst_noise_margin,
 )
-from .mutate import NoiseMutant, noise_mutants
 
 __all__ = [
     "DEFAULT_OPTIONS",
@@ -30,7 +29,6 @@ __all__ = [
     "ElectricalScreen",
     "KeeperCert",
     "PassChainCert",
-    "NoiseMutant",
     "charge_share_certificates",
     "coupling_certificates",
     "keeper_certificates",
@@ -38,5 +36,4 @@ __all__ = [
     "port_noise_margin",
     "screen_electrical",
     "worst_noise_margin",
-    "noise_mutants",
 ]

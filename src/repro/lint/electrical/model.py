@@ -38,7 +38,7 @@ from ...netlist.nets import PinClass
 from ...netlist.stages import VDD, VSS, Stage, StageKind
 from ...posy import as_posynomial, posy_sum
 from ...sim.timing import StaticTimingAnalyzer
-from ..dataflow.interval import posy_box_bounds
+from ..dataflow.interval import box_bounds, posy_box_bounds
 from ..symbolic.switchlevel import ChannelGraph, Switch
 
 _EPS = 1e-9
@@ -79,19 +79,6 @@ def option(options: Optional[Mapping[str, object]], key: str) -> float:
     if options and key in options:
         return float(options[key])  # type: ignore[arg-type]
     return DEFAULT_OPTIONS[key]
-
-
-def box_bounds(circuit: Circuit):
-    """Per-variable width bounds over the circuit's sizing box."""
-    table = circuit.size_table
-
-    def bounds(name: str) -> Tuple[float, float]:
-        if name in table:
-            var = table[name]
-            return (var.lower, var.upper)
-        return (1e-3, 1e6)
-
-    return bounds
 
 
 def point_environment(

@@ -1,25 +1,21 @@
 """Seeded noise mutants for the NSA6xx electrical corpus.
 
 Each builder returns a small circuit engineered to violate exactly one
-NSA6xx budget — and *only* that one — so the corpus driver (and the tests)
-can assert that every mutant is flagged by its intended rule with a
-quantitative margin and witness, while no other NSA rule cross-fires.
+NSA6xx budget — and *only* that one — so the corpus gate
+(:mod:`repro.lint.corpus`) can assert that every mutant is flagged by its
+intended rule with a quantitative margin and witness, while no other NSA
+rule cross-fires.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from ...macros.base import MacroBuilder
 from ...models.technology import GENERIC_180, Technology
 from ...netlist.circuit import Circuit
 from ...netlist.nets import PinClass
-
-
-class NoiseMutant(NamedTuple):
-    label: str
-    circuit: Circuit
-    expected_rule: str
+from ..corpus import Mutant
 
 
 def undersized_keeper(tech: Technology = GENERIC_180) -> Circuit:
@@ -111,13 +107,12 @@ def coupled_victim(tech: Technology = GENERIC_180) -> Circuit:
     return circuit
 
 
-def noise_mutants(tech: Technology = GENERIC_180) -> Iterator[NoiseMutant]:
+def mutants(tech: Technology = GENERIC_180) -> Iterator[Mutant]:
     """The seeded noise-mutant corpus, labeled with the intended rule."""
-    yield NoiseMutant("undersized_keeper", undersized_keeper(tech), "NSA602")
-    yield NoiseMutant(
-        "overlong_pass_chain", overlong_pass_chain(tech), "NSA603"
-    )
-    yield NoiseMutant(
-        "floating_internal_node", floating_internal_node(tech), "NSA601"
-    )
-    yield NoiseMutant("coupled_victim", coupled_victim(tech), "NSA604")
+    for label, build, rule in (
+        ("undersized_keeper", undersized_keeper, "NSA602"),
+        ("overlong_pass_chain", overlong_pass_chain, "NSA603"),
+        ("floating_internal_node", floating_internal_node, "NSA601"),
+        ("coupled_victim", coupled_victim, "NSA604"),
+    ):
+        yield Mutant(label, build(tech), frozenset({rule}))

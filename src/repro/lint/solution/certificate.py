@@ -140,9 +140,6 @@ class SolutionCertificateStore:
         payload = certificate.to_payload()
         return self._store.put(payload["key"], payload)
 
-    def put_payload(self, payload: Mapping[str, object]) -> dict:
-        return self._store.put(str(payload["key"]), dict(payload))
-
     def flush(self) -> None:
         self._store.flush()
 

@@ -2,10 +2,11 @@
 
 Each builder perturbs one facet of an otherwise-honest solved point —
 one replicated width, one dropped coupling claim, one forged cached
-certificate — so the corpus driver (and the tests) can assert that every
-mutant is flagged by exactly its intended OPT rule while no other rule
-cross-fires.  The honest base is a real collapsed-sizing run
-(:class:`repro.sizing.collapse.RegularityCollapsedSizer` on a per-bit
+certificate — so the corpus gate (:mod:`repro.lint.corpus`) can assert
+that every mutant is flagged by exactly its intended OPT rule while no
+other rule cross-fires; :func:`clean` yields the honest runs that gate
+requires to stay error-free.  The honest base is a real collapsed-sizing
+run (:class:`repro.sizing.collapse.RegularityCollapsedSizer` on a per-bit
 static ripple adder): mutants are perturbations of genuinely solved and
 certified artifacts, not synthetic fixtures.
 
@@ -31,17 +32,12 @@ from ...macros.base import MacroSpec
 from ...models.gates import ModelLibrary
 from ...models.technology import Technology
 from ...netlist.circuit import Circuit
+from ..corpus import CleanCase, Mutant
+from .certificate import SolutionCertificate
 from .rules import build_solution_options
 
 #: kkt_gap_rel_max used by mutants that must keep OPT702 quiet.
 _KKT_QUIET = 1e9
-
-
-class SolutionMutant(NamedTuple):
-    label: str
-    circuit: Circuit
-    options: dict            # full lint options mapping ({"solution": ...})
-    expected_rule: str
 
 
 class _SolvedBase(NamedTuple):
@@ -108,6 +104,69 @@ def solved_base(tech: Optional[Technology] = None) -> _SolvedBase:
     return base
 
 
+def clean(tech: Optional[Technology] = None) -> Iterator[CleanCase]:
+    """Honest collapsed-sizing runs: ``(label, circuit, options)``.
+
+    Each case is a real collapse-solve-replicate-certify pass whose full
+    payload — widths, classes, issued certificate, and an honest cache
+    entry bound to that certificate — exercises the accept path of every
+    OPT rule at once.
+    """
+    from ...cache.fingerprint import make_entry
+    from ...macros.incrementor import RippleIncrementor
+    from ...sizing.collapse import RegularityCollapsedSizer
+    from ...sizing.constraints import DelaySpec
+    from ...sizing.engine import SmartSizer, nominal_delay
+
+    # Case 1: the mutants' own base (memoized — one solve serves both).
+    base = solved_base(tech)
+    tech = tech or Technology()
+    full = SmartSizer(base.circuit, base.library)
+    entry = make_entry(
+        full.cache_key(base.spec),
+        circuit_name=base.circuit.name,
+        objective="area",
+        spec_data=base.spec.data,
+        tolerance=2.0,
+        env=base.widths,
+        iterations=1,
+        area=0.0,
+        runtime_s=0.0,
+        created_unix=0.0,  # pinned: the options digest must be stable
+    )
+    options = build_solution_options(
+        base.widths, base.spec,
+        classes=base.classes,
+        certificate=base.certificate,
+        cache_entries=[entry],
+        certificates={base.cache_key: base.certificate},
+    )
+    yield base.circuit.name, base.circuit, {"solution": options}
+
+    # Case 2: a per-bit ripple incrementor, collapsed and certified here.
+    library = ModelLibrary(tech)
+    circuit = RippleIncrementor().build(
+        MacroSpec("incrementor", 8, params=(("label_group", 1),)), tech
+    )
+    spec = DelaySpec(data=nominal_delay(circuit, library))
+    collapsed = RegularityCollapsedSizer(circuit, library).size(spec)
+    cert = (
+        collapsed.certificate.to_payload()
+        if isinstance(collapsed.certificate, SolutionCertificate)
+        else None
+    )
+    options = build_solution_options(
+        collapsed.result.widths, spec,
+        classes=collapsed.classes if not collapsed.fallback else None,
+        certificate=cert,
+    )
+    yield circuit.name, circuit, {"solution": options}
+
+
+def _mutant(label: str, circuit: Circuit, options: dict, rule: str) -> Mutant:
+    return Mutant(label, circuit, frozenset({rule}), {"solution": options})
+
+
 def _largest_class(base: _SolvedBase) -> List[str]:
     multi = [c for c in base.classes if len(c) > 1]
     if not multi:
@@ -115,7 +174,7 @@ def _largest_class(base: _SolvedBase) -> List[str]:
     return max(multi, key=len)
 
 
-def perturbed_replica(tech: Optional[Technology] = None) -> SolutionMutant:
+def perturbed_replica(tech: Optional[Technology] = None) -> Mutant:
     """One non-representative class member nudged off its representative
     (x1.001) -> OPT703 flags the broken replication claim.
 
@@ -147,12 +206,10 @@ def perturbed_replica(tech: Optional[Technology] = None) -> SolutionMutant:
         widths, base.spec, classes=base.classes,
     )
     options["kkt_gap_rel_max"] = _KKT_QUIET
-    return SolutionMutant(
-        "perturbed_replica", base.circuit, {"solution": options}, "OPT703"
-    )
+    return _mutant("perturbed_replica", base.circuit, options, "OPT703")
 
 
-def dropped_coupling(tech: Optional[Technology] = None) -> SolutionMutant:
+def dropped_coupling(tech: Optional[Technology] = None) -> Mutant:
     """A representative slice sized as if one cross-slice coupling
     constraint had been dropped from the collapsed GP (its width halved),
     presented via ``representative_env`` -> OPT703 re-measures the full
@@ -167,12 +224,10 @@ def dropped_coupling(tech: Optional[Technology] = None) -> SolutionMutant:
         representative_env={rep: base.widths[rep] * 0.5},
     )
     options["kkt_gap_rel_max"] = _KKT_QUIET
-    return SolutionMutant(
-        "dropped_coupling", base.circuit, {"solution": options}, "OPT703"
-    )
+    return _mutant("dropped_coupling", base.circuit, options, "OPT703")
 
 
-def infeasible_point(tech: Optional[Technology] = None) -> SolutionMutant:
+def infeasible_point(tech: Optional[Technology] = None) -> Mutant:
     """The widest label of the honest point squeezed down to its lower
     bound -> OPT701 proves the squeezed point no longer implements its
     spec (timing or slope, interval-confirmed where the margin allows).
@@ -183,12 +238,10 @@ def infeasible_point(tech: Optional[Technology] = None) -> SolutionMutant:
     widths[victim] = base.circuit.size_table[victim].lower
     options = build_solution_options(widths, base.spec)
     options["kkt_gap_rel_max"] = _KKT_QUIET
-    return SolutionMutant(
-        "infeasible_point", base.circuit, {"solution": options}, "OPT701"
-    )
+    return _mutant("infeasible_point", base.circuit, options, "OPT701")
 
 
-def oversized_drift(tech: Optional[Technology] = None) -> SolutionMutant:
+def oversized_drift(tech: Optional[Technology] = None) -> Mutant:
     """Every width uniformly inflated x1.5 (clamped to its box) — still
     feasible (uniform upsizing only speeds the fixed external loads) but
     far from stationary -> OPT702's certified optimality-gap bound blows
@@ -200,12 +253,10 @@ def oversized_drift(tech: Optional[Technology] = None) -> SolutionMutant:
         for name, value in base.widths.items()
     }
     options = build_solution_options(widths, base.spec)
-    return SolutionMutant(
-        "oversized_drift", base.circuit, {"solution": options}, "OPT702"
-    )
+    return _mutant("oversized_drift", base.circuit, options, "OPT702")
 
 
-def stale_certificate(tech: Optional[Technology] = None) -> SolutionMutant:
+def stale_certificate(tech: Optional[Technology] = None) -> Mutant:
     """An honestly-issued certificate presented against a circuit whose
     output loading has since changed -> OPT704 names the drifted facets.
     The payload carries only the certificate (no ``widths``, no cache),
@@ -218,12 +269,10 @@ def stale_certificate(tech: Optional[Technology] = None) -> SolutionMutant:
         tech or Technology(),
     )
     options = {"certificate": dict(base.certificate)}
-    return SolutionMutant(
-        "stale_certificate", drifted, {"solution": options}, "OPT704"
-    )
+    return _mutant("stale_certificate", drifted, options, "OPT704")
 
 
-def forged_certificate(tech: Optional[Technology] = None) -> SolutionMutant:
+def forged_certificate(tech: Optional[Technology] = None) -> Mutant:
     """A cache entry whose env was tampered with *after* certification —
     the certificate's widths digest no longer matches the entry it would
     admit -> OPT705 rejects the pair as inadmissible.  Payload carries
@@ -244,14 +293,10 @@ def forged_certificate(tech: Optional[Technology] = None) -> SolutionMutant:
             "certificates": {base.cache_key: dict(base.certificate)},
         }
     }
-    return SolutionMutant(
-        "forged_certificate", base.circuit, {"solution": options}, "OPT705"
-    )
+    return _mutant("forged_certificate", base.circuit, options, "OPT705")
 
 
-def solution_mutants(
-    tech: Optional[Technology] = None,
-) -> Iterator[SolutionMutant]:
+def mutants(tech: Optional[Technology] = None) -> Iterator[Mutant]:
     """The seeded solution-mutant corpus, labeled with the intended rule."""
     yield perturbed_replica(tech)
     yield dropped_coupling(tech)

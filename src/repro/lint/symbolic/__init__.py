@@ -11,10 +11,9 @@ Layers, bottom up:
 * :mod:`~repro.lint.symbolic.isomorphism` — name-blind canonical cone
   hashing and the per-macro :class:`SliceCertificate`;
 * :mod:`~repro.lint.symbolic.rules` — SVC401-SVC405 on top of the above;
-* :mod:`~repro.lint.symbolic.mutate` — wiring-mutation helpers used by the
-  tests to prove the rules catch planted bugs;
-* :mod:`~repro.lint.symbolic.corpus` — the CI sweep over the full macro
-  database (``python -m repro.lint.symbolic.corpus``).
+* :mod:`~repro.lint.symbolic.mutate` — the seeded wiring mutants the
+  corpus gate (``python -m repro.lint.corpus``) uses to prove the rules
+  catch planted bugs.
 """
 
 from .extract import (

@@ -17,6 +17,10 @@ from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from ..posy import Monomial, const, var
 
+#: Width box, µm, of a variable no size label declares: the geometric
+#: program's default bounds, and the box interval analyses assume for it.
+DEFAULT_BOUNDS: Tuple[float, float] = (1e-3, 1e6)
+
 
 @dataclass
 class SizeVar:

@@ -27,6 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 from scipy import optimize
 
+from ..netlist.sizing_vars import DEFAULT_BOUNDS
 from ..obs import metrics, trace
 from ..posy import Monomial, Posynomial, as_posynomial
 
@@ -97,7 +98,7 @@ class GeometricProgram:
         self.inequalities: List[GPConstraint] = []
         self.equalities: List[Tuple[Monomial, str]] = []
         self._bounds: Dict[str, Tuple[float, float]] = {}
-        self._default_bounds = (1e-3, 1e6)
+        self._default_bounds = DEFAULT_BOUNDS
 
     # -- construction ------------------------------------------------------
 

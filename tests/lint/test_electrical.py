@@ -1,10 +1,9 @@
-"""NSA6xx electrical-safety certificates, mutant corpus, and facades."""
+"""NSA6xx electrical-safety certificates, mutant findings, and facades."""
 
 from repro.lint import lint_circuit
 from repro.lint.electrical import (
     charge_share_certificates,
     keeper_certificates,
-    noise_mutants,
     pass_chain_certificates,
     port_noise_margin,
     screen_electrical,
@@ -16,7 +15,6 @@ from repro.lint.electrical.mutate import (
     overlong_pass_chain,
     undersized_keeper,
 )
-from repro.lint.incremental import RuleResultCache, serialize_diagnostic
 from repro.macros.base import MacroBuilder, MacroSpec
 from repro.macros.registry import default_database
 from repro.models import Technology
@@ -24,27 +22,13 @@ from repro.netlist.nets import PinClass
 
 TECH = Technology()
 
-NSA_RULES = ("NSA601", "NSA602", "NSA603", "NSA604")
-
-
-def _nsa(report):
-    return sorted({
-        d.rule_id for d in report.diagnostics
-        if d.rule_id.startswith("NSA6")
-    })
-
-
 def _electrical(circuit, **kwargs):
     return lint_circuit(circuit, groups=("electrical",), **kwargs)
 
 
 class TestNoiseMutants:
-    """Every seeded mutant fires exactly its intended rule."""
-
-    def test_each_mutant_fires_only_its_rule(self):
-        for label, circuit, expected in noise_mutants(TECH):
-            fired = _nsa(_electrical(circuit))
-            assert fired == [expected], (label, fired)
+    """Each seeded mutant's finding carries its margin and witness (the
+    exact fired rule sets are gated in tests/lint/test_corpus.py)."""
 
     def test_undersized_keeper_restore_margin(self):
         report = _electrical(undersized_keeper(TECH))
@@ -144,19 +128,6 @@ class TestCleanCorpusSample:
                 circuit = generator.generate(spec, TECH)
                 report = _electrical(circuit)
                 assert not report.errors, (generator.name, report.errors)
-
-
-class TestIncrementalReplay:
-    def test_warm_replay_is_byte_identical(self):
-        cache = RuleResultCache()
-        circuits = [c for _, c, _ in noise_mutants(TECH)]
-        cold = [_electrical(c, cache=cache) for c in circuits]
-        warm = [_electrical(c, cache=cache) for c in circuits]
-        for c_rep, w_rep in zip(cold, warm):
-            assert all(s == "replayed" for _, _, s in w_rep.executed)
-            cold_ser = [serialize_diagnostic(d) for d in c_rep.diagnostics]
-            warm_ser = [serialize_diagnostic(d) for d in w_rep.diagnostics]
-            assert cold_ser == warm_ser
 
 
 class TestScreen:

@@ -6,21 +6,21 @@ Three layers, mirroring the ERC test structure:
   output, sneak path) — each isolates its rule;
 * the golden-equivalence contract: all six mux styles *prove* equal to the
   one golden mux spec, and every shipped generator carries a spec;
-* a seeded-mutant corpus: one swapped select/data connection per macro
-  family, each flagged by SVC401 or SVC402 — the end-to-end demonstration
-  that the verifier catches real wiring errors.
+* the seeded mutants: one swapped select/data connection per macro
+  family (:data:`repro.lint.symbolic.mutate.MUTATIONS`), each firing
+  exactly its pinned SVC rule set — the end-to-end demonstration that the
+  verifier catches real wiring errors.
 """
 
 import pytest
 
 from repro.lint import lint_circuit
 from repro.lint.symbolic import extract, slice_certificate
-from repro.lint.symbolic.mutate import rebind_pin, swap_pins
+from repro.lint.symbolic.mutate import MUTATIONS, rebind_pin
 from repro.macros.base import MacroBuilder, MacroSpec
 from repro.macros.mux import mux_golden_spec
 from repro.macros.registry import default_database
 from repro.models import Technology
-from repro.netlist.nets import PinClass
 
 TECH = Technology()
 DATABASE = default_database()
@@ -208,63 +208,28 @@ class TestSVC401GoldenEquivalence:
 # seeded mutants: one swapped connection per macro family
 # ---------------------------------------------------------------------------
 
-# (family label, topology, macro, width, params, mutation)
-# Each mutation swaps or rewires exactly one select/data connection.
-MUTANTS = [
-    ("mux", "mux/strong_mutex_passgate", "mux", 4, (),
-     lambda c: rebind_pin(c, "pass0", "s", "s1")),
-    ("mux-domino", "mux/unsplit_domino", "mux", 4, (),
-     # Cross-leg swap: in-leg swaps are AND-commutative no-ops.
-     lambda c: swap_pins(c, "dom", "l0s1", "l1s1")),
-    ("adder", "adder/static_ripple", "adder", 4, (),
-     lambda c: rebind_pin(c, "hx0", "in1", "a0")),
-    ("incrementor", "incrementor/ripple", "incrementor", 4, (),
-     lambda c: rebind_pin(c, "cnand0", "in1", "a0")),
-    ("decrementor", "decrementor/ripple", "decrementor", 4, (),
-     lambda c: rebind_pin(c, "cnand0", "in1", "ab0")),
-    ("zero_detect", "zero_detect/static_tree", "zero_detect", 4, (),
-     lambda c: rebind_pin(c, "lgate0_0", "in3", "a0")),
-    ("decoder", "decoder/flat_static", "decoder", 3, (),
-     lambda c: rebind_pin(c, "mnand1", "in0", "ab0")),
-    ("encoder", "encoder/static_tree", "encoder", 3, (),
-     lambda c: rebind_pin(c, "b0gate0_0", "in0", "i0")),
-    ("comparator", "comparator/xorsum2", "comparator", 32, (),
-     lambda c: rebind_pin(c, "outgate", "in0", "paireq0")),
-    ("shifter", "shifter/passgate_barrel", "shifter", 4, (),
-     lambda c: rebind_pin(c, "r0rot0", "s", "shb0")),
-    ("register_file", "register_file/tristate_bitline", "register_file", 2,
-     (("registers", 4),),
-     lambda c: rebind_pin(c, "bit0reg0", "en", "o1")),
-]
-
-
 class TestSeededMutants:
+    """Each mutation is the only defect: the unmutated build verifies, and
+    the rewire fires exactly its pinned rule set (the corpus gate runs the
+    same table in tests/lint/test_corpus.py)."""
+
     @pytest.mark.parametrize(
-        "family,topology,macro,width,params,mutate",
-        MUTANTS, ids=[m[0] for m in MUTANTS],
+        "label,topology,macro,width,params,rewire,expected",
+        MUTATIONS, ids=[m[0] for m in MUTATIONS],
     )
-    def test_mutant_flagged(self, family, topology, macro, width, params, mutate):
+    def test_mutant_flagged(
+        self, label, topology, macro, width, params, rewire, expected
+    ):
         circuit = _generate(topology, macro, width, params)
-        baseline = lint_circuit(
-            circuit, groups=("symbolic",),
-            options={"symbolic_samples": 32},
-        )
-        assert baseline.errors == [], (
+        baseline = lint_circuit(circuit, groups=("symbolic",))
+        assert baseline.diagnostics == [], (
             f"{topology}: clean build must verify before mutation: "
-            + "; ".join(d.format() for d in baseline.errors)
+            + "; ".join(d.format() for d in baseline.diagnostics)
         )
-        mutate(circuit)
-        report = lint_circuit(
-            circuit, groups=("symbolic",),
-            options={"symbolic_samples": 32},
-        )
-        flagged = {
-            d.rule_id for d in report.errors
-        } & {"SVC401", "SVC402"}
-        assert flagged, (
-            f"{family}: mutant not caught "
-            f"(errors: {[d.format() for d in report.errors]})"
-        )
+        rewire(circuit)
+        report = lint_circuit(circuit, groups=("symbolic",))
+        fired = {d.rule_id for d in report.diagnostics}
+        assert fired == expected, f"{label}: fired {sorted(fired)}"
 
 
 # ---------------------------------------------------------------------------
