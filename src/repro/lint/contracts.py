@@ -40,7 +40,7 @@ from ..netlist.fingerprint import circuit_fingerprint, facet_fingerprints
 from ..obs import trace
 from ..obs.log import get_logger
 from .dataflow.framework import solve_forward
-from .dataflow.interval import IntervalAnalysis, box_bounds, posy_box_bounds
+from .dataflow.interval import IntervalAnalysis, box_bounds
 from .dataflow.monotone import solve_monotonicity
 from .dataflow.phase import solve_phases
 from .electrical.model import option as electrical_option
@@ -67,10 +67,26 @@ CONTRACT_FORMAT = "smart-interface-contract/1"
 #: version mismatch as a stale contract rather than trusting old facts.
 #: v2 added the per-port noise facts (``noise_margin`` on inputs,
 #: ``noise_inject`` on outputs) that CTR506 composes at block boundaries.
-CONTRACT_VERSION = 2
+#: v3 stores every bound rounded outward (see :func:`_outward`), so a v2
+#: store with round-to-nearest bounds is re-derived, not trusted.
+CONTRACT_VERSION = 3
 
 #: Designer input slope assumed when characterizing boundary intervals, ps.
 DEFAULT_INPUT_SLOPE = 30.0
+
+
+def _outward(value: float, digits: int, up: bool) -> float:
+    """``value`` at ``digits`` decimals, rounded toward the safe side:
+    up for an upper bound (``cap_hi``, ``arr_hi``, ``noise_inject``), down
+    for a lower bound or a margin (``cap_lo``, ``arr_lo``,
+    ``noise_margin``), so a stored bound never lands inside the true one.
+    """
+    stored = round(value, digits)
+    if up and stored < value:
+        stored = round(stored + 10.0 ** -digits, digits)
+    elif not up and stored > value:
+        stored = round(stored - 10.0 ** -digits, digits)
+    return stored
 
 
 def default_contract_options() -> dict:
@@ -161,11 +177,11 @@ def derive_contract(
             }
             if analyzer is not None:
                 try:
-                    cap_lo, cap_hi = posy_box_bounds(
-                        analyzer.load_posynomial(name), box_bounds(circuit)
+                    cap_lo, cap_hi = analyzer.load_posynomial(name).enclose(
+                        box_bounds(circuit)
                     )
-                    port["cap_lo"] = round(cap_lo, 9)
-                    port["cap_hi"] = round(cap_hi, 9)
+                    port["cap_lo"] = _outward(cap_lo, 9, up=False)
+                    port["cap_hi"] = _outward(cap_hi, 9, up=True)
                 except Exception:
                     pass
             try:
@@ -173,7 +189,7 @@ def derive_contract(
             except Exception:
                 margin = None
             if margin is not None:
-                port["noise_margin"] = round(margin, 6)
+                port["noise_margin"] = _outward(margin, 6, up=False)
             ports[name] = port
         for name in sorted(circuit.primary_outputs):
             pv = phases.get(name)
@@ -187,17 +203,17 @@ def derive_contract(
             }
             value = timing.get(name)
             if value is not None and value.reached and not value.widened:
-                port["arr_lo"] = round(value.arr_lo, 6)
-                port["arr_hi"] = round(value.arr_hi, 6)
-                port["slope_lo"] = round(value.slope_lo, 6)
-                port["slope_hi"] = round(value.slope_hi, 6)
+                port["arr_lo"] = _outward(value.arr_lo, 6, up=False)
+                port["arr_hi"] = _outward(value.arr_hi, 6, up=True)
+                port["slope_lo"] = _outward(value.slope_lo, 6, up=False)
+                port["slope_hi"] = _outward(value.slope_hi, 6, up=True)
             slope_ref = electrical_option(options, "electrical_slope_ref")
             slope_lo = port.get("slope_lo")
             inject = (
                 min(1.0, slope_ref / slope_lo)
                 if slope_lo and slope_lo > 0 else 1.0
             )
-            port["noise_inject"] = round(inject, 6)
+            port["noise_inject"] = _outward(inject, 6, up=True)
             ports[name] = port
 
         spec = getattr(circuit, "functional_spec", None)

@@ -105,26 +105,6 @@ _BOTTOM = TimingValue()
 _TOP = TimingValue(reached=True, widened=True, moved=True)
 
 
-def posy_box_bounds(expr, bounds: Callable[[str], Tuple[float, float]]):
-    """(lower, upper) of a posynomial over a variable box.
-
-    Each monomial is monotone per variable — increasing for positive
-    exponents, decreasing for negative — so both bounds are attained at
-    box corners and sum exactly (the posynomial-interval counterpart of
-    ``rules_gp._box_lower_bound``).
-    """
-    lo = hi = 0.0
-    for mono in expr:
-        v_lo = v_hi = mono.coefficient
-        for var, exp in mono.exponents.items():
-            lower, upper = bounds(var)
-            v_lo *= (lower if exp > 0 else upper) ** exp
-            v_hi *= (upper if exp > 0 else lower) ** exp
-        lo += v_lo
-        hi += v_hi
-    return lo, hi
-
-
 def box_bounds(circuit: Circuit) -> Callable[[str], Tuple[float, float]]:
     """Per-variable width bounds over the circuit's sizing box; variables
     the size table does not declare get :data:`DEFAULT_BOUNDS`."""
@@ -227,12 +207,12 @@ class IntervalAnalysis(ForwardAnalysis):
             delay = self.library.delay(
                 stage, pin, out_trans, load, table, input_slope=0.0
             )
-            lo, hi = posy_box_bounds(delay, self.bounds)
+            lo, hi = delay.enclose(self.bounds)
             d_lo, d_hi = min(d_lo, lo), max(d_hi, hi)
             slope = self.library.output_slope(
                 stage, pin, out_trans, load, table, input_slope=0.0
             )
-            lo, hi = posy_box_bounds(slope, self.bounds)
+            lo, hi = slope.enclose(self.bounds)
             s_lo, s_hi = min(s_lo, lo), max(s_hi, hi)
         if d_lo == float("inf"):  # no arcs through this pin
             d_lo = s_lo = 0.0
@@ -242,9 +222,8 @@ class IntervalAnalysis(ForwardAnalysis):
 
     def _wire_bounds(self, circuit: Circuit, net_name: str) -> Tuple[float, float]:
         if net_name not in self._wire_cache:
-            self._wire_cache[net_name] = posy_box_bounds(
-                self._analyzer.far_cap_posynomial(net_name), self.bounds
-            )
+            wire = self._analyzer.far_cap_posynomial(net_name)
+            self._wire_cache[net_name] = wire.enclose(self.bounds)
         return self._wire_cache[net_name]
 
     # -- transfer ----------------------------------------------------------
@@ -504,7 +483,7 @@ def screen_feasibility(
         for cname, slope, limit, net in _slope_surface(
             circuit, library, spec, analysis
         ):
-            lo, _ = posy_box_bounds(slope, bounds)
+            lo, _ = slope.enclose(bounds)
             if lo > limit * (1.0 + _EPS):
                 emit(
                     f"minimum achievable slope {lo:.1f} ps exceeds the "
@@ -513,7 +492,7 @@ def screen_feasibility(
                     constraint=cname,
                 )
         for cname, expr, stage_name in _noise_surface(circuit, library, spec):
-            lo, _ = posy_box_bounds(expr, bounds)
+            lo, _ = expr.enclose(bounds)
             if lo > 1.0 + _EPS:
                 emit(
                     f"charge-sharing ratio is at least {lo:.2f}x the allowed "
@@ -578,11 +557,11 @@ def _try_prove_feasible(
     for _name, slope, limit, _net in _slope_surface(
         circuit, library, spec, analysis
     ):
-        _, hi = posy_box_bounds(slope, point_bounds)
+        _, hi = slope.enclose(point_bounds)
         if hi > limit:
             return "unknown"
     for _name, expr, _stage in _noise_surface(circuit, library, spec):
-        _, hi = posy_box_bounds(expr, point_bounds)
+        _, hi = expr.enclose(point_bounds)
         if hi > 1.0:
             return "unknown"
     return "provably-feasible"

@@ -3,8 +3,9 @@
 This is the first analysis layer that consumes the *output* of sizing: every
 certificate below is a posynomial in the size labels, evaluated either at a
 point sizing (the GP solution, or the size table's default environment) or
-soundly over the whole sizing box via the same per-monomial bounds DFA303
-uses (:func:`repro.lint.dataflow.interval.posy_box_bounds`).
+soundly over the whole sizing box via the outward-rounded enclosure DFA303
+uses (:meth:`repro.posy.Posynomial.enclose`, widened by an ulp argument so
+the bounds hold under floating point).
 
 Soundness direction
 -------------------
@@ -18,7 +19,8 @@ Every certificate errs toward *over-reporting*:
 * **Interval evaluation** — the dip supremum pairs the exposed-cap upper
   bound with the node-cap lower bound (and vice versa for the infimum), so
   ``dip_lo > allowed`` proves *no* sizing in the box is safe, while
-  ``dip_hi <= allowed`` proves every sizing is.
+  ``dip_hi <= allowed`` proves every sizing is (``dip_hi`` is rounded up,
+  and the comparison takes no slack on that side).
 * **Coupling (NSA604)** — an unknown aggressor slope degrades to full
   (attack factor 1.0), never to zero.
 
@@ -38,7 +40,7 @@ from ...netlist.nets import PinClass
 from ...netlist.stages import VDD, VSS, Stage, StageKind
 from ...posy import as_posynomial, posy_sum
 from ...sim.timing import StaticTimingAnalyzer
-from ..dataflow.interval import box_bounds, posy_box_bounds
+from ..dataflow.interval import box_bounds
 from ..symbolic.switchlevel import ChannelGraph, Switch
 
 _EPS = 1e-9
@@ -143,7 +145,16 @@ class ChargeShareCert:
 
     @property
     def safe_over_box(self) -> bool:
-        return self.dip_hi <= self.allowed + _EPS
+        """Every sizing in the box meets the budget (no slack: ``dip_hi``
+        is already rounded up)."""
+        return self.dip_hi <= self.allowed
+
+
+def _ratio_up(num: float, den_sum: float) -> float:
+    """An upper bound on ``num / den_sum`` where ``den_sum`` is a rounded
+    float sum: shrink the denominator one ulp, then step the quotient up
+    one, so neither rounding can land the ratio below the true value."""
+    return math.nextafter(num / math.nextafter(den_sum, 0.0), math.inf)
 
 
 def _worst_pass_state(
@@ -243,8 +254,8 @@ def charge_share_certificates(
         node = analyzer.load_posynomial(out)
         s_pt = share.evaluate(point)
         n_pt = node.evaluate(point)
-        s_lo, s_hi = posy_box_bounds(share, bounds)
-        n_lo, n_hi = posy_box_bounds(node, bounds)
+        s_lo, s_hi = share.enclose(bounds)
+        n_lo, n_hi = node.enclose(bounds)
         keeper = _keeper_strength(stage)
         certs.append(ChargeShareCert(
             stage=stage.name,
@@ -253,7 +264,7 @@ def charge_share_certificates(
             allowed=ratio * (1.0 + 2.0 * keeper),
             dip=s_pt / (n_pt + s_pt),
             dip_lo=s_lo / (n_hi + s_lo) if s_lo > 0 else 0.0,
-            dip_hi=s_hi / (n_lo + s_hi) if s_hi > 0 else 0.0,
+            dip_hi=_ratio_up(s_hi, n_lo + s_hi) if s_hi > 0 else 0.0,
             witness_on=on,
             witness_off=off,
             exposed=exposed,
@@ -342,8 +353,8 @@ def keeper_certificates(
         ) * w_pre / w_data
         c_pt = contention.evaluate(point)
         r_pt = restore.evaluate(point)
-        c_lo, c_hi = posy_box_bounds(contention, bounds)
-        r_lo, r_hi = posy_box_bounds(restore, bounds)
+        c_lo, c_hi = contention.enclose(bounds)
+        r_lo, r_hi = restore.enclose(bounds)
         certs.append(KeeperCert(
             stage=stage.name,
             node=stage.output.name,
@@ -453,7 +464,7 @@ def pass_chain_certificates(
             r_cum = posy_sum(resistances)
             tau = tau + r_cum * analyzer.load_posynomial(stage.output.name)
         tau = _LN2 * tau
-        t_lo, t_hi = posy_box_bounds(tau, bounds)
+        t_lo, t_hi = tau.enclose(bounds)
         certs.append(PassChainCert(
             stages=tuple(s.name for s in chain),
             nets=tuple(s.output.name for s in chain),
@@ -582,7 +593,7 @@ def coupling_certificates(
         couple = frac * circuit.net(out).wire_cap
         total = analyzer.load_posynomial(out)
         n_pt = total.evaluate(point)
-        n_lo, n_hi = posy_box_bounds(total, bounds)
+        n_lo, n_hi = total.enclose(bounds)
         certs.append(CouplingCert(
             stage=stage.name,
             net=out,

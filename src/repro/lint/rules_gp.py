@@ -55,24 +55,6 @@ GP204 = register(Rule(
 ))
 
 
-def _box_lower_bound(expr, bounds) -> float:
-    """Sound lower bound of a posynomial over a variable box.
-
-    Each monomial is monotone in every variable (increasing for positive
-    exponents, decreasing for negative), so its box minimum is attained at
-    the lower bound for positive exponents and the upper bound for negative
-    ones; term minima sum to a valid posynomial lower bound.
-    """
-    total = 0.0
-    for mono in expr:
-        value = mono.coefficient
-        for var, exp in mono.exponents.items():
-            lower, upper = bounds(var)
-            value *= (lower if exp > 0 else upper) ** exp
-        total += value
-    return total
-
-
 def lint_gp(gp, size_table=None) -> LintReport:
     """Screen a :class:`~repro.sizing.gp.GeometricProgram` pre-solve.
 
@@ -143,7 +125,7 @@ def lint_gp(gp, size_table=None) -> LintReport:
 
     # GP204 — sound infeasibility screen over the variable box.
     for constraint in gp.inequalities:
-        lower = _box_lower_bound(constraint.expr, gp.bounds)
+        lower = constraint.expr.enclose(gp.bounds)[0]
         if lower > 1.0 + 1e-9:
             emit(
                 GP204,

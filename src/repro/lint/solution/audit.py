@@ -9,8 +9,9 @@ STA), but none of the solver's own residual bookkeeping:
   at the point.  Timing constraints are re-measured with the full STA (the
   engine's own convergence criterion, recomputed from scratch) *and*
   re-evaluated as slope-refreshed posynomials with outward-rounded
-  interval arithmetic, so a violation verdict survives floating-point
-  doubt; slope/noise constraints and device bounds are interval-checked
+  interval arithmetic (:meth:`repro.posy.Posynomial.enclose` at the
+  point), so a violation verdict survives floating-point doubt;
+  slope/noise constraints and device bounds are interval-checked
   directly.
 * :meth:`kkt` (OPT702) — first-order stationarity of the log-space convex
   transform via a nonnegative least-squares fit of the active-constraint
@@ -46,9 +47,6 @@ from .certificate import SolutionCertificate, widths_digest
 
 log = get_logger(__name__)
 
-#: One-ulp relative error per float operation, for outward rounding.
-_EPS = 2.0 ** -52
-
 #: Log-space margin under which an inequality counts as active for the
 #: KKT fit (≈1% multiplicative slack).
 _ACTIVE_TOL = 1e-2
@@ -59,34 +57,6 @@ _ACTIVE_TOL = 1e-2
 #: with up to ~1e-8 relative excess.  Kept far below any physically
 #: meaningful violation — the seeded mutants perturb by >=1e-3.
 _SOLVER_REL_TOL = 1e-6
-
-
-def posynomial_interval(
-    posy, env: Mapping[str, float]
-) -> Tuple[float, float]:
-    """Outward-rounded enclosure of ``posy`` at ``env``.
-
-    Every monomial is a product of a positive coefficient and positive
-    powers-of-widths, so each float operation incurs at most one ulp of
-    relative error; the enclosure widens each term by its operation count
-    ulps and the running sums by the term count.  Conservative (never
-    narrower than the true rounding envelope) and cheap — no directed
-    rounding modes needed.
-    """
-    lo = hi = 0.0
-    n_terms = 0
-    for mono in posy.terms:
-        value = mono.coefficient
-        ops = 1
-        for name, exp in mono.signature:
-            value *= env[name] ** exp
-            ops += 2  # one pow + one mul
-        delta = abs(value) * ops * _EPS
-        lo += value - delta
-        hi += value + delta
-        n_terms += 1
-    pad = (abs(lo) + abs(hi)) * max(1, n_terms) * _EPS
-    return lo - pad, hi + pad
 
 
 class SolutionAudit:
@@ -277,6 +247,10 @@ class SolutionAudit:
                 })
         constraints, realized, worst, worst_name = self.measure(env)
         slope_map = self.measured_slopes(env)
+
+        def point(name: str) -> Tuple[float, float]:
+            return (env[name], env[name])
+
         for constraint in constraints.timing:
             measured = realized[constraint.name]
             residual = measured - constraint.spec
@@ -287,7 +261,7 @@ class SolutionAudit:
                 delay = self._generator().path_delay_posynomial(
                     constraint.hops, slope_map
                 )
-                lo, _hi = posynomial_interval(delay, env)
+                lo, _hi = delay.enclose(point)
                 proof = (
                     "interval-confirmed"
                     if lo > constraint.spec + self.tolerance
@@ -303,7 +277,7 @@ class SolutionAudit:
                     ),
                 })
         for slope in constraints.slopes:
-            lo, _hi = posynomial_interval(slope.slope, env)
+            lo, _hi = slope.slope.enclose(point)
             if lo > slope.limit * (1.0 + _SOLVER_REL_TOL):
                 violations.append({
                     "name": slope.name,
@@ -314,7 +288,7 @@ class SolutionAudit:
                     ),
                 })
         for noise in constraints.noise:
-            lo, _hi = posynomial_interval(noise.expr, env)
+            lo, _hi = noise.expr.enclose(point)
             if lo > 1.0 + _SOLVER_REL_TOL:
                 violations.append({
                     "name": noise.name,
@@ -487,8 +461,12 @@ class SolutionAudit:
                     f"{worst:.2f} ps (> tolerance {self.tolerance:.2f} ps)"
                 ),
             })
+
+        def point(name: str) -> Tuple[float, float]:
+            return (replicated[name], replicated[name])
+
         for slope in constraints.slopes:
-            lo, _hi = posynomial_interval(slope.slope, replicated)
+            lo, _hi = slope.slope.enclose(point)
             if lo > slope.limit * (1.0 + _SOLVER_REL_TOL):
                 witness = witness or slope.name
                 violations.append({

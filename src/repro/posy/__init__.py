@@ -5,9 +5,7 @@ from .express import (
     as_posynomial,
     const,
     is_posynomial_in,
-    posy_max_bound,
     posy_sum,
-    scale_env,
     var,
 )
 from .terms import Monomial, Posynomial
@@ -20,7 +18,5 @@ __all__ = [
     "as_monomial",
     "as_posynomial",
     "posy_sum",
-    "posy_max_bound",
-    "scale_env",
     "is_posynomial_in",
 ]

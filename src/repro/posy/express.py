@@ -7,7 +7,7 @@ generation (:mod:`repro.sizing.constraints`) readable: ``var("N1")`` instead of
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 from .terms import Monomial, Posynomial
 
@@ -54,23 +54,6 @@ def posy_sum(exprs: Iterable[Expression]) -> Posynomial:
     for expr in exprs:
         total = total + as_posynomial(expr)
     return total
-
-
-def posy_max_bound(exprs: Iterable[Expression]) -> Posynomial:
-    """A posynomial upper bound for ``max(exprs)``: their sum.
-
-    ``max`` itself is not posynomial; in GP practice a shared slack variable is
-    used instead.  The sum is a safe (conservative) bound used where a quick
-    scalar bound suffices, e.g. problem-size estimation.
-    """
-    return posy_sum(exprs)
-
-
-def scale_env(env: Mapping[str, float], factor: float) -> dict:
-    """Scale every entry of a positive assignment by ``factor`` (> 0)."""
-    if factor <= 0:
-        raise ValueError("scale factor must be positive")
-    return {name: value * factor for name, value in env.items()}
 
 
 def is_posynomial_in(expr: Expression, allowed: Iterable[str]) -> bool:

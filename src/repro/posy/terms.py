@@ -15,7 +15,9 @@ Both are immutable value types supporting ``+``, ``-`` (only when the result
 stays posynomial, i.e. subtraction of like terms with a smaller coefficient),
 ``*``, ``/`` (division by a monomial or positive scalar) and ``**``.  They can
 be evaluated at a positive assignment of their variables, differentiated, and
-queried for their variables.
+queried for their variables.  :meth:`Posynomial.enclose` bounds a posynomial
+over a box of variable values with outward rounding; it is the one interval
+kernel behind every "proved" verdict of the lint screens and certificates.
 
 Everything downstream of the model library — constraint generation, the GP
 solver, the convergence loop — manipulates these objects, so they are written
@@ -25,7 +27,7 @@ to be cheap: a posynomial is a dict from exponent signatures to coefficients.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Tuple, Union
 
 Number = Union[int, float]
 
@@ -34,6 +36,10 @@ Number = Union[int, float]
 Signature = Tuple[Tuple[str, float], ...]
 
 _COEFF_EPS = 1e-300
+
+#: Relative error bound of one float operation (one ulp at 1.0), the unit
+#: of :meth:`Posynomial.enclose`'s outward padding.
+_ULP = 2.0 ** -52
 
 
 def _make_signature(exponents: Mapping[str, float]) -> Signature:
@@ -278,6 +284,42 @@ class Posynomial:
                 value *= env[var] ** exp
             total += value
         return total
+
+    def enclose(
+        self, bounds: Callable[[str], Tuple[float, float]]
+    ) -> Tuple[float, float]:
+        """Outward-rounded enclosure ``(lo, hi)`` over a variable box.
+
+        ``bounds(name)`` returns ``(lower, upper)`` for each variable; a
+        point ``env`` is the degenerate box ``lambda n: (env[n], env[n])``.
+        Each monomial is monotone per variable — increasing for a positive
+        exponent, decreasing for a negative one — so its box minimum and
+        maximum sit at corners, and term extremes sum to the posynomial's.
+
+        Every term is a positive coefficient times positive powers, so each
+        float operation errs by at most one ulp relative: a term is widened
+        by its operation count (``1 + 2·nvars``: the coefficient plus one
+        pow and one multiply per variable) times ``2**-52``, and the running
+        sums by the term count.  The result contains the exact real-valued
+        range without directed rounding modes.  Terms are summed in sorted
+        signature order, so the bounds are reproducible bit for bit.
+        """
+        lo = hi = 0.0
+        for sig, coeff in sorted(self._terms.items()):
+            v_lo = v_hi = coeff
+            for var, exp in sig:
+                lower, upper = bounds(var)
+                if exp > 0:
+                    v_lo *= lower ** exp
+                    v_hi *= upper ** exp
+                else:
+                    v_lo *= upper ** exp
+                    v_hi *= lower ** exp
+            ops = 1 + 2 * len(sig)
+            lo += v_lo - v_lo * ops * _ULP
+            hi += v_hi + v_hi * ops * _ULP
+        pad = (abs(lo) + abs(hi)) * max(1, len(self._terms)) * _ULP
+        return lo - pad, hi + pad
 
     def grad(self, env: Mapping[str, float]) -> Dict[str, float]:
         """Gradient at ``env`` over this posynomial's own variables."""

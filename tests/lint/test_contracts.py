@@ -7,11 +7,14 @@ from repro.lint import RuleResultCache, derive_contract, macro_identity
 from repro.lint.contracts import (
     CONTRACT_FORMAT,
     CONTRACT_VERSION,
+    _outward,
     build_registry_contracts,
 )
+from repro.lint.dataflow.interval import box_bounds
 from repro.macros import MacroSpec, default_database
 from repro.models import ModelLibrary, Technology
 from repro.netlist.fingerprint import circuit_fingerprint
+from repro.sim.timing import StaticTimingAnalyzer
 
 TECH = Technology()
 LIBRARY = ModelLibrary(TECH)
@@ -135,6 +138,35 @@ class TestDeriveContract:
         for fld in ("ports", "funcspec", "slice_signature", "findings",
                     "fingerprint", "facets"):
             assert a[fld] == b[fld]
+
+
+class TestOutwardBounds:
+    """Stored bounds round toward the safe side, never to nearest."""
+
+    def test_value_just_past_a_rounding_boundary(self):
+        above = 0.1234565000001  # rounds to nearest *up*, to 0.123457
+        assert round(above, 6) > above
+        assert _outward(above, 6, up=False) == 0.123456
+        assert _outward(above, 6, up=True) == 0.123457
+        below = 0.1234564999999  # rounds to nearest *down*, to 0.123456
+        assert round(below, 6) < below
+        assert _outward(below, 6, up=True) == 0.123457
+        assert _outward(below, 6, up=False) == 0.123456
+
+    def test_representable_value_is_kept(self):
+        assert _outward(0.25, 6, up=True) == 0.25
+        assert _outward(0.25, 6, up=False) == 0.25
+
+    def test_port_caps_enclose_the_box_range(self, decoder):
+        _topo, _spec, circuit = decoder
+        contract = derive_contract(circuit, LIBRARY)
+        analyzer = StaticTimingAnalyzer(circuit, LIBRARY)
+        for name, port in contract["ports"].items():
+            if port["direction"] != "in":
+                continue
+            lo, hi = analyzer.load_posynomial(name).enclose(box_bounds(circuit))
+            assert port["cap_lo"] <= lo
+            assert port["cap_hi"] >= hi
 
 
 class TestContractStore:

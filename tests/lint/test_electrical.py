@@ -1,5 +1,9 @@
 """NSA6xx electrical-safety certificates, mutant findings, and facades."""
 
+import dataclasses
+import itertools
+import math
+
 from repro.lint import lint_circuit
 from repro.lint.electrical import (
     charge_share_certificates,
@@ -90,6 +94,53 @@ class TestChargeShareCerts:
         )
         [cert] = certs
         assert not cert.violated
+
+
+class TestChargeShareSafeSide:
+    """``safe_over_box`` feeds the advisor's ``safe`` verdict, so it takes
+    no slack on the permissive side."""
+
+    def test_dip_just_over_budget_is_not_safe(self):
+        [cert] = charge_share_certificates(floating_internal_node(TECH))
+        over = dataclasses.replace(cert, dip_hi=cert.allowed + 5e-10)
+        assert not over.safe_over_box
+        assert dataclasses.replace(cert, dip_hi=cert.allowed).safe_over_box
+
+    def test_dip_hi_is_rounded_up(self):
+        # The floating node's dip is width-independent, so the box
+        # supremum sits within an ulp or two of the point dip.
+        [cert] = charge_share_certificates(floating_internal_node(TECH))
+        assert cert.dip < cert.dip_hi < cert.dip * (1.0 + 1e-14)
+
+    def test_safe_verdict_near_boundary_holds_at_worst_corner(self):
+        """Budgets a few ulps either side of ``dip_hi``: a ``safe`` verdict
+        is never contradicted by the dip at any corner of the box."""
+        circuit = floating_internal_node(TECH)
+        table = circuit.size_table
+        corners = [
+            dict(zip(table.names(), point))
+            for point in itertools.product(
+                *[(table[n].lower, table[n].upper) for n in table.names()]
+            )
+        ]
+        worst = max(
+            cert.dip
+            for env in corners
+            for cert in charge_share_certificates(circuit, env=env)
+        )
+        [cert] = charge_share_certificates(circuit)
+        ratio = cert.dip_hi
+        for _ in range(4):
+            ratio = math.nextafter(ratio, 0.0)
+        verdicts = []
+        for _ in range(9):
+            options = {"electrical_charge_ratio": ratio}
+            [cert] = charge_share_certificates(circuit, options=options)
+            verdicts.append(cert.safe_over_box)
+            if cert.safe_over_box:
+                assert worst <= cert.allowed, (worst, cert.allowed)
+            ratio = math.nextafter(ratio, math.inf)
+        assert verdicts == [False] * 4 + [True] * 5
 
 
 class TestKeeperAndPassCerts:

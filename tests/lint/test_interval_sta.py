@@ -11,17 +11,22 @@ The soundness contract under test (ISSUE acceptance):
 """
 
 import itertools
+import math
 
 import pytest
 
-from repro.lint.dataflow.interval import (
-    posy_box_bounds,
-    screen_feasibility,
-)
+from repro.lint.dataflow.interval import screen_feasibility
 from repro.macros import MacroSpec
 from repro.macros.base import MacroBuilder
 from repro.posy import Monomial, Posynomial
-from repro.sizing import DelaySpec, SizingError, SmartSizer
+from repro.sizing import (
+    ConstraintGenerator,
+    DelaySpec,
+    PathExtractor,
+    SizingError,
+    SmartSizer,
+    prune_paths,
+)
 from repro.sizing.engine import nominal_delay
 from repro.sizing.gp import GeometricProgram
 
@@ -49,6 +54,8 @@ def _generate(database, tech, macro_type, name, width):
 
 
 class TestPosyBoxBounds:
+    """``Posynomial.enclose`` over a width box, the bound DFA303 uses."""
+
     BOX = {"x": (0.5, 4.0), "y": (1.0, 8.0), "z": (0.25, 2.0)}
 
     def _bounds(self, name):
@@ -56,44 +63,37 @@ class TestPosyBoxBounds:
 
     def _brute_force(self, expr, samples=5):
         """Evaluate over a dense grid (corners included): every value must
-        land inside the interval."""
-        names = sorted({v for m in expr for v in m.exponents})
+        land inside the enclosure."""
+        names = sorted(expr.variables())
         axes = [
             [self.BOX[n][0] + t * (self.BOX[n][1] - self.BOX[n][0]) / (samples - 1)
              for t in range(samples)]
             for n in names
         ]
-        values = []
-        for point in itertools.product(*axes):
-            env = dict(zip(names, point))
-            total = 0.0
-            for mono in expr:
-                v = mono.coefficient
-                for var, exp in mono.exponents.items():
-                    v *= env[var] ** exp
-                total += v
-            values.append(total)
-        return values
+        return [
+            expr.evaluate(dict(zip(names, point)))
+            for point in itertools.product(*axes)
+        ]
 
     def test_single_monomial_bounds_are_exact(self):
         mono = Monomial(3.0, {"x": 1.0, "y": -2.0})
         expr = mono.as_posynomial()
-        lo, hi = posy_box_bounds(expr, self._bounds)
+        lo, hi = expr.enclose(self._bounds)
         values = self._brute_force(expr)
         assert lo == pytest.approx(min(values))
         assert hi == pytest.approx(max(values))
 
-    def test_posynomial_interval_contains_all_values(self):
+    def test_enclosure_contains_all_values(self):
         expr = Posynomial.from_terms([
             Monomial(2.0, {"x": 1.0}),
             Monomial(1.5, {"x": -1.0, "y": 1.0}),
             Monomial(0.3, {"y": -0.5, "z": 2.0}),
             Monomial.constant(0.7),
         ])
-        lo, hi = posy_box_bounds(expr, self._bounds)
+        lo, hi = expr.enclose(self._bounds)
         values = self._brute_force(expr)
-        assert lo <= min(values) + 1e-12
-        assert hi >= max(values) - 1e-12
+        assert lo <= min(values)
+        assert hi >= max(values)
         # Not vacuous: the interval is within 2x of the true range.
         assert lo >= 0.25 * min(values)
         assert hi <= 4.0 * max(values)
@@ -103,12 +103,12 @@ class TestPosyBoxBounds:
             Monomial(1.0, {"x": 0.5, "z": -1.5}),
             Monomial(4.0, {"y": -1.0}),
         ])
-        lo, hi = posy_box_bounds(expr, self._bounds)
+        lo, hi = expr.enclose(self._bounds)
         for value in self._brute_force(expr):
-            assert lo - 1e-12 <= value <= hi + 1e-12
+            assert lo <= value <= hi
 
     def test_empty_posynomial_is_zero(self):
-        assert posy_box_bounds(Posynomial.zero(), self._bounds) == (0.0, 0.0)
+        assert Posynomial.zero().enclose(self._bounds) == (0.0, 0.0)
 
 
 class TestNoFalseRejection:
@@ -176,20 +176,21 @@ class TestOverConstrainedRejection:
         assert "provably infeasible before GP" not in str(excinfo.value)
 
 
-class TestProvablyFeasible:
-    def _chain(self, tech):
-        builder = MacroBuilder("invchain2", tech)
-        a = builder.input("in")
-        n1 = builder.wire("n1")
-        out = builder.output("out", load=20.0)
-        for label in ("P0", "N0", "P1", "N1"):
-            builder.size(label)
-        builder.inv("i0", a, n1, "P0", "N0")
-        builder.inv("i1", n1, out, "P1", "N1")
-        return builder.done()
+def _two_inverter_chain(tech):
+    builder = MacroBuilder("invchain2", tech)
+    a = builder.input("in")
+    n1 = builder.wire("n1")
+    out = builder.output("out", load=20.0)
+    for label in ("P0", "N0", "P1", "N1"):
+        builder.size(label)
+    builder.inv("i0", a, n1, "P0", "N0")
+    builder.inv("i1", n1, out, "P1", "N1")
+    return builder.done()
 
+
+class TestProvablyFeasible:
     def test_loose_spec_on_static_chain_is_feasible(self, tech, library):
-        circuit = self._chain(tech)
+        circuit = _two_inverter_chain(tech)
         screen = screen_feasibility(circuit, library, DelaySpec(data=400.0))
         assert screen.feasible, screen.verdict
         # The claim is checked against the real GP: it must succeed.
@@ -206,6 +207,58 @@ class TestProvablyFeasible:
         circuit = _generate(database, tech, "decoder", "decoder/domino", 4)
         screen = screen_feasibility(circuit, library, DelaySpec(data=4000.0))
         assert not screen.feasible
+
+
+class TestNearBoundary:
+    """Budgets a few ulps either side of the one where the verdict flips to
+    ``provably-feasible``: no proved verdict may be contradicted by the
+    iteration-0 constraints evaluated at the default environment."""
+
+    @staticmethod
+    def _feasible(circuit, library, budget):
+        return screen_feasibility(circuit, library, DelaySpec(data=budget)).feasible
+
+    def _flip_budget(self, circuit, library):
+        """Smallest float data budget the screen proves feasible."""
+        lo, hi = 1.0, 1e5
+        assert not self._feasible(circuit, library, lo)
+        assert self._feasible(circuit, library, hi)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                return hi
+            if self._feasible(circuit, library, mid):
+                hi = mid
+            else:
+                lo = mid
+
+    @pytest.fixture(params=["invchain", "invchain2"])
+    def chain(self, request, tech):
+        if request.param == "invchain":
+            return request.getfixturevalue("inverter_chain")
+        return _two_inverter_chain(tech)
+
+    def test_feasible_verdict_holds_at_the_point(self, chain, library):
+        flip = self._flip_budget(chain, library)
+        assert not self._feasible(chain, library, math.nextafter(flip, 0.0))
+        env = chain.size_table.default_env()
+        paths = prune_paths(chain, PathExtractor(chain).extract()).paths
+        budget = flip
+        for _ in range(4):
+            budget = math.nextafter(budget, 0.0)
+        for _ in range(9):
+            if self._feasible(chain, library, budget):
+                constraints = ConstraintGenerator(
+                    chain, library, DelaySpec(data=budget)
+                ).generate(paths, {})
+                assert constraints.timing
+                for c in constraints.timing:
+                    assert c.delay.evaluate(env) <= c.spec, (budget, c.name)
+                for c in constraints.slopes:
+                    assert c.slope.evaluate(env) <= c.limit, (budget, c.name)
+                for c in constraints.noise:
+                    assert c.expr.evaluate(env) <= 1.0, (budget, c.name)
+            budget = math.nextafter(budget, math.inf)
 
 
 class TestWideningGoesUnknown:

@@ -8,9 +8,7 @@ from repro.posy import (
     as_monomial,
     as_posynomial,
     is_posynomial_in,
-    posy_max_bound,
     posy_sum,
-    scale_env,
     var,
 )
 
@@ -33,20 +31,6 @@ class TestCoercion:
 
 
 class TestHelpers:
-    def test_posy_max_bound_is_upper_bound(self):
-        exprs = [var("x"), 2.0 * var("x"), as_posynomial(5.0)]
-        bound = posy_max_bound(exprs)
-        env = {"x": 3.0}
-        assert bound.evaluate(env) >= max(e.evaluate(env) if hasattr(e, "evaluate")
-                                          else e for e in exprs[:2])
-
-    def test_scale_env(self):
-        assert scale_env({"a": 2.0, "b": 4.0}, 0.5) == {"a": 1.0, "b": 2.0}
-
-    def test_scale_env_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            scale_env({"a": 1.0}, 0.0)
-
     def test_is_posynomial_in_subset(self):
         assert is_posynomial_in(var("x") + var("y"), {"x", "y", "z"})
         assert not is_posynomial_in(var("w"), {"x", "y"})

@@ -1,6 +1,7 @@
 """Property-based tests: posynomial algebra laws and GP-relevant invariants."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,21 +12,24 @@ VARS = ("x", "y", "z")
 
 coefficients = st.floats(min_value=1e-3, max_value=1e3)
 exponents = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: round(e, 3))
+integer_exponents = st.integers(min_value=-3, max_value=3).map(float)
+#: Dyadic widths k/64: exact in binary, so exact corner values are cheap.
+dyadic = st.integers(min_value=1, max_value=64 * 64).map(lambda k: k / 64)
 
 
 @st.composite
-def monomials(draw):
+def monomials(draw, exps=exponents):
     coeff = draw(coefficients)
     n_vars = draw(st.integers(min_value=0, max_value=3))
     names = draw(
         st.lists(st.sampled_from(VARS), min_size=n_vars, max_size=n_vars, unique=True)
     )
-    return Monomial(coeff, {name: draw(exponents) for name in names})
+    return Monomial(coeff, {name: draw(exps) for name in names})
 
 
 @st.composite
-def posynomials(draw):
-    terms = draw(st.lists(monomials(), min_size=1, max_size=5))
+def posynomials(draw, exps=exponents):
+    terms = draw(st.lists(monomials(exps), min_size=1, max_size=5))
     return Posynomial.from_terms(terms)
 
 
@@ -34,6 +38,12 @@ def environments(draw):
     return {
         name: draw(st.floats(min_value=1e-2, max_value=1e2)) for name in VARS
     }
+
+
+@st.composite
+def boxes(draw, corners=st.floats(min_value=1e-2, max_value=1e2)):
+    """``name -> (lower, upper)`` over every variable in ``VARS``."""
+    return {name: tuple(sorted((draw(corners), draw(corners)))) for name in VARS}
 
 
 @given(monomials(), monomials(), environments())
@@ -126,3 +136,46 @@ def test_monomial_roundtrip_through_posynomial(m):
     assert p.is_monomial()
     back = p.as_monomial()
     assert back == m
+
+
+# -- Posynomial.enclose: the outward-rounded interval kernel ---------------
+
+
+@given(posynomials(), boxes(), st.data())
+def test_enclose_contains_every_point_of_the_box(p, box, data):
+    lo, hi = p.enclose(box.__getitem__)
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    env = {
+        name: min(upper, max(lower, lower + data.draw(unit) * (upper - lower)))
+        for name, (lower, upper) in box.items()
+    }
+    assert lo <= p.evaluate(env) <= hi
+
+
+@given(posynomials(), environments())
+def test_enclose_of_a_point_contains_its_value(p, env):
+    lo, hi = p.enclose(lambda name: (env[name], env[name]))
+    assert lo <= p.evaluate(env) <= hi
+    # Outward padding only: a few ulps per term, never a loose bound.
+    assert hi - lo <= 1e-12 * p.evaluate(env)
+
+
+def _exact_corner(p, box, side):
+    """Exact rational box minimum (``side=0``) or maximum (``side=1``):
+    every monomial is monotone per variable, so it peaks at a corner."""
+    total = Fraction(0)
+    for term in p.terms:
+        value = Fraction(term.coefficient)
+        for name, exp in term.signature:
+            lower, upper = box[name]
+            corner = (lower, upper)[side] if exp > 0 else (upper, lower)[side]
+            value *= Fraction(corner) ** int(exp)
+        total += value
+    return total
+
+
+@given(posynomials(integer_exponents), boxes(dyadic))
+def test_enclose_contains_exact_rational_range(p, box):
+    lo, hi = p.enclose(box.__getitem__)
+    assert lo <= _exact_corner(p, box, 0)
+    assert _exact_corner(p, box, 1) <= hi
