@@ -158,7 +158,7 @@ def derive_contract(
             analysis = IntervalAnalysis(
                 circuit, library, input_slope, box_bounds(circuit)
             )
-            analyzer = analysis._analyzer
+            analyzer = analysis.analyzer
             timing = solve_forward(circuit, analysis).values
         except Exception as exc:  # timing models absent for exotic stages
             log.warning(

@@ -12,12 +12,12 @@ without ever extracting paths or building a GP.  It propagates, per net,
   over all paths and transition arcs, an upper bound on every path's delay
   at every point of the box;
 
-mirroring :meth:`ConstraintGenerator.path_delay_posynomial` hop by hop:
-``arr' = arr + delay(input_slope=0) + slope_sensitivity * slope`` and
-``slope' = output_slope(input_slope=0) + 0.1 * slope`` (plus the Elmore
-wire terms), with the first hop's slope frozen at the designer's input
-slope (halved on clock nets) exactly as the generator's iteration-0
-``slope_map`` fallback does.
+enclosing the generator's hop model
+(:meth:`StaticTimingAnalyzer.arc_posynomials`, Elmore wire terms included)
+hop by hop as :meth:`ConstraintGenerator.path_delay_posynomial` chains it:
+``arr' = arr + delay + slope_sensitivity * slope`` and
+``slope' = slope_out + SLOPE_LEAK * slope``, with the designer's input
+slope (halved on clock nets) entering the first hop.
 
 **Soundness** (see DESIGN.md for the full argument):
 
@@ -42,13 +42,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
-from ...models.gates import LN2, ModelLibrary
+from ...models.gates import SLOPE_LEAK, ModelLibrary
 from ...netlist.circuit import Circuit
 from ...netlist.nets import NetKind, PinClass
 from ...netlist.sizing_vars import DEFAULT_BOUNDS
 from ...netlist.stages import Stage, StageKind
 from ...obs import metrics, trace
 from ...sim.timing import StaticTimingAnalyzer, stage_arcs
+from ...sizing.constraints import ConstraintGenerator
 from ..diagnostics import Diagnostic, LintReport, Location, Severity
 from ..registry import Rule, register
 from .framework import ForwardAnalysis, solve_forward
@@ -134,10 +135,8 @@ class IntervalAnalysis(ForwardAnalysis):
         self.library = library
         self.input_slope = input_slope
         self.bounds = bounds
-        self._analyzer = StaticTimingAnalyzer(circuit, library)
-        self._load_cache: Dict[str, object] = {}
+        self.analyzer = StaticTimingAnalyzer(circuit, library)
         self._hop_cache: Dict[Tuple[str, str], Tuple[float, float, float, float]] = {}
-        self._wire_cache: Dict[str, Tuple[float, float]] = {}
 
     # -- lattice -----------------------------------------------------------
 
@@ -186,12 +185,7 @@ class IntervalAnalysis(ForwardAnalysis):
 
     # -- model bounds ------------------------------------------------------
 
-    def _load_of(self, circuit: Circuit, net_name: str):
-        if net_name not in self._load_cache:
-            self._load_cache[net_name] = self._analyzer.load_posynomial(net_name)
-        return self._load_cache[net_name]
-
-    def _hop_bounds(self, circuit: Circuit, stage: Stage, pin) -> Tuple[float, float, float, float]:
+    def _hop_bounds(self, stage: Stage, pin) -> Tuple[float, float, float, float]:
         """(d_lo, d_hi, s_lo, s_hi): delay and base-slope hulls over every
         transition arc through ``pin`` (arc minima may mix arcs — the lo
         side only needs to stay a lower bound)."""
@@ -199,19 +193,12 @@ class IntervalAnalysis(ForwardAnalysis):
         cached = self._hop_cache.get(key)
         if cached is not None:
             return cached
-        load = self._load_of(circuit, stage.output.name)
-        table = circuit.size_table
         d_lo = s_lo = float("inf")
         d_hi = s_hi = 0.0
         for _in_trans, out_trans in stage_arcs(stage, pin, self.library):
-            delay = self.library.delay(
-                stage, pin, out_trans, load, table, input_slope=0.0
-            )
+            delay, slope = self.analyzer.arc_posynomials(stage, pin, out_trans)
             lo, hi = delay.enclose(self.bounds)
             d_lo, d_hi = min(d_lo, lo), max(d_hi, hi)
-            slope = self.library.output_slope(
-                stage, pin, out_trans, load, table, input_slope=0.0
-            )
             lo, hi = slope.enclose(self.bounds)
             s_lo, s_hi = min(s_lo, lo), max(s_hi, hi)
         if d_lo == float("inf"):  # no arcs through this pin
@@ -220,31 +207,15 @@ class IntervalAnalysis(ForwardAnalysis):
         self._hop_cache[key] = result
         return result
 
-    def _wire_bounds(self, circuit: Circuit, net_name: str) -> Tuple[float, float]:
-        if net_name not in self._wire_cache:
-            wire = self._analyzer.far_cap_posynomial(net_name)
-            self._wire_cache[net_name] = wire.enclose(self.bounds)
-        return self._wire_cache[net_name]
-
     # -- transfer ----------------------------------------------------------
 
-    def _advance(
-        self, circuit: Circuit, stage: Stage, pin, value: TimingValue
-    ) -> TimingValue:
-        d_lo, d_hi, s_lo, s_hi = self._hop_bounds(circuit, stage, pin)
+    def _advance(self, stage: Stage, pin, value: TimingValue) -> TimingValue:
+        d_lo, d_hi, s_lo, s_hi = self._hop_bounds(stage, pin)
         sens = self.library.tech.slope_sensitivity
         arr_lo = value.arr_lo + d_lo + sens * value.slope_lo
         arr_hi = value.arr_hi + d_hi + sens * value.slope_hi
-        slope_lo = s_lo + 0.1 * value.slope_lo
-        slope_hi = s_hi + 0.1 * value.slope_hi
-        wire_res = stage.output.wire_res
-        if wire_res > 0.0:
-            far_lo, far_hi = self._wire_bounds(circuit, stage.output.name)
-            arr_lo += LN2 * wire_res * far_lo
-            arr_hi += LN2 * wire_res * far_hi
-            gain = self.library.tech.slope_gain
-            slope_lo += gain * wire_res * far_lo
-            slope_hi += gain * wire_res * far_hi
+        slope_lo = s_lo + SLOPE_LEAK * value.slope_lo
+        slope_hi = s_hi + SLOPE_LEAK * value.slope_hi
 
         classes = set(value.classes)
         if _CLOCK_MARK in classes:
@@ -298,7 +269,7 @@ class IntervalAnalysis(ForwardAnalysis):
                 continue
             if value.widened:
                 return _TOP
-            out = self.join(out, self._advance(circuit, stage, pin, value))
+            out = self.join(out, self._advance(stage, pin, value))
         return out
 
 
@@ -366,72 +337,6 @@ def _sink_nets(circuit: Circuit) -> List[str]:
     ]
 
 
-def _slope_surface(circuit: Circuit, library: ModelLibrary, spec, analysis):
-    """Yield the generator's iteration-0 slope constraints as
-    ``(name, posynomial, limit, net)`` — same dedupe/order as
-    ``ConstraintGenerator._add_slope_constraints`` with an empty slope map.
-    """
-    table = circuit.size_table
-    outputs = set(circuit.primary_outputs)
-    for stage in circuit.stages:
-        net = stage.output.name
-        limit = (
-            spec.max_output_slope if net in outputs else spec.max_internal_slope
-        )
-        covered = set()
-        for pin in stage.inputs:
-            for _in_trans, out_trans in stage_arcs(stage, pin, library):
-                if out_trans in covered:
-                    continue
-                covered.add(out_trans)
-                slope = library.output_slope(
-                    stage,
-                    pin,
-                    out_trans,
-                    analysis._load_of(circuit, net),
-                    table,
-                    input_slope=spec.input_slope,
-                )
-                if stage.output.wire_res > 0.0:
-                    slope = slope + (
-                        library.tech.slope_gain
-                        * stage.output.wire_res
-                        * analysis._analyzer.far_cap_posynomial(net)
-                    )
-                yield (
-                    f"slope.{stage.name}.{out_trans.value}",
-                    slope,
-                    limit,
-                    net,
-                )
-
-
-def _noise_surface(circuit: Circuit, library: ModelLibrary, spec):
-    """Yield the generator's charge-sharing constraints as
-    ``(name, posynomial, stage)`` with limit 1 (mirrors
-    ``ConstraintGenerator._add_noise_constraints``)."""
-    ratio = spec.charge_sharing_ratio
-    if ratio is None:
-        return
-    table = circuit.size_table
-    tech = library.tech
-    for stage in circuit.stages:
-        if stage.kind is not StageKind.DOMINO:
-            continue
-        model = library.model(stage)
-        internal = model.internal_charge_cap(stage, table)
-        if len(internal) == 0:
-            continue
-        keeper = float(stage.params.get("keeper", 0.0))
-        allowed = (
-            ratio
-            * (1.0 + 2.0 * keeper)
-            * tech.c_diff
-            * table.monomial(stage.label("precharge"))
-        )
-        yield (f"noise.{stage.name}", internal / allowed, stage.name)
-
-
 def screen_feasibility(
     circuit: Circuit,
     library: ModelLibrary,
@@ -454,9 +359,13 @@ def screen_feasibility(
         ))
 
     with trace.span("interval_screen", circuit=circuit.name) as span:
+        generator = ConstraintGenerator(circuit, library, spec)
         analysis = IntervalAnalysis(
             circuit, library, spec.input_slope, bounds
         )
+        # One hop-model memo serves the box pass, the slope/noise screen
+        # and the point pass.
+        analysis.analyzer = generator.analyzer
         result = solve_forward(circuit, analysis)
         widened = bool(result.widened)
 
@@ -480,25 +389,25 @@ def screen_feasibility(
                     "over the whole size box — no sizing can meet this path",
                     net=name,
                 )
-        for cname, slope, limit, net in _slope_surface(
-            circuit, library, spec, analysis
-        ):
-            lo, _ = slope.enclose(bounds)
-            if lo > limit * (1.0 + _EPS):
+        # The generator's slope and noise constraints, one per stage (no
+        # regularity dedupe: every failing stage is named).
+        for slope in generator.slope_constraints():
+            lo, _ = slope.slope.enclose(bounds)
+            if lo > slope.limit * (1.0 + _EPS):
                 emit(
                     f"minimum achievable slope {lo:.1f} ps exceeds the "
-                    f"{limit:.1f} ps limit over the whole size box",
-                    net=net,
-                    constraint=cname,
+                    f"{slope.limit:.1f} ps limit over the whole size box",
+                    net=slope.net,
+                    constraint=slope.name,
                 )
-        for cname, expr, stage_name in _noise_surface(circuit, library, spec):
-            lo, _ = expr.enclose(bounds)
+        for noise in generator.noise_constraints():
+            lo, _ = noise.expr.enclose(bounds)
             if lo > 1.0 + _EPS:
                 emit(
                     f"charge-sharing ratio is at least {lo:.2f}x the allowed "
                     "limit over the whole size box",
-                    stage=stage_name,
-                    constraint=cname,
+                    stage=noise.stage,
+                    constraint=noise.name,
                 )
 
         if report.diagnostics:
@@ -507,7 +416,7 @@ def screen_feasibility(
             verdict = "unknown"
         else:
             verdict = _try_prove_feasible(
-                circuit, library, spec, sink_values, bounds
+                circuit, library, spec, sink_values, bounds, generator
             )
 
         span.set_attrs(verdict=verdict, sinks=len(sink_values))
@@ -525,7 +434,12 @@ def screen_feasibility(
 
 
 def _try_prove_feasible(
-    circuit: Circuit, library: ModelLibrary, spec, sink_values, bounds
+    circuit: Circuit,
+    library: ModelLibrary,
+    spec,
+    sink_values,
+    bounds,
+    generator: ConstraintGenerator,
 ) -> str:
     """Point certificate: rerun the propagation with the box collapsed to
     the nominal sizing and check every budget's ``hi`` side."""
@@ -545,6 +459,7 @@ def _try_prove_feasible(
     analysis = IntervalAnalysis(
         circuit, library, spec.input_slope, point_bounds
     )
+    analysis.analyzer = generator.analyzer
     result = solve_forward(circuit, analysis)
     if result.widened:
         return "unknown"
@@ -554,14 +469,12 @@ def _try_prove_feasible(
             return "unknown"
         if value.arr_hi > _min_budget(spec, value):
             return "unknown"
-    for _name, slope, limit, _net in _slope_surface(
-        circuit, library, spec, analysis
-    ):
-        _, hi = slope.enclose(point_bounds)
-        if hi > limit:
+    for slope in generator.slope_constraints():
+        _, hi = slope.slope.enclose(point_bounds)
+        if hi > slope.limit:
             return "unknown"
-    for _name, expr, _stage in _noise_surface(circuit, library, spec):
-        _, hi = expr.enclose(point_bounds)
+    for noise in generator.noise_constraints():
+        _, hi = noise.expr.enclose(point_bounds)
         if hi > 1.0:
             return "unknown"
     return "provably-feasible"

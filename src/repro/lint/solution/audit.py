@@ -7,12 +7,13 @@ STA), but none of the solver's own residual bookkeeping:
 
 * :meth:`feasibility` (OPT701) — primal feasibility of every GP constraint
   at the point.  Timing constraints are re-measured with the full STA (the
-  engine's own convergence criterion, recomputed from scratch) *and*
-  re-evaluated as slope-refreshed posynomials with outward-rounded
-  interval arithmetic (:meth:`repro.posy.Posynomial.enclose` at the
-  point), so a violation verdict survives floating-point doubt;
-  slope/noise constraints and device bounds are interval-checked
-  directly.
+  engine's own convergence criterion,
+  :func:`repro.sizing.engine.measure_constraints`, recomputed from
+  scratch) *and* each violation's GP delay posynomial at the designer
+  input slope is enclosed with outward-rounded interval arithmetic
+  (:meth:`repro.posy.Posynomial.enclose` at the point), so a violation
+  verdict survives floating-point doubt; slope/noise constraints and
+  device bounds are interval-checked directly.
 * :meth:`kkt` (OPT702) — first-order stationarity of the log-space convex
   transform via a nonnegative least-squares fit of the active-constraint
   gradients, turned into a quantitative optimality-gap bound (see the
@@ -41,7 +42,7 @@ from ...netlist.fingerprint import facet_fingerprints
 from ...obs import perf, trace
 from ...obs.log import get_logger
 from ...sizing.constraints import ConstraintGenerator, ConstraintSet, DelaySpec
-from ...sizing.engine import SmartSizer
+from ...sizing.engine import SmartSizer, measure_constraints
 from ...sizing.gp import _LogSumExp
 from .certificate import SolutionCertificate, widths_digest
 
@@ -94,7 +95,6 @@ class SolutionAudit:
         self._paths: Optional[list] = None
         self._frozen_constraints: Optional[ConstraintSet] = None
         self._measure_memo: Dict[str, tuple] = {}
-        self._slope_memo: Dict[str, Dict[str, float]] = {}
         self._gen: Optional[ConstraintGenerator] = None
 
     # -- shared front end --------------------------------------------------
@@ -115,74 +115,34 @@ class SolutionAudit:
         return self._gen
 
     def frozen_constraints(self) -> ConstraintSet:
-        """The constraint set at frozen default slopes — exactly the GP the
-        engine solves (its ``generate(paths, {})`` call)."""
+        """The constraint set — exactly the GP the engine solves."""
         if self._frozen_constraints is None:
             self._frozen_constraints = self._generator().generate(
-                self._extract_paths(), {}
+                self._extract_paths()
             )
         return self._frozen_constraints
-
-    def _refreshed_constraints(
-        self, slope_map: Mapping[str, float]
-    ) -> ConstraintSet:
-        """Slope-refreshed constraint set without rebuilding the timing
-        posynomials.  Timing structure (names, hops, specs) is slope-
-        independent — measured slopes only shift the first-hop start
-        constant — so the frozen set's timing entries are reused (realized
-        delays come from the numeric STA anyway, and a violation's
-        refreshed posynomial is rebuilt lazily for its interval proof).
-        Slope constraints embed measured input slopes in their
-        coefficients and are regenerated; noise constraints never depend
-        on slopes."""
-        frozen = self.frozen_constraints()
-        refreshed = ConstraintSet()
-        refreshed.timing = frozen.timing
-        refreshed.noise = frozen.noise
-        self._generator()._add_slope_constraints(refreshed, dict(slope_map))
-        return refreshed
-
-    def measured_slopes(
-        self, env: Mapping[str, float]
-    ) -> Dict[str, float]:
-        """The STA slope map at ``env`` (memoized alongside measure)."""
-        digest = widths_digest(env)
-        if digest not in self._slope_memo:
-            self.measure(env)
-        return self._slope_memo[digest]
 
     def measure(
         self, env: Mapping[str, float]
     ) -> Tuple[ConstraintSet, Dict[str, float], float, str]:
         """STA measurement of every timing constraint at ``env``.
 
-        Returns ``(slope-refreshed constraints, realized delays, worst
-        residual, worst constraint name)`` — the engine's convergence
-        criterion recomputed from scratch at the audited point.
+        Returns ``(constraints, realized delays, worst residual, worst
+        constraint name)`` — the engine's convergence criterion recomputed
+        from scratch at the audited point, over :meth:`frozen_constraints`.
         """
         digest = widths_digest(env)
         memo = self._measure_memo.get(digest)
-        if memo is not None:
-            return memo
-        analyzer = self._sizer.analyzer
-        report = analyzer.analyze(env, input_slope=self.spec.input_slope)
-        slope_map = {key: ev.slope for key, ev in report.arrivals.items()}
-        self._slope_memo[digest] = slope_map
-        constraints = self._refreshed_constraints(slope_map)
-        realized: Dict[str, float] = {}
-        worst = -math.inf
-        worst_name = ""
-        for constraint in constraints.timing:
-            measured = analyzer.path_delay(
-                constraint.hops, env,
-                input_slope=self.spec.input_slope, net_slopes=slope_map,
+        if memo is None:
+            constraints = self.frozen_constraints()
+            measurement = measure_constraints(
+                self._sizer.analyzer, constraints.timing, env,
+                self.spec.input_slope,
             )
-            realized[constraint.name] = measured
-            violation = measured - constraint.spec
-            if violation > worst:
-                worst, worst_name = violation, constraint.name
-        memo = (constraints, realized, worst, worst_name)
-        self._measure_memo[digest] = memo
+            memo = self._measure_memo[digest] = (
+                constraints, measurement.realized,
+                measurement.worst_violation, measurement.worst_constraint,
+            )
         return memo
 
     def _normalize_env(
@@ -246,7 +206,6 @@ class SolutionAudit:
                     ),
                 })
         constraints, realized, worst, worst_name = self.measure(env)
-        slope_map = self.measured_slopes(env)
 
         def point(name: str) -> Tuple[float, float]:
             return (env[name], env[name])
@@ -255,13 +214,7 @@ class SolutionAudit:
             measured = realized[constraint.name]
             residual = measured - constraint.spec
             if residual > self.tolerance:
-                # Rebuild just this constraint's posynomial at the measured
-                # slopes for the interval proof (the shared timing set keeps
-                # frozen-slope posynomials; see _refreshed_constraints).
-                delay = self._generator().path_delay_posynomial(
-                    constraint.hops, slope_map
-                )
-                lo, _hi = delay.enclose(point)
+                lo, _hi = constraint.delay.enclose(point)
                 proof = (
                     "interval-confirmed"
                     if lo > constraint.spec + self.tolerance

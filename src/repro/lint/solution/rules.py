@@ -152,10 +152,10 @@ def opt701_primal_feasibility(ctx) -> None:
     """Re-derive primal feasibility of every GP constraint at the solved
     point, independent of the solver's residual claims: timing constraints
     are re-measured with a fresh full STA (true slope propagation) and
-    cross-checked with outward-rounded interval evaluation of the
-    slope-refreshed delay posynomials; slope/noise constraints and device
-    bounds are interval-checked directly.  A finding is a width assignment
-    that provably does not implement its claimed spec."""
+    cross-checked with outward-rounded interval evaluation of their GP
+    delay posynomials at the designer input slope; slope/noise constraints
+    and device bounds are interval-checked directly.  A finding is a width
+    assignment that provably does not implement its claimed spec."""
     payload = _payload(ctx)
     if payload is None or "widths" not in payload:
         return

@@ -10,14 +10,15 @@ with ``f`` and ``g`` posynomial.  Our instantiation is an Elmore/logical-effort
 form::
 
     delay  = ln2 . R(W) . (C_par(W) + C_load)  +  k_s . t_in_slope
-    slope  = slope_gain . R(W) . (C_par(W) + C_load)
+    slope  = slope_gain . R(W) . (C_par(W) + C_load)  +  SLOPE_LEAK . t_in_slope
 
 where ``R`` is the switching resistance of the pull network engaged by the
 transition (a monomial ``1/W`` term) and ``C_par`` the stage's own output
-diffusion (a posynomial in the stage's labels).  ``t_in_slope`` enters the GP
-as a *frozen constant* — the Figure-4 outer loop re-measures real slopes with
-the timing analyzer and re-freezes them, which is exactly why the paper's
-models "need not be exact".
+diffusion (a posynomial in the stage's labels).  The GP chains
+``t_in_slope`` posynomially along each path from the designer's input slope;
+the timing analyzer measures the slopes sibling paths really deliver, and
+the Figure-4 outer loop retargets budgets on the mismatch — which is exactly
+why the paper's models "need not be exact".
 
 All functions return :class:`~repro.posy.Posynomial` objects over size-label
 variables, resolved through the circuit's size table so pinned/ratio-tied
@@ -37,6 +38,10 @@ from ..posy import Posynomial, as_posynomial
 from .technology import Technology
 
 LN2 = math.log(2.0)
+
+#: Fraction of a stage's input transition time that leaks into its output
+#: transition (equation (2)'s ``t_in_slope`` term).
+SLOPE_LEAK = 0.1
 
 
 class Transition(enum.Enum):
@@ -156,7 +161,7 @@ class StageModel:
         expr = self.tech.slope_gain * (r * c)
         if input_slope > 0.0:
             # A fraction of a slow input edge leaks into the output edge.
-            expr = expr + 0.1 * input_slope
+            expr = expr + SLOPE_LEAK * input_slope
         return expr
 
     def arcs(self, stage: Stage, pin: Pin):

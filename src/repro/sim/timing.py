@@ -22,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..models.gates import ModelLibrary, Transition
+from ..models.gates import LN2, ModelLibrary, Transition
 from ..netlist.circuit import Circuit
 from ..netlist.nets import NetKind, Pin, PinClass
 from ..netlist.stages import Stage, StageKind
 from ..obs import metrics, trace
+from ..posy import Posynomial, posy_sum
 
 #: A hop along a timing path: (stage name, input pin name, output transition).
 Hop = Tuple[str, str, Transition]
@@ -56,14 +57,18 @@ class TimingReport:
     def arrival(self, net: str, transition: Transition) -> Optional[ArrivalEvent]:
         return self.arrivals.get((net, transition))
 
+    def _events(self, net: str) -> List[ArrivalEvent]:
+        """The arrival events at ``net``, rise first (empty if never
+        reached)."""
+        return [
+            event
+            for event in (self.arrivals.get((net, trans)) for trans in Transition)
+            if event is not None
+        ]
+
     def net_delay(self, net: str) -> float:
         """Worst arrival over both transitions at ``net`` (0 if never reached)."""
-        times = [
-            event.time
-            for (n, _), event in self.arrivals.items()
-            if n == net
-        ]
-        return max(times) if times else 0.0
+        return max((event.time for event in self._events(net)), default=0.0)
 
     def worst(self, nets: Sequence[str]) -> float:
         """Worst arrival over a set of nets (the realized circuit delay)."""
@@ -71,9 +76,7 @@ class TimingReport:
 
     def critical_path(self, net: str) -> List[ArrivalEvent]:
         """Chain of arrival events ending at the worst transition of ``net``."""
-        candidates = [
-            event for (n, _), event in self.arrivals.items() if n == net
-        ]
+        candidates = self._events(net)
         if not candidates:
             return []
         event = max(candidates, key=lambda e: e.time)
@@ -137,6 +140,10 @@ class StaticTimingAnalyzer:
     def __init__(self, circuit: Circuit, library: ModelLibrary):
         self.circuit = circuit
         self.library = library
+        # Posynomial memos: the circuit's size table must not change while
+        # this analyzer is in use (collapse re-ties it between sizers).
+        self._loads: Dict[str, Posynomial] = {}
+        self._arcs: Dict[Tuple[str, str, Transition], Tuple[Posynomial, Posynomial]] = {}
 
     # -- loads ---------------------------------------------------------------
 
@@ -153,11 +160,11 @@ class StaticTimingAnalyzer:
             total += self.library.output_parasitic(driver, table).evaluate(widths)
         return total
 
-    def load_posynomial(self, net_name: str):
-        """Same total load as a posynomial (used by the constraint
-        generator)."""
-        from ..posy import posy_sum
-
+    def load_posynomial(self, net_name: str) -> Posynomial:
+        """Same total load as a posynomial (memoized)."""
+        total = self._loads.get(net_name)
+        if total is not None:
+            return total
         net = self.circuit.net(net_name)
         table = self.circuit.size_table
         parts = [
@@ -171,7 +178,32 @@ class StaticTimingAnalyzer:
         total = posy_sum(parts)
         if net.fixed_cap > 0:
             total = total + net.fixed_cap
+        self._loads[net_name] = total
         return total
+
+    def arc_posynomials(
+        self, stage: Stage, pin: Pin, out_trans: Transition
+    ) -> Tuple[Posynomial, Posynomial]:
+        """``(delay, slope)`` of one arc at zero input slope, Elmore wire
+        terms included (memoized) — the hop model every posynomial timing
+        consumer shares.  A hop entered with input slope ``s_in`` costs
+        ``delay + slope_sensitivity * s_in`` and launches
+        ``slope + SLOPE_LEAK * s_in`` (equations (1)/(2))."""
+        key = (stage.name, pin.name, out_trans)
+        arc = self._arcs.get(key)
+        if arc is not None:
+            return arc
+        out = stage.output
+        load = self.load_posynomial(out.name)
+        table = self.circuit.size_table
+        delay = self.library.delay(stage, pin, out_trans, load, table)
+        slope = self.library.output_slope(stage, pin, out_trans, load, table)
+        if out.wire_res > 0.0:
+            far = self.far_cap_posynomial(out.name)
+            delay = delay + LN2 * out.wire_res * far
+            slope = slope + self.library.tech.slope_gain * out.wire_res * far
+        arc = self._arcs[key] = (delay, slope)
+        return arc
 
     def far_cap(self, net_name: str, widths: Mapping[str, float]) -> float:
         """Capacitance on the *far* side of a net's wire resistance, fF:
@@ -183,9 +215,7 @@ class StaticTimingAnalyzer:
             total += self.library.input_cap(stage, pin, table).evaluate(widths)
         return total
 
-    def far_cap_posynomial(self, net_name: str):
-        from ..posy import posy_sum
-
+    def far_cap_posynomial(self, net_name: str) -> Posynomial:
         net = self.circuit.net(net_name)
         table = self.circuit.size_table
         parts = [
@@ -200,12 +230,28 @@ class StaticTimingAnalyzer:
 
     def wire_delay(self, net_name: str, widths: Mapping[str, float]) -> float:
         """Elmore delay of the net's interconnect, ps (0 for short wires)."""
-        net = self.circuit.net(net_name)
-        if net.wire_res <= 0.0:
-            return 0.0
-        from ..models.gates import LN2
+        return self._wire_terms(net_name, widths)[0]
 
-        return LN2 * net.wire_res * self.far_cap(net_name, widths)
+    def _wire_terms(
+        self, net_name: str, resolved: Mapping[str, float]
+    ) -> Tuple[float, float]:
+        """(Elmore delay, slope degradation) of the net's interconnect at
+        concrete widths, ps — both 0 for short wires."""
+        wire_res = self.circuit.net(net_name).wire_res
+        if wire_res <= 0.0:
+            return 0.0, 0.0
+        far = self.far_cap(net_name, resolved)
+        return (
+            LN2 * wire_res * far,
+            self.library.tech.slope_gain * wire_res * far,
+        )
+
+    def _resolve(self, widths: Mapping[str, float]) -> Dict[str, float]:
+        """Every label's width from a free-variable or full assignment."""
+        table = self.circuit.size_table
+        if all(n in widths for n in table.names()):
+            return dict(widths)
+        return table.resolve(widths)
 
     # -- analysis --------------------------------------------------------------
 
@@ -230,9 +276,7 @@ class StaticTimingAnalyzer:
         clock_arrival:
             Arrival of both clock edges.
         """
-        resolved = self.circuit.size_table.resolve(widths) if not all(
-            n in widths for n in self.circuit.size_table.names()
-        ) else dict(widths)
+        resolved = self._resolve(widths)
         arrivals: Dict[Tuple[str, Transition], ArrivalEvent] = {}
 
         input_arrivals = dict(input_arrivals or {})
@@ -255,14 +299,7 @@ class StaticTimingAnalyzer:
         for stage in self.circuit.topological_stages():
             out = stage.output.name
             load = self.net_load(out, resolved)
-            wire_extra = self.wire_delay(out, resolved)
-            wire_slope = 0.0
-            if stage.output.wire_res > 0.0:
-                wire_slope = (
-                    self.library.tech.slope_gain
-                    * stage.output.wire_res
-                    * self.far_cap(out, resolved)
-                )
+            wire_extra, wire_slope = self._wire_terms(out, resolved)
             for pin in stage.inputs:
                 for in_trans, out_trans in stage_arcs(stage, pin, self.library):
                     src = arrivals.get((pin.net.name, in_trans))
@@ -312,9 +349,7 @@ class StaticTimingAnalyzer:
         precharge edge must not poison its critical evaluate edge.
         """
         metrics.counter("sta.path_delays").inc()
-        resolved = self.circuit.size_table.resolve(widths) if not all(
-            n in widths for n in self.circuit.size_table.names()
-        ) else dict(widths)
+        resolved = self._resolve(widths)
         table = self.circuit.size_table
         total = 0.0
         chained = input_slope
@@ -333,16 +368,11 @@ class StaticTimingAnalyzer:
                 recorded = net_slopes.get((pin.net.name, in_trans))
                 if recorded is not None:
                     slope_in = max(recorded, chained)
-            total += self.wire_delay(out, resolved) + self.library.delay(
+            wire_delay, wire_slope = self._wire_terms(out, resolved)
+            total += wire_delay + self.library.delay(
                 stage, pin, out_trans, load, table, input_slope=slope_in
             ).evaluate(resolved)
-            chained = self.library.output_slope(
+            chained = wire_slope + self.library.output_slope(
                 stage, pin, out_trans, load, table, input_slope=slope_in
             ).evaluate(resolved)
-            if stage.output.wire_res > 0.0:
-                chained += (
-                    self.library.tech.slope_gain
-                    * stage.output.wire_res
-                    * self.far_cap(out, resolved)
-                )
         return total

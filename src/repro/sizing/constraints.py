@@ -15,16 +15,18 @@ Section 5.3's family rules:
 
 Slope (transition-time) constraints are generated for every driven net —
 "important for timing and reliability" — against separate internal/output
-limits.  Input slopes entering delay templates are *frozen constants* from a
-slope map the engine refreshes each Figure-4 iteration.
+limits.  Every constraint is built from one hop model,
+:meth:`StaticTimingAnalyzer.arc_posynomials`: slopes chain posynomially along
+a path from the designer's input slope (halved on clock nets), and each slope
+constraint sees the designer's input slope on the stage input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ..models.gates import ModelLibrary, Transition
+from ..models.gates import SLOPE_LEAK, ModelLibrary, Transition
 from ..netlist.circuit import Circuit
 from ..netlist.nets import NetKind, PinClass
 from ..netlist.stages import StageKind
@@ -141,15 +143,7 @@ class ConstraintGenerator:
         #: Opportunistic time borrowing window, ps (Section 5.3 / [12]):
         #: how far an evaluate segment may overrun its phase boundary.
         self.otb_borrow = otb_borrow
-        self._analyzer = StaticTimingAnalyzer(circuit, library)
-        self._load_cache: Dict[str, Posynomial] = {}
-
-    # -- loads -----------------------------------------------------------------
-
-    def load_of(self, net_name: str) -> Posynomial:
-        if net_name not in self._load_cache:
-            self._load_cache[net_name] = self._analyzer.load_posynomial(net_name)
-        return self._load_cache[net_name]
+        self.analyzer = StaticTimingAnalyzer(circuit, library)
 
     # -- transition expansion ----------------------------------------------------
 
@@ -235,66 +229,36 @@ class ConstraintGenerator:
 
     # -- delay assembly ----------------------------------------------------------------
 
-    def path_delay_posynomial(
-        self, hops: Sequence[Hop], slope_map: Optional[Mapping[str, float]] = None
-    ) -> Posynomial:
+    def path_delay_posynomial(self, hops: Sequence[Hop]) -> Posynomial:
         """Path delay with *posynomial slope chaining*.
 
         The input slope of each stage along the path is the previous stage's
         output slope — itself a posynomial of upstream widths — so the GP
         sees the slope/size coupling instead of a frozen constant (equation
         (1)'s ``t_in_slope`` term stays inside the optimization).  Only the
-        very first hop uses a constant: the designer's input slope (or a
-        measured value from ``slope_map`` when the engine provides one).
+        very first hop uses a constant: the designer's input slope, halved
+        on clock nets.
         """
-        table = self.circuit.size_table
-        tech = self.library.tech
+        sens = self.library.tech.slope_sensitivity
         total = Posynomial.zero()
-        slope_map = slope_map or {}
-        slope_expr: Posynomial = None
-        for index, (stage_name, pin_name, out_trans) in enumerate(hops):
+        start = self.spec.input_slope
+        if hops:
+            first_pin = self.circuit.stage(hops[0][0]).pin(hops[0][1])
+            if first_pin.net.kind is NetKind.CLOCK:
+                start *= 0.5
+        slope = Posynomial.from_terms([start])
+        for stage_name, pin_name, out_trans in hops:
             stage = self.circuit.stage(stage_name)
-            pin = stage.pin(pin_name)
-            load = self.load_of(stage.output.name)
-            if index == 0:
-                start = slope_map.get(pin.net.name)
-                if start is None:
-                    start = (
-                        self.spec.input_slope * 0.5
-                        if pin.net.kind is NetKind.CLOCK
-                        else self.spec.input_slope
-                    )
-                from ..posy import const
-
-                slope_expr = const(start).as_posynomial()
-            stage_delay = self.library.delay(
-                stage, pin, out_trans, load, table, input_slope=0.0
+            delay, out_slope = self.analyzer.arc_posynomials(
+                stage, stage.pin(pin_name), out_trans
             )
-            total = total + stage_delay + tech.slope_sensitivity * slope_expr
-            # Next stage's input slope: this stage's output slope with the
-            # same chaining the model's slope template uses.
-            base_slope = self.library.output_slope(
-                stage, pin, out_trans, load, table, input_slope=0.0
-            )
-            slope_expr = base_slope + 0.1 * slope_expr
-            if stage.output.wire_res > 0.0:
-                # Long-wire net: Elmore wire delay + wire slope (posynomial
-                # in the far-side fanout widths).
-                from ..models.gates import LN2
-
-                far = self._analyzer.far_cap_posynomial(stage.output.name)
-                total = total + LN2 * stage.output.wire_res * far
-                slope_expr = slope_expr + tech.slope_gain * stage.output.wire_res * far
+            total = total + delay + sens * slope
+            slope = out_slope + SLOPE_LEAK * slope
         return total
 
     # -- top level -------------------------------------------------------------------
 
-    def generate(
-        self,
-        paths: Sequence[StructuralPath],
-        slope_map: Optional[Mapping[str, float]] = None,
-    ) -> ConstraintSet:
-        slope_map = dict(slope_map or {})
+    def generate(self, paths: Sequence[StructuralPath]) -> ConstraintSet:
         constraints = ConstraintSet()
         seen: set = set()
         for p_index, path in enumerate(paths):
@@ -302,13 +266,11 @@ class ConstraintGenerator:
                 if not hops:
                     continue
                 kind = self.classify(path, hops)
-                multi_phase = False
                 if kind in ("data", "evaluate", "control"):
                     segments = self.phase_segments(hops)
-                    multi_phase = len(segments) > 1
-                    if multi_phase:
+                    if len(segments) > 1:
                         self._add_phase_constraints(
-                            constraints, p_index, t_index, kind, hops, segments, slope_map, seen
+                            constraints, p_index, t_index, kind, hops, segments, seen
                         )
                         continue
                 self._add_constraint(
@@ -317,16 +279,25 @@ class ConstraintGenerator:
                     kind,
                     hops,
                     self.spec.for_kind(kind),
-                    slope_map,
                     seen,
                 )
-        self._add_slope_constraints(constraints, slope_map)
-        self._add_noise_constraints(constraints)
+        # Regularity dedupe: stages with identical slope posynomials and the
+        # same limit produce one constraint (the adder's 64 bit-slices
+        # collapse to a handful); likewise identical noise expressions.
+        slopes: dict = {}
+        for slope in self.slope_constraints():
+            slopes.setdefault((slope.slope, slope.limit), slope)
+        noise: dict = {}
+        for item in self.noise_constraints():
+            noise.setdefault(item.expr, item)
+        constraints.slopes = list(slopes.values())
+        constraints.noise = list(noise.values())
         return constraints
 
-    def _add_noise_constraints(self, constraints: ConstraintSet) -> None:
-        """Section 5's "noise" constraints: bound each domino node's
-        charge-sharing exposure.
+    def noise_constraints(self) -> Iterator[NoiseConstraint]:
+        """Section 5's "noise" constraints, one per exposed domino stage
+        (no regularity dedupe): bound each domino node's charge-sharing
+        exposure.
 
         GP form: ``C_internal(W_data) / (ratio * C_pre(W_pre)) <= 1`` — the
         precharge device's node diffusion is the monomial anchor for the
@@ -337,10 +308,8 @@ class ConstraintGenerator:
         ratio = self.spec.charge_sharing_ratio
         if ratio is None:
             return
-
         table = self.circuit.size_table
         tech = self.library.tech
-        seen: set = set()
         for stage in self.circuit.stages:
             if stage.kind is not StageKind.DOMINO:
                 continue
@@ -356,85 +325,17 @@ class ConstraintGenerator:
                 * tech.c_diff
                 * table.monomial(stage.label("precharge"))
             )
-            expr = internal / allowed
-            key = expr
-            if key in seen:
-                continue
-            seen.add(key)
-            constraints.noise.append(
-                NoiseConstraint(
-                    name=f"noise.{stage.name}", expr=expr, stage=stage.name
-                )
+            yield NoiseConstraint(
+                name=f"noise.{stage.name}",
+                expr=internal / allowed,
+                stage=stage.name,
             )
 
-    def _add_phase_constraints(
-        self,
-        constraints: ConstraintSet,
-        p_index: int,
-        t_index: int,
-        kind: str,
-        hops: Tuple[Hop, ...],
-        segments: List[Tuple[Hop, ...]],
-        slope_map: Mapping[str, float],
-        seen: set,
-    ) -> None:
-        phase = self.spec.for_kind("segment")
-        if self.otb_borrow > 0.0:
-            # OTB: whole path gets the summed phase budget; each segment may
-            # overrun its boundary by the borrow window.
-            self._add_constraint(
-                constraints,
-                f"p{p_index}.t{t_index}.{kind}.otb",
-                kind,
-                hops,
-                phase * len(segments),
-                slope_map,
-                seen,
-            )
-            segment_budget = phase + self.otb_borrow
-        else:
-            segment_budget = phase
-        for s_index, segment in enumerate(segments):
-            self._add_constraint(
-                constraints,
-                f"p{p_index}.t{t_index}.s{s_index}.segment",
-                "segment",
-                segment,
-                segment_budget,
-                slope_map,
-                seen,
-            )
-
-    def _add_constraint(
-        self,
-        constraints: ConstraintSet,
-        name: str,
-        kind: str,
-        hops: Tuple[Hop, ...],
-        spec: float,
-        slope_map: Mapping[str, float],
-        seen: set,
-    ) -> None:
-        key = (hops, kind, round(spec, 6))
-        if key in seen:
-            return
-        seen.add(key)
-        delay = self.path_delay_posynomial(hops, slope_map)
-        if len(delay) == 0:
-            return
-        constraints.timing.append(
-            TimingConstraint(name=name, delay=delay, spec=spec, kind=kind, hops=hops)
-        )
-
-    def _add_slope_constraints(
-        self, constraints: ConstraintSet, slope_map: Mapping[str, float]
-    ) -> None:
-        table = self.circuit.size_table
+    def slope_constraints(self) -> Iterator[SlopeConstraint]:
+        """One slope constraint per (stage, output transition), with the
+        designer's input slope on the stage input (no regularity dedupe)."""
         outputs = set(self.circuit.primary_outputs)
-        # Regularity dedupe: stages with identical slope posynomials and the
-        # same limit produce one constraint (the adder's 64 bit-slices
-        # collapse to a handful).
-        seen_slopes: set = set()
+        leak = SLOPE_LEAK * self.spec.input_slope
         for stage in self.circuit.stages:
             net = stage.output.name
             limit = (
@@ -448,29 +349,68 @@ class ConstraintGenerator:
                     if out_trans in covered:
                         continue
                     covered.add(out_trans)
-                    slope = self.library.output_slope(
-                        stage,
-                        pin,
-                        out_trans,
-                        self.load_of(net),
-                        table,
-                        input_slope=slope_map.get(pin.net.name, self.spec.input_slope),
+                    _delay, slope = self.analyzer.arc_posynomials(
+                        stage, pin, out_trans
                     )
-                    if stage.output.wire_res > 0.0:
-                        slope = slope + (
-                            self.library.tech.slope_gain
-                            * stage.output.wire_res
-                            * self._analyzer.far_cap_posynomial(net)
-                        )
-                    key = (slope, limit)
-                    if key in seen_slopes:
-                        continue
-                    seen_slopes.add(key)
-                    constraints.slopes.append(
-                        SlopeConstraint(
-                            name=f"slope.{stage.name}.{out_trans.value}",
-                            slope=slope,
-                            limit=limit,
-                            net=net,
-                        )
+                    yield SlopeConstraint(
+                        name=f"slope.{stage.name}.{out_trans.value}",
+                        slope=slope + leak,
+                        limit=limit,
+                        net=net,
                     )
+
+    def _add_phase_constraints(
+        self,
+        constraints: ConstraintSet,
+        p_index: int,
+        t_index: int,
+        kind: str,
+        hops: Tuple[Hop, ...],
+        segments: List[Tuple[Hop, ...]],
+        seen: set,
+    ) -> None:
+        phase = self.spec.for_kind("segment")
+        if self.otb_borrow > 0.0:
+            # OTB: whole path gets the summed phase budget; each segment may
+            # overrun its boundary by the borrow window.
+            self._add_constraint(
+                constraints,
+                f"p{p_index}.t{t_index}.{kind}.otb",
+                kind,
+                hops,
+                phase * len(segments),
+                seen,
+            )
+            segment_budget = phase + self.otb_borrow
+        else:
+            segment_budget = phase
+        for s_index, segment in enumerate(segments):
+            self._add_constraint(
+                constraints,
+                f"p{p_index}.t{t_index}.s{s_index}.segment",
+                "segment",
+                segment,
+                segment_budget,
+                seen,
+            )
+
+    def _add_constraint(
+        self,
+        constraints: ConstraintSet,
+        name: str,
+        kind: str,
+        hops: Tuple[Hop, ...],
+        spec: float,
+        seen: set,
+    ) -> None:
+        key = (hops, kind, round(spec, 6))
+        if key in seen:
+            return
+        seen.add(key)
+        delay = self.path_delay_posynomial(hops)
+        if len(delay) == 0:
+            return
+        constraints.timing.append(
+            TimingConstraint(name=name, delay=delay, spec=spec, kind=kind, hops=hops)
+        )
+

@@ -4,14 +4,15 @@
     -> GP solve -> netlist update -> timing analysis -> (mismatch?) ->
     new delay specification -> iterate until convergence
 
-The GP works with frozen input slopes and posynomial component models; the
-static timing analyzer then measures the realized netlist with true slope
-propagation.  When a constrained path's realized delay misses its spec, the
-engine creates a "new delay specification" (Figure 4) for the next GP round by
-scaling that constraint's budget by the observed mismatch, and refreshes the
-frozen slope map from the STA.  Convergence is declared when every realized
-path delay is within ``tolerance`` of its spec — the paper reports solutions
-"within a few pico-seconds" of the original design's timing.
+The GP chains slopes posynomially along each path from the designer's input
+slope; the static timing analyzer then measures the realized netlist with
+true slope propagation, where a slow sibling path can degrade the edge a
+path sees at a merge point.  When a constrained path's realized delay misses
+its spec, the engine creates a "new delay specification" (Figure 4) for the
+next GP round by scaling that constraint's budget by the observed mismatch.
+Convergence is declared when every realized path delay is within
+``tolerance`` of its spec — the paper reports solutions "within a few
+pico-seconds" of the original design's timing.
 
 Constraint kinds wired into the GP (Figure 4's constraint taxonomy):
 
@@ -28,18 +29,20 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..cache.fingerprint import CacheKey, make_entry, sizing_cache_key
 from ..cache.store import SizingCache
-from ..models.gates import ModelLibrary, Transition
+from ..models.gates import ModelLibrary
 from ..netlist.circuit import Circuit
 from ..obs import metrics, perf, trace
 from ..obs.log import get_logger
 from ..posy import Posynomial, posy_sum
 from ..sim.power import PowerEstimator
-from ..sim.timing import StaticTimingAnalyzer
-from .constraints import ConstraintGenerator, ConstraintSet, DelaySpec
+from ..sim.timing import StaticTimingAnalyzer, TimingReport
+from .constraints import (
+    ConstraintGenerator, ConstraintSet, DelaySpec, TimingConstraint,
+)
 from .gp import GeometricProgram, GPInfeasibleError
 from .paths import PathExtractor
 from .pruning import PruneResult, prune_paths
@@ -114,6 +117,47 @@ class SizingResult:
         return max(values) if values else 0.0
 
 
+@dataclass
+class Measurement:
+    """STA measurement of a constraint set at one sizing (see
+    :func:`measure_constraints`)."""
+
+    realized: Dict[str, float]        # constraint name -> realized delay, ps
+    worst_violation: float            # max realized - spec, ps (-inf if none)
+    worst_constraint: str
+    report: TimingReport
+
+
+def measure_constraints(
+    analyzer: StaticTimingAnalyzer,
+    timing: Sequence[TimingConstraint],
+    widths: Mapping[str, float],
+    input_slope: float,
+) -> Measurement:
+    """The Figure-4 loop's measurement, shared by sizing, cache
+    re-verification and certification: one full STA at ``widths``, then
+    every constraint's path re-timed where each hop sees the worst of its
+    chained slope and the slope the STA recorded for the edge it receives.
+    """
+    with trace.span("sta"):
+        report = analyzer.analyze(widths, input_slope=input_slope)
+    slopes = {key: event.slope for key, event in report.arrivals.items()}
+    realized: Dict[str, float] = {}
+    worst = -math.inf
+    worst_name = ""
+    with trace.span("measure_paths", constraints=len(timing)):
+        for constraint in timing:
+            measured = analyzer.path_delay(
+                constraint.hops, widths, input_slope=input_slope,
+                net_slopes=slopes,
+            )
+            realized[constraint.name] = measured
+            violation = measured - constraint.spec
+            if violation > worst:
+                worst, worst_name = violation, constraint.name
+    return Measurement(realized, worst, worst_name, report)
+
+
 def measure_class_delays(
     circuit,
     library: ModelLibrary,
@@ -128,28 +172,18 @@ def measure_class_delays(
     numbers with the timing analyzer over the same constraint machinery the
     sizer uses.
     """
-    from .constraints import ConstraintGenerator, DelaySpec as _Spec
-    from .paths import PathExtractor
-    from .pruning import prune_paths
-
-    analyzer = StaticTimingAnalyzer(circuit, library)
-    extractor = PathExtractor(circuit)
-    if extractor.count() > 20_000:
-        paths = extractor.extract_representative()
-    else:
-        paths = prune_paths(circuit, extractor.extract()).paths
-    generator = ConstraintGenerator(
-        circuit, library, _Spec(data=1.0, input_slope=input_slope)
-    )
-    constraints = generator.generate(paths, {})
-    report = analyzer.analyze(widths, input_slope=input_slope)
-    slopes = {key: event.slope for key, event in report.arrivals.items()}
+    sizer = SmartSizer(circuit, library)
+    paths = sizer._extract(prune=True).paths
+    spec = DelaySpec(data=1.0, input_slope=input_slope)
+    timing = ConstraintGenerator(circuit, library, spec).generate(paths).timing
+    realized = measure_constraints(
+        sizer.analyzer, timing, widths, input_slope
+    ).realized
     worst: Dict[str, float] = {}
-    for constraint in constraints.timing:
-        measured = analyzer.path_delay(
-            constraint.hops, widths, input_slope=input_slope, net_slopes=slopes
+    for constraint in timing:
+        worst[constraint.kind] = max(
+            worst.get(constraint.kind, 0.0), realized[constraint.name]
         )
-        worst[constraint.kind] = max(worst.get(constraint.kind, 0.0), measured)
     return worst
 
 
@@ -551,7 +585,7 @@ class SmartSizer:
         generator = ConstraintGenerator(
             self.circuit, self.library, spec, otb_borrow=self.otb_borrow
         )
-        constraints = generator.generate(prune_result.paths, {})
+        constraints = generator.generate(prune_result.paths)
         return self._lint_gp(constraints)
 
     def _interval_screen(self, spec: DelaySpec):
@@ -605,12 +639,11 @@ class SmartSizer:
         generator = ConstraintGenerator(
             self.circuit, self.library, spec, otb_borrow=self.otb_borrow
         )
-        slope_map: Dict[str, float] = {}
         multipliers: Dict[str, float] = {}
         env: Optional[Dict[str, float]] = dict(initial) if initial else None
         history: List[IterationRecord] = []
         with trace.span("constraint_generation") as gen_span:
-            constraints = generator.generate(prune_result.paths, slope_map)
+            constraints = generator.generate(prune_result.paths)
             gen_span.set_attrs(
                 timing=len(constraints.timing),
                 slopes=len(constraints.slopes),
@@ -824,30 +857,12 @@ class SmartSizer:
                     # remaining iteration.
                     damping = 1.0
 
-                with trace.span("sta"):
-                    report = self.analyzer.analyze(
-                        env, input_slope=spec.input_slope
-                    )
-                slope_map = self._slope_map(report)
-
-                realized = {}
-                worst_violation = -math.inf
-                worst_name = ""
-                with trace.span(
-                    "measure_paths", constraints=len(constraints.timing)
-                ):
-                    for constraint in constraints.timing:
-                        measured = self.analyzer.path_delay(
-                            constraint.hops,
-                            env,
-                            input_slope=spec.input_slope,
-                            net_slopes=slope_map,
-                        )
-                        realized[constraint.name] = measured
-                        violation = measured - constraint.spec
-                        if violation > worst_violation:
-                            worst_violation = violation
-                            worst_name = constraint.name
+                measurement = measure_constraints(
+                    self.analyzer, constraints.timing, env, spec.input_slope
+                )
+                realized = measurement.realized
+                worst_violation = measurement.worst_violation
+                worst_name = measurement.worst_constraint
 
                 record_iteration(
                     IterationRecord(
@@ -934,26 +949,15 @@ class SmartSizer:
         if not free.issubset(env):
             return None
         env = {name: env[name] for name in sorted(free)}
-        report = self.analyzer.analyze(env, input_slope=spec.input_slope)
-        slope_map = self._slope_map(report)
-        realized: Dict[str, float] = {}
-        worst_violation = -math.inf
-        worst_name = ""
-        for constraint in constraints.timing:
-            measured = self.analyzer.path_delay(
-                constraint.hops,
-                env,
-                input_slope=spec.input_slope,
-                net_slopes=slope_map,
-            )
-            realized[constraint.name] = measured
-            violation = measured - constraint.spec
-            if violation > worst_violation:
-                worst_violation = violation
-                worst_name = constraint.name
-        if worst_violation > tolerance:
+        measurement = measure_constraints(
+            self.analyzer, constraints.timing, env, spec.input_slope
+        )
+        if measurement.worst_violation > tolerance:
             return None
-        return env, realized, worst_violation, worst_name
+        return (
+            env, measurement.realized, measurement.worst_violation,
+            measurement.worst_constraint,
+        )
 
     def _admit_certified(
         self,
@@ -1039,14 +1043,6 @@ class SmartSizer:
                 gp.set_bounds(size_var.name, size_var.lower, size_var.upper)
         return gp
 
-    def _slope_map(self, report) -> Dict[Tuple[str, Transition], float]:
-        """Worst measured slope per (net, transition) — keyed by transition
-        so that e.g. a lazy precharge edge cannot poison the evaluate edge of
-        the same net."""
-        return {
-            key: event.slope for key, event in report.arrivals.items()
-        }
-
     def _retarget(
         self,
         constraints: ConstraintSet,
@@ -1056,12 +1052,13 @@ class SmartSizer:
     ) -> Dict[str, float]:
         """The "create new delay specification" box.
 
-        With slope-refreshed models, the GP prediction and the STA measurement
-        of a path differ only by residual model error ``delta``; the next GP
-        round gets budget ``spec - damping*delta`` so that meeting the model
-        budget means meeting the true spec.  Multipliers are recomputed fresh
-        each iteration (not accumulated) because the constraint set itself is
-        regenerated with the new slopes.
+        The GP prediction and the STA measurement of a path differ by the
+        model error ``delta`` (chiefly slopes the GP's per-path chaining
+        cannot see); the next GP round gets budget ``spec - damping*delta``
+        so that meeting the model budget means meeting the true spec.
+        Multipliers are recomputed fresh each iteration (not accumulated)
+        because ``delta`` is measured against the unscaled constraint
+        posynomial at the current point.
         """
         multipliers: Dict[str, float] = {}
         for constraint in constraints.timing:

@@ -19,6 +19,7 @@ from repro.lint.dataflow.interval import screen_feasibility
 from repro.macros import MacroSpec
 from repro.macros.base import MacroBuilder
 from repro.posy import Monomial, Posynomial
+from repro.sim.timing import stage_arcs
 from repro.sizing import (
     ConstraintGenerator,
     DelaySpec,
@@ -250,7 +251,7 @@ class TestNearBoundary:
             if self._feasible(chain, library, budget):
                 constraints = ConstraintGenerator(
                     chain, library, DelaySpec(data=budget)
-                ).generate(paths, {})
+                ).generate(paths)
                 assert constraints.timing
                 for c in constraints.timing:
                     assert c.delay.evaluate(env) <= c.spec, (budget, c.name)
@@ -259,6 +260,51 @@ class TestNearBoundary:
                 for c in constraints.noise:
                     assert c.expr.evaluate(env) <= 1.0, (budget, c.name)
             budget = math.nextafter(budget, math.inf)
+
+
+class TestScreenNamesEveryStage:
+    """DFA303 screens the generator's slope and noise constraints *before*
+    ``generate`` merges regular duplicates, so an impossible limit on a
+    regular circuit is reported once per (stage, output transition) and
+    once per exposed domino stage, while the GP still gets the
+    deduplicated set."""
+
+    # (macro, topology, width, slope findings, noise findings,
+    #  generated slope constraints, generated noise constraints)
+    CASES = [
+        ("decoder", "decoder/domino", 4, 72, 16, 6, 1),
+        ("adder", "adder/dual_rail_domino_cla", 16, 596, 21, 132, 17),
+    ]
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c[1])
+    def test_one_finding_per_stage_transition(
+        self, case, database, tech, library
+    ):
+        macro, name, width, n_slope, n_noise, gen_slope, gen_noise = case
+        circuit = _generate(database, tech, macro, name, width)
+        spec = DelaySpec(
+            data=1e6, max_output_slope=1.0, max_internal_slope=1.0,
+            charge_sharing_ratio=0.01,
+        )
+        screen = screen_feasibility(circuit, library, spec)
+        assert screen.infeasible
+        named = [d.location.constraint for d in screen.report.diagnostics]
+        slopes = sorted(n for n in named if n.startswith("slope."))
+        assert slopes == sorted(
+            f"slope.{stage.name}.{trans.value}"
+            for stage in circuit.stages
+            for trans in {
+                out
+                for pin in stage.inputs
+                for _in, out in stage_arcs(stage, pin, library)
+            }
+        )
+        assert len(slopes) == n_slope
+        assert len([n for n in named if n.startswith("noise.")]) == n_noise
+        constraints = ConstraintGenerator(circuit, library, spec).generate([])
+        assert (len(constraints.slopes), len(constraints.noise)) == (
+            gen_slope, gen_noise,
+        )
 
 
 class TestWideningGoesUnknown:

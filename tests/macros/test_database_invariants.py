@@ -94,7 +94,7 @@ def test_all_constraints_posynomial(circuits, library):
         generator = ConstraintGenerator(
             circuit, library, DelaySpec(data=500.0, charge_sharing_ratio=1.5)
         )
-        constraint_set = generator.generate(paths, {})
+        constraint_set = generator.generate(paths)
         assert constraint_set.timing, name
         labels = circuit.size_table.names()
         for c in constraint_set.timing:

@@ -11,7 +11,7 @@ def _constraints(circuit, library, spec=None, otb=0.0):
     spec = spec or DelaySpec(data=200.0)
     paths = prune_paths(circuit, PathExtractor(circuit).extract()).paths
     generator = ConstraintGenerator(circuit, library, spec, otb_borrow=otb)
-    return generator, generator.generate(paths, {})
+    return generator, generator.generate(paths)
 
 
 class TestDelaySpec:

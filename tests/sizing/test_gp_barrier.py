@@ -70,7 +70,7 @@ class TestAgreementWithSLSQP:
         spec = DelaySpec(data=nominal_delay(small_mux, library))
         paths = prune_paths(small_mux, PathExtractor(small_mux).extract()).paths
         generator = ConstraintGenerator(small_mux, library, spec)
-        constraints = generator.generate(paths, {})
+        constraints = generator.generate(paths)
         sizer = SmartSizer(small_mux, library)
         gp = sizer._build_gp(constraints, {})
 

@@ -25,10 +25,10 @@ class TestConstraintGeneration:
         paths = prune_paths(domino_mux, PathExtractor(domino_mux).extract()).paths
         on = ConstraintGenerator(
             domino_mux, library, DelaySpec(data=300.0, charge_sharing_ratio=RATIO)
-        ).generate(paths, {})
+        ).generate(paths)
         off = ConstraintGenerator(
             domino_mux, library, DelaySpec(data=300.0)
-        ).generate(paths, {})
+        ).generate(paths)
         assert on.noise
         assert not off.noise
 
@@ -38,7 +38,7 @@ class TestConstraintGeneration:
         paths = prune_paths(domino_mux, PathExtractor(domino_mux).extract()).paths
         cs = ConstraintGenerator(
             domino_mux, library, DelaySpec(data=300.0, charge_sharing_ratio=RATIO)
-        ).generate(paths, {})
+        ).generate(paths)
         for noise in cs.noise:
             assert is_posynomial_in(noise.expr, domino_mux.size_table.names())
 
