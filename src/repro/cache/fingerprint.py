@@ -7,7 +7,7 @@ independently so the store can distinguish *exact* hits from *near* hits:
   stage graph, size-table bounds/pins/ratios, nets, interface;
 * the **context** — technology constants, registered stage models (GP and
   analysis libraries separately: the paper's posynomial-vs-PathMill split),
-  objective, OTB window, solver method, extraction thresholds;
+  objective and OTB window;
 * the **spec** — the :class:`~repro.sizing.constraints.DelaySpec` plus the
   convergence tolerance.
 
@@ -64,9 +64,6 @@ def context_fingerprint(
     analysis_library=None,
     objective: str = "area",
     otb_borrow: float = 0.0,
-    gp_method: str = "slsqp",
-    max_paths: int = 2_000_000,
-    enumeration_threshold: int = 20_000,
 ) -> str:
     """Fingerprint of everything besides the circuit and the delay spec."""
     payload = {
@@ -78,9 +75,6 @@ def context_fingerprint(
         ),
         "objective": objective,
         "otb_borrow": otb_borrow,
-        "gp_method": gp_method,
-        "max_paths": max_paths,
-        "enumeration_threshold": enumeration_threshold,
     }
     return _digest(payload)
 
@@ -113,9 +107,6 @@ def sizing_cache_key(
     analysis_library=None,
     objective: str = "area",
     otb_borrow: float = 0.0,
-    gp_method: str = "slsqp",
-    max_paths: int = 2_000_000,
-    enumeration_threshold: int = 20_000,
     tolerance: float = 2.0,
 ) -> CacheKey:
     """The full content address of one :meth:`SmartSizer.size` problem."""
@@ -126,9 +117,6 @@ def sizing_cache_key(
             analysis_library=analysis_library,
             objective=objective,
             otb_borrow=otb_borrow,
-            gp_method=gp_method,
-            max_paths=max_paths,
-            enumeration_threshold=enumeration_threshold,
         ),
         spec_fp=spec_fingerprint(spec, tolerance),
     )

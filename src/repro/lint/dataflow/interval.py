@@ -195,7 +195,7 @@ class IntervalAnalysis(ForwardAnalysis):
             return cached
         d_lo = s_lo = float("inf")
         d_hi = s_hi = 0.0
-        for _in_trans, out_trans in stage_arcs(stage, pin, self.library):
+        for _in_trans, out_trans in stage_arcs(stage, pin):
             delay, slope = self.analyzer.arc_posynomials(stage, pin, out_trans)
             lo, hi = delay.enclose(self.bounds)
             d_lo, d_hi = min(d_lo, lo), max(d_hi, hi)

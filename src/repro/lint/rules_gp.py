@@ -75,7 +75,6 @@ def lint_gp(gp, size_table=None) -> LintReport:
     # GP201 — well-formedness of every posynomial in the program.
     labelled = [("objective", gp.objective)]
     labelled += [(c.name, c.expr) for c in gp.inequalities]
-    labelled += [(name, mono.as_posynomial()) for mono, name in gp.equalities]
     for name, expr in labelled:
         for mono in expr:
             coeff = mono.coefficient
@@ -97,8 +96,6 @@ def lint_gp(gp, size_table=None) -> LintReport:
     constrained = set()
     for constraint in gp.inequalities:
         constrained |= constraint.expr.variables()
-    for mono, _ in gp.equalities:
-        constrained |= mono.variables()
     if size_table is not None:
         declared = {v.name for v in size_table}
         for var in gp.variables():

@@ -75,7 +75,6 @@ class SolutionAudit:
         otb_borrow: float = 0.0,
         objective: str = "area",
         analysis_library: Optional[ModelLibrary] = None,
-        gp_method: str = "slsqp",
     ):
         self.circuit = circuit
         self.library = library
@@ -89,7 +88,6 @@ class SolutionAudit:
             objective=objective,
             otb_borrow=otb_borrow,
             analysis_library=analysis_library,
-            gp_method=gp_method,
             pre_screen=False,
         )
         self._paths: Optional[list] = None

@@ -34,7 +34,7 @@ Tuning knobs read from :attr:`LintContext.options`:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ...netlist.funcspec import FunctionalSpec
 from ..dataflow.phase import Phase, solve_phases
@@ -237,11 +237,3 @@ def check_slice_isomorphism(ctx) -> None:
             " regularity merging over these slices is unsound",
             net=group.outputs[0],
         )
-
-
-def certificate_for(circuit) -> Optional["object"]:
-    """Convenience: the SVC405 certificate for a circuit (or None when the
-    circuit has no primary outputs)."""
-    if not circuit.primary_outputs:
-        return None
-    return slice_certificate(circuit)

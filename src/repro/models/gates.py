@@ -164,10 +164,6 @@ class StageModel:
             expr = expr + SLOPE_LEAK * input_slope
         return expr
 
-    def arcs(self, stage: Stage, pin: Pin):
-        """Transitions reachable from ``pin`` (both, for static gates)."""
-        return (Transition.RISE, Transition.FALL)
-
 
 class PassGateModel(StageModel):
     """Complementary pass gate with local select inverter (Figure 2a/2b/2c).
@@ -313,13 +309,6 @@ class DominoModel(StageModel):
             r = r + r * contention
         return r
 
-    def arcs(self, stage: Stage, pin: Pin):
-        if pin.pin_class is PinClass.CLOCK:
-            if stage.clocked:
-                return (Transition.RISE, Transition.FALL)
-            return (Transition.RISE,)
-        return (Transition.FALL,)
-
     def internal_charge_cap(self, stage: Stage, table: SizeTable) -> Posynomial:
         """Diffusion capacitance of the legs' *internal* series nodes, fF.
 
@@ -405,6 +394,3 @@ class ModelLibrary:
         return self.model(stage).output_slope(
             stage, pin, transition, load, table, input_slope
         )
-
-    def arcs(self, stage: Stage, pin: Pin):
-        return self.model(stage).arcs(stage, pin)

@@ -24,7 +24,7 @@ Typical instrumented call-site::
 
     from repro.obs import metrics, trace
 
-    with trace.span("gp_solve", method=self.gp_method) as sp:
+    with trace.span("gp_solve") as sp:
         solution = gp.solve(...)
         sp.set_attrs(status=solution.status)
     metrics.counter("gp.solves").inc()

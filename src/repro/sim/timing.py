@@ -92,14 +92,14 @@ class TimingReport:
 
 
 def arc_input_transition(
-    stage: Stage, pin: Pin, out_transition: Transition, library: ModelLibrary
+    stage: Stage, pin: Pin, out_transition: Transition
 ) -> Transition:
     """The input transition that causes ``out_transition`` through ``pin``.
 
     Unique for every arc our stage kinds define (select pins always fire on
     their rising edge).  Raises ``KeyError`` when no such arc exists.
     """
-    for in_trans, out_trans in stage_arcs(stage, pin, library):
+    for in_trans, out_trans in stage_arcs(stage, pin):
         if out_trans is out_transition:
             return in_trans
     raise KeyError(
@@ -108,7 +108,7 @@ def arc_input_transition(
     )
 
 
-def stage_arcs(stage: Stage, pin: Pin, library: ModelLibrary) -> List[Tuple[Transition, Transition]]:
+def stage_arcs(stage: Stage, pin: Pin) -> List[Tuple[Transition, Transition]]:
     """(input transition, output transition) arcs through ``pin``."""
     arcs: List[Tuple[Transition, Transition]] = []
     if stage.kind is StageKind.DOMINO:
@@ -301,7 +301,7 @@ class StaticTimingAnalyzer:
             load = self.net_load(out, resolved)
             wire_extra, wire_slope = self._wire_terms(out, resolved)
             for pin in stage.inputs:
-                for in_trans, out_trans in stage_arcs(stage, pin, self.library):
+                for in_trans, out_trans in stage_arcs(stage, pin):
                     src = arrivals.get((pin.net.name, in_trans))
                     if src is None:
                         continue
@@ -364,7 +364,7 @@ class StaticTimingAnalyzer:
             load = self.net_load(out, resolved)
             slope_in = chained
             if net_slopes is not None:
-                in_trans = arc_input_transition(stage, pin, out_trans, self.library)
+                in_trans = arc_input_transition(stage, pin, out_trans)
                 recorded = net_slopes.get((pin.net.name, in_trans))
                 if recorded is not None:
                     slope_in = max(recorded, chained)

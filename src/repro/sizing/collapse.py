@@ -87,7 +87,6 @@ class RegularityCollapsedSizer:
         objective: str = "area",
         radius: int = 3,
         otb_borrow: float = 0.0,
-        gp_method: str = "slsqp",
         analysis_library: Optional[ModelLibrary] = None,
         cache: Optional[SizingCache] = None,
         certificates: Optional[object] = None,
@@ -98,7 +97,6 @@ class RegularityCollapsedSizer:
         self.objective = objective
         self.radius = radius
         self.otb_borrow = otb_borrow
-        self.gp_method = gp_method
         self.analysis_library = analysis_library
         self.cache = cache
         self.certificates = certificates
@@ -149,7 +147,6 @@ class RegularityCollapsedSizer:
             objective=self.objective,
             otb_borrow=self.otb_borrow,
             analysis_library=self.analysis_library,
-            gp_method=self.gp_method,
             cache=self.cache,
         )
 
@@ -187,7 +184,6 @@ class RegularityCollapsedSizer:
                     objective=self.objective,
                     otb_borrow=self.otb_borrow,
                     analysis_library=self.analysis_library,
-                    gp_method=self.gp_method,
                 )
                 t_solve = time.perf_counter()
                 try:

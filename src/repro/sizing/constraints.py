@@ -93,9 +93,6 @@ class TimingConstraint:
     kind: str           # data / control / evaluate / precharge / segment
     hops: Tuple[Hop, ...]
 
-    def scaled_spec(self, multiplier: float) -> float:
-        return self.spec * multiplier
-
 
 @dataclass
 class SlopeConstraint:
@@ -161,7 +158,7 @@ class ConstraintGenerator:
             step = path.steps[i]
             stage = self.circuit.stage(step.stage_name)
             pin = stage.pin(step.pin_name)
-            for in_trans, out_trans in stage_arcs(stage, pin, self.library):
+            for in_trans, out_trans in stage_arcs(stage, pin):
                 if in_trans is incoming:
                     extend(i + 1, out_trans, hops + ((stage.name, pin.name, out_trans),))
 
@@ -345,7 +342,7 @@ class ConstraintGenerator:
             )
             covered = set()
             for pin in stage.inputs:
-                for _in_trans, out_trans in stage_arcs(stage, pin, self.library):
+                for _in_trans, out_trans in stage_arcs(stage, pin):
                     if out_trans in covered:
                         continue
                     covered.add(out_trans)

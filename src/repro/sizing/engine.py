@@ -49,6 +49,10 @@ from .pruning import PruneResult, prune_paths
 
 log = get_logger(__name__)
 
+#: Above this raw path count, switch from enumerate-then-prune to
+#: representative extraction (pruning applied during the walk).
+ENUMERATION_THRESHOLD = 20_000
+
 
 class SizingError(Exception):
     """Raised when no feasible sizing exists for the given constraints."""
@@ -286,10 +290,7 @@ class SmartSizer:
         library: ModelLibrary,
         objective: str = "area",
         otb_borrow: float = 0.0,
-        max_paths: int = 2_000_000,
-        enumeration_threshold: int = 20_000,
         analysis_library: Optional[ModelLibrary] = None,
-        gp_method: str = "slsqp",
         pre_screen: bool = True,
         cache: Optional[SizingCache] = None,
     ):
@@ -299,17 +300,11 @@ class SmartSizer:
         self.otb_borrow = otb_borrow
         self.pre_screen = pre_screen
         self.cache = cache
-        self.max_paths = max_paths
-        #: Above this raw path count, switch from enumerate-then-prune to
-        #: representative extraction (pruning applied during the walk).
-        self.enumeration_threshold = enumeration_threshold
         #: The "timing analysis tool" may use different (more accurate)
         #: models than the GP's — the paper's PathMill-vs-posynomial split.
         #: Defaults to the GP's own library.
         self.analyzer = StaticTimingAnalyzer(circuit, analysis_library or library)
         self._analysis_library = analysis_library
-        #: Convex solver for the inner GP ("slsqp" or "barrier").
-        self.gp_method = gp_method
         self._cache_key: Optional[CacheKey] = None
         self._cache_hit_runtime = 0.0
 
@@ -323,9 +318,6 @@ class SmartSizer:
             analysis_library=self._analysis_library,
             objective=self.objective,
             otb_borrow=self.otb_borrow,
-            gp_method=self.gp_method,
-            max_paths=self.max_paths,
-            enumeration_threshold=self.enumeration_threshold,
             tolerance=tolerance,
         )
 
@@ -515,7 +507,6 @@ class SmartSizer:
                 otb_borrow=self.otb_borrow,
                 objective=self.objective,
                 analysis_library=self._analysis_library,
-                gp_method=self.gp_method,
             )
             cert = audit.certify(
                 result.widths, cache_key=self._cache_key.key, with_kkt=False
@@ -532,15 +523,15 @@ class SmartSizer:
 
         Enumerates and prunes when the raw count is tractable; falls back to
         representative extraction (pruning applied during the walk) above
-        ``enumeration_threshold``.
+        :data:`ENUMERATION_THRESHOLD`.
         """
         from .pruning import PruneStats
 
-        extractor = PathExtractor(self.circuit, max_paths=self.max_paths)
+        extractor = PathExtractor(self.circuit)
         with trace.span("path_extraction") as extract_span:
             raw_count = extractor.count()
             extract_span.set_attrs(raw_paths=raw_count)
-            if prune and raw_count > self.enumeration_threshold:
+            if prune and raw_count > ENUMERATION_THRESHOLD:
                 representative = extractor.extract_representative()
                 prune_result = PruneResult(
                     paths=representative,
@@ -805,10 +796,9 @@ class SmartSizer:
             with trace.span("iteration", iteration=iteration) as iter_span:
                 gp = self._build_gp(constraints, multipliers)
                 try:
-                    with trace.span("gp_solve", method=self.gp_method) as gs:
+                    with trace.span("gp_solve") as gs:
                         solution = gp.solve(
-                            initial=env or self.circuit.size_table.default_env(),
-                            method=self.gp_method,
+                            initial=env or self.circuit.size_table.default_env()
                         )
                         gs.set_attrs(
                             status=solution.status,

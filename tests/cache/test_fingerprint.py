@@ -59,7 +59,6 @@ class TestContextAndSpecFingerprints:
     def test_context_sensitive_to_objective_and_solver(self, library):
         base = context_fingerprint(library)
         assert context_fingerprint(library, objective="power") != base
-        assert context_fingerprint(library, gp_method="barrier") != base
         assert context_fingerprint(library, otb_borrow=10.0) != base
         assert context_fingerprint(library) == base
 

@@ -296,7 +296,7 @@ class TestScreenNamesEveryStage:
             for trans in {
                 out
                 for pin in stage.inputs
-                for _in, out in stage_arcs(stage, pin, library)
+                for _in, out in stage_arcs(stage, pin)
             }
         )
         assert len(slopes) == n_slope

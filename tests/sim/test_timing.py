@@ -118,21 +118,21 @@ class TestPathDelay:
 
 
 class TestArcs:
-    def test_arc_input_transition_inverting(self, inverter_chain, library):
+    def test_arc_input_transition_inverting(self, inverter_chain):
         stage = inverter_chain.stage("i0")
         pin = stage.pin("a")
-        assert arc_input_transition(stage, pin, Transition.RISE, library) is Transition.FALL
+        assert arc_input_transition(stage, pin, Transition.RISE) is Transition.FALL
 
-    def test_arc_input_transition_missing(self, domino_mux, library):
+    def test_arc_input_transition_missing(self, domino_mux):
         stage = next(s for s in domino_mux.stages if s.is_dynamic)
         data_pin = stage.data_pins()[0]
         with pytest.raises(KeyError):
-            arc_input_transition(stage, data_pin, Transition.RISE, library)
+            arc_input_transition(stage, data_pin, Transition.RISE)
 
-    def test_select_arcs_launch_both_edges(self, small_mux, library):
+    def test_select_arcs_launch_both_edges(self, small_mux):
         stage = small_mux.stage("pass0")
         sel = stage.select_pins()[0]
-        arcs = stage_arcs(stage, sel, library)
+        arcs = stage_arcs(stage, sel)
         outs = {out for _in, out in arcs}
         ins = {i for i, _out in arcs}
         assert outs == {Transition.RISE, Transition.FALL}

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.posy import as_posynomial, const, var
+from repro.posy import as_posynomial, var
 from repro.sizing.gp import GeometricProgram, GPError, GPInfeasibleError
 
 
@@ -33,16 +33,6 @@ class TestKnownOptima:
         gp.set_bounds("y", 0.1, 10.0)
         sol = gp.solve()
         assert sol.objective == pytest.approx(1.0, rel=1e-3)
-
-    def test_equality_constraint(self):
-        """min x + y s.t. x == 4y -> x = 4 y_lb."""
-        gp = GeometricProgram(var("x") + var("y"))
-        gp.add_equality(var("x"), 4.0 * var("y"))
-        gp.set_bounds("x", 0.1, 100.0)
-        gp.set_bounds("y", 1.0, 100.0)
-        sol = gp.solve()
-        assert sol.env["x"] == pytest.approx(4.0 * sol.env["y"], rel=1e-4)
-        assert sol.env["y"] == pytest.approx(1.0, rel=1e-3)
 
     def test_classic_two_term_tradeoff(self):
         """min 1/x + x^2: d/dx = -1/x^2 + 2x = 0 -> x = (1/2)^(1/3)."""
@@ -84,17 +74,6 @@ class TestDegenerateInputs:
         gp = GeometricProgram(var("x"))
         with pytest.raises(GPInfeasibleError):
             gp.add_inequality(as_posynomial(2.0), "bad")
-
-    def test_constant_equality_consistent(self):
-        gp = GeometricProgram(var("x"))
-        gp.add_equality(const(2.0), const(2.0))  # fine, drops out
-        gp.set_bounds("x", 1.0, 2.0)
-        assert gp.solve().optimal
-
-    def test_constant_equality_inconsistent(self):
-        gp = GeometricProgram(var("x"))
-        with pytest.raises(GPInfeasibleError):
-            gp.add_equality(const(2.0), const(3.0))
 
     def test_invalid_bounds(self):
         gp = GeometricProgram(var("x"))

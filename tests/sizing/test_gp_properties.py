@@ -1,5 +1,6 @@
 """Property-based GP solver tests: feasibility, optimality certificates."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -67,6 +68,35 @@ def test_solution_no_worse_than_witness(problem):
     sol = gp.solve(initial=witness)
     if sol.status == "optimal":
         assert sol.objective <= gp.objective.evaluate(witness) * (1 + 1e-4)
+
+
+def _on_grid(posy, grid):
+    """``posy`` evaluated at every point of ``grid`` (name -> array)."""
+    total = np.zeros_like(next(iter(grid.values())))
+    for mono in posy:
+        term = np.full_like(total, mono.coefficient)
+        for name, exp in mono.exponents.items():
+            term *= grid[name] ** exp
+        total += term
+    return total
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_gp())
+def test_solution_no_worse_than_grid(problem):
+    """Solver-independent reference: an optimal solve is no worse than the
+    best feasible point of a dense log-spaced grid over the box.  The grid
+    step is small enough that some point near the witness is feasible."""
+    gp, witness = problem
+    axes = [np.geomspace(*gp.bounds(name), 401) for name in VARS]
+    grid = dict(zip(VARS, np.meshgrid(*axes, indexing="ij")))
+    feasible = np.ones(grid[VARS[0]].shape, dtype=bool)
+    for constraint in gp.inequalities:
+        feasible &= _on_grid(constraint.expr, grid) <= 1.0
+    best = _on_grid(gp.objective, grid)[feasible].min()
+    sol = gp.solve(initial=witness)
+    if sol.status == "optimal":
+        assert sol.objective <= best * (1 + 1e-3)
 
 
 @settings(max_examples=20, deadline=None)
