@@ -16,7 +16,6 @@ import pytest
 from repro.macros import default_database
 from repro.models import ModelLibrary, Technology
 from repro.obs import metrics as obs_metrics
-from repro.obs import perf as obs_perf
 
 #: Machine-readable copies of every printed table land here (one JSON file
 #: per table), so downstream tooling can diff reproduction runs.
@@ -25,34 +24,12 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 #: Session epoch for the wall-time stamp each result file carries.
 _SESSION_T0 = time.perf_counter()
 
-#: The hot kernels the CI perf gate tracks across PRs.
-TRACKED_KERNELS = (
-    "test_bench_sizing_kernel",
-    "test_bench_adder_sizing",
-    "test_bench_per_bit_sizing",
-    "test_bench_collapsed_sizing",
-)
-
-#: Wall-time samples per ``test_bench_*`` kernel, filled by the autouse
-#: timer fixture and flushed to ``BENCH_PR10.json`` at session end.
-_BENCH_TIMES: dict = {}
-
-#: Free-form headline numbers benchmark modules contribute to the
-#: trajectory stamp via the ``bench_extra`` fixture (e.g. the
-#: collapsed-vs-full speedup and certificate-check wall time).
-_BENCH_EXTRA: dict = {}
-
-#: Digest of the session run ledger, captured when the ledger fixture
-#: tears down (before ``pytest_sessionfinish`` runs).
-_BENCH_LEDGER: dict = {}
-
 
 def _obs_stamp():
     """Convergence-cost metadata stamped into every result JSON.
 
     Pulled from the process-global metrics registry the engine/GP/STA
-    instrumentation feeds, so ``BENCH_*.json`` trajectories can track how
-    much work (refinement iterations, GP solves, STA node visits) and
+    instrumentation feeds, so each result file records how much work (refinement iterations, GP solves, STA node visits) and
     wall-time each reproduction table cost across PRs.  Counters are
     cumulative across the session; per-table deltas are recoverable by
     diffing consecutive stamps.
@@ -69,73 +46,6 @@ def _obs_stamp():
         "sizing_runs": runtime.count if runtime else 0,
         "sizing_runtime_s": round(runtime.total, 3) if runtime else 0.0,
     }
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _bench_run_ledger():
-    """Record every sizing/advise run of the bench session in a ledger.
-
-    The ledger stays in memory; only its digest lands in the trajectory
-    stamp, tying each ``BENCH_PR*.json`` to the exact set of runs (and
-    their fingerprints) that produced it.
-    """
-    ledger = obs_perf.RunLedger()
-    previous = obs_perf.get_ledger()
-    obs_perf.install_ledger(ledger)
-    try:
-        yield ledger
-    finally:
-        obs_perf.install_ledger(previous)
-        _BENCH_LEDGER["digest"] = ledger.digest() if len(ledger) else None
-        _BENCH_LEDGER["runs"] = len(ledger)
-
-
-@pytest.fixture(autouse=True)
-def _bench_kernel_timer(request):
-    """Time every ``test_bench_*`` kernel for the trajectory stamp."""
-    name = request.node.name
-    if not name.startswith("test_bench_"):
-        yield
-        return
-    t0 = time.perf_counter()
-    yield
-    _BENCH_TIMES.setdefault(name, []).append(time.perf_counter() - t0)
-
-
-@pytest.fixture(scope="session")
-def bench_extra():
-    """Mutable mapping for headline numbers stamped into the trajectory.
-
-    Benchmark modules write named scalars here (collapsed-vs-full
-    speedup, certificate-check wall time, ...); they land under the
-    ``extra`` key of ``BENCH_PR10.json`` at session end.
-    """
-    return _BENCH_EXTRA
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Flush the per-kernel wall times as a ``BENCH_PR10.json`` trajectory.
-
-    The committed copy under ``benchmarks/results/`` is the baseline the
-    CI ``perf-smoke`` job diffs fresh runs against (``repro perf diff``).
-    The stamp is written unconditionally — a run that collected no
-    ``test_bench_*`` kernels (``-k`` selection, collection error) leaves an
-    honest empty trajectory, which ``perf diff`` treats as "no baseline"
-    (exit 0) rather than a hard usage error.
-    """
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    payload = obs_perf.make_trajectory(
-        _BENCH_TIMES,
-        pr=10,
-        ledger_digest=_BENCH_LEDGER.get("digest"),
-        tracked=[k for k in TRACKED_KERNELS if k in _BENCH_TIMES],
-    )
-    payload["ledger_runs"] = _BENCH_LEDGER.get("runs", 0)
-    if _BENCH_EXTRA:
-        payload["extra"] = dict(_BENCH_EXTRA)
-    with open(os.path.join(RESULTS_DIR, "BENCH_PR10.json"), "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 @pytest.fixture(scope="session")

@@ -12,10 +12,8 @@ Subcommands:
 * ``inspect`` — replay a ``--trace`` JSONL file into a timing/convergence
   report;
 * ``perf``    — the performance observatory: ``perf report`` (self-time
-  attribution / ledger summary), ``perf diff`` (noise-aware regression
-  comparison of two ledgers or bench trajectories), ``perf export``
-  (Chrome ``trace_event`` / speedscope flame graphs), ``perf watch``
-  (tail a live ``--stream`` file).
+  attribution / ledger summary), ``perf export`` (Chrome ``trace_event`` /
+  speedscope flame graphs), ``perf watch`` (tail a live ``--stream`` file).
 
 Observability flags (accepted by every run subcommand, or globally before
 the subcommand):
@@ -26,7 +24,7 @@ the subcommand):
   span/event (tail with ``smart-advisor perf watch FILE --follow``);
 * ``--ledger FILE`` — append one run record per advisor/sizer/sweep/lint
   invocation to an append-only JSONL run ledger;
-* ``--profile``     — print a per-span wall-time summary and the metrics
+* ``--profile``     — print the span self-time attribution and the metrics
   registry after the command;
 * ``-v/--verbose``  — route ``repro.*`` diagnostics to stderr (repeat for
   DEBUG).
@@ -94,7 +92,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument(
         "--profile", action="store_true",
         default=argparse.SUPPRESS if suppress else False,
-        help="print a wall-time profile summary after the command",
+        help="print a span self-time attribution after the command",
     )
     parser.add_argument(
         "-v", "--verbose", action="count",
@@ -261,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf_p = sub.add_parser(
         "perf",
-        help="performance observatory: attribution, diff, exports, watch",
+        help="performance observatory: attribution, exports, watch",
         parents=[obs_parent],
     )
     perf_sub = perf_p.add_subparsers(dest="perf_command", required=True)
@@ -272,30 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf_report.add_argument(
         "target", help="a --trace JSONL file or a --ledger JSONL file"
-    )
-
-    perf_diff = perf_sub.add_parser(
-        "diff",
-        help="noise-aware comparison of two ledgers / bench trajectories",
-        epilog="exit codes: 0 = no regression, 1 = regression "
-               "(unless --warn-only), 2 = unreadable input",
-    )
-    perf_diff.add_argument("base", help="baseline ledger or BENCH_*.json")
-    perf_diff.add_argument("new", help="candidate ledger or BENCH_*.json")
-    perf_diff.add_argument(
-        "--rel-threshold", type=float, default=0.25,
-        help="relative slowdown needed to flag (default 0.25 = +25%%)",
-    )
-    perf_diff.add_argument(
-        "--min-effect-ms", type=float, default=50.0,
-        help="absolute minimum-effect floor in ms (default 50)",
-    )
-    perf_diff.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    perf_diff.add_argument(
-        "--warn-only", action="store_true",
-        help="report regressions but exit 0 (CI soft gate)",
     )
 
     perf_export = perf_sub.add_parser(
@@ -494,34 +468,6 @@ def _run_perf(args: argparse.Namespace) -> int:
             return 2
         return 0
 
-    if args.perf_command == "diff":
-        try:
-            base = obs_perf.try_load_perf_source(args.base)
-            if base is None:
-                # A fresh branch has no committed baseline yet; that is a
-                # pass, not a usage error — there is nothing to regress.
-                emit(
-                    f"perf diff: no baseline samples in {args.base}; "
-                    f"nothing to compare (ok)"
-                )
-                return 0
-            diff = obs_perf.diff_paths(
-                args.base,
-                args.new,
-                rel_threshold=args.rel_threshold,
-                min_effect_s=args.min_effect_ms / 1e3,
-            )
-        except (OSError, ValueError) as exc:
-            emit(f"error: {exc}")
-            return 2
-        if args.json:
-            emit(_json.dumps(diff.to_json(), indent=2, sort_keys=True))
-        else:
-            emit(diff.render())
-        if diff.ok or args.warn_only:
-            return 0
-        return 1
-
     if args.perf_command == "export":
         if not args.chrome and not args.speedscope:
             emit("error: perf export needs --chrome and/or --speedscope")
@@ -625,7 +571,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     emit(f"error: cannot write trace: {exc}")
             if profile:
                 emit()
-                emit(tracer.profile_summary())
+                emit(obs_perf.render_attribution_report(tracer.spans))
                 emit()
                 emit(obs_metrics.registry().render())
 

@@ -4,7 +4,7 @@ Three cooperating pieces:
 
 * :mod:`repro.obs.trace` — hierarchical wall-time spans and point events
   (``span("advise") > span("size") > span("gp_solve")``), JSONL export and
-  tree/profile rendering.  Disabled by default with a no-op null tracer.
+  tree rendering.  Disabled by default with a no-op null tracer.
 * :mod:`repro.obs.metrics` — a process-global registry of counters, gauges
   and histograms (GP solves, STA node visits, path counts per pruning pass,
   refinement residuals), with :func:`~repro.obs.metrics.metrics_scope` for
@@ -17,8 +17,7 @@ Three cooperating pieces:
   incremental JSONL stream writer, and the ``repro perf watch`` tail view.
 * :mod:`repro.obs.perf` — the performance observatory: append-only run
   ledger, span-tree attribution (self-time rollups, kernel hot-spots,
-  critical path), Chrome/speedscope flame-graph exports, and the
-  noise-aware ``repro perf diff`` regression engine.
+  critical path) and Chrome/speedscope flame-graph exports.
 
 Typical instrumented call-site::
 
@@ -39,10 +38,8 @@ and typical test::
 from . import metrics, perf, stream, trace
 from .inspect import inspect_file, render_trace_report
 from .perf import (
-    PerfDiff,
     RunLedger,
     attribution,
-    diff_samples,
     get_ledger,
     install_ledger,
     ledger_scope,
@@ -81,9 +78,7 @@ __all__ = [
     "CollectingSubscriber",
     "JsonlStreamWriter",
     "RunLedger",
-    "PerfDiff",
     "attribution",
-    "diff_samples",
     "get_ledger",
     "install_ledger",
     "ledger_scope",

@@ -8,7 +8,9 @@ run's ``--trace FILE`` and renders, in the plain aligned-text style of
 * a Figure-4 convergence table per sizing run (one row per GP⇄STA
   refinement iteration, with GP status/objective and the realized
   residual);
-* the profile summary (per-span-name call counts and wall-time shares).
+* the self-time attribution of :func:`repro.obs.perf.render_attribution_report`
+  (per-span-name rollup reconciled to the root wall, kernel hot-spots,
+  critical path).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional
 
+from .perf import render_attribution_report
 from .trace import EventRecord, SpanRecord, TraceDump, load_jsonl
 
 
@@ -98,7 +101,7 @@ def render_trace_report(dump: TraceDump, path: str = "") -> str:
     lines.append("")
     lines.append(render_convergence(dump))
     lines.append("")
-    lines.append(dump.profile_summary())
+    lines.append(render_attribution_report(dump.spans))
     return "\n".join(lines)
 
 

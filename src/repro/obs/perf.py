@@ -1,8 +1,10 @@
-"""The performance observatory: run ledger, attribution, regression gate.
+"""The performance observatory: run ledger, attribution, flame graphs.
 
 Whole-benchmark numbers ("per-bit sizing takes 2.6 s") say *that* a kernel
-is hot, not *why*; and without a durable record of what each run cost, no PR
-can prove it didn't regress.  This module closes both gaps with four layers:
+is hot, not *why*.  This module answers "where did the time go" for one run
+with three layers, backing ``repro perf report``/``export`` and
+``repro inspect`` (speed claims across changes are made by the repeated-round
+medians of ``benchmarks/perf/run.py compare``, not here):
 
 1. **Run ledger** (:class:`RunLedger`, :func:`record_run`) — every advisor /
    sizer / sweep / lint invocation appends one machine-readable record to an
@@ -25,12 +27,6 @@ can prove it didn't regress.  This module closes both gaps with four layers:
    ``chrome://tracing`` / Perfetto) and as a speedscope evented profile
    (https://speedscope.app).
 
-4. **Regression engine** (:func:`diff_sources`, :class:`PerfDiff`) — noise-
-   aware comparison of two ledgers or bench trajectories: median-of-N per
-   key, a minimum-effect floor (absolute seconds) AND a relative threshold
-   both required before anything is called a regression.  Backs the
-   ``repro perf diff`` CLI and the CI perf gate over ``BENCH_*.json``.
-
 The ledger is process-global and opt-in, mirroring the tracer:
 :func:`install_ledger` / :func:`ledger_scope` activate it; instrumented
 entry points call :func:`record_run`, which is a no-op when no ledger is
@@ -48,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -63,7 +58,6 @@ from .trace import SpanRecord, json_sanitize
 log = get_logger(__name__)
 
 LEDGER_FORMAT = "smart-perf-ledger/1"
-TRAJECTORY_FORMAT = "smart-bench-trajectory/1"
 
 #: Minimal shape a ledger line must have to be accepted on load.
 _REQUIRED_FIELDS = ("format", "kind", "name", "wall_s")
@@ -514,11 +508,6 @@ class RunLedger:
                     + "\n"
                 )
 
-    def digest(self) -> str:
-        """Content digest of every record — ties a ``BENCH_*.json``
-        trajectory stamp to the exact ledger that produced it."""
-        return payload_digest(self.records)
-
     def __len__(self) -> int:
         return len(self.records)
 
@@ -574,7 +563,6 @@ def phase_rollup(
             "self_s": round(row.self_s, 6),
         }
     if wall_s is not None and spans:
-        accounted = sum(v["wall_s"] for v in rollup.values() if True)
         top_level = root_wall(spans)
         leftover = max(0.0, wall_s - top_level)
         if leftover > 0:
@@ -583,7 +571,6 @@ def phase_rollup(
                 "wall_s": round(leftover, 6),
                 "self_s": round(leftover, 6),
             }
-        del accounted
     return rollup
 
 
@@ -638,7 +625,6 @@ def build_run_record(
     gp: Optional[Mapping[str, Any]] = None,
     cache: Optional[Mapping[str, Any]] = None,
     parallel: Optional[Mapping[str, Any]] = None,
-    instruments: Optional[Mapping[str, Any]] = None,
     extra: Optional[Mapping[str, Any]] = None,
 ) -> dict:
     """One ledger record.  ``spans`` (this run's subtree) drives the phase
@@ -660,8 +646,6 @@ def build_run_record(
         record["cache"] = json_sanitize(dict(cache))
     if parallel is not None:
         record["parallel"] = json_sanitize(dict(parallel))
-    if instruments is not None:
-        record["instruments"] = json_sanitize(dict(instruments))
     if extra:
         for key, value in extra.items():
             record.setdefault(key, json_sanitize(value))
@@ -703,7 +687,7 @@ def rule_rollup(
              "executed": 0, "replayed": 0},
         )
         wall = float(record.get("wall_s", 0.0))
-        status = (record.get("extra") or {}).get("status", "executed")
+        status = record.get("status", "executed")
         if status == "replayed":
             row["replayed"] += 1
         else:
@@ -780,322 +764,3 @@ def render_ledger_summary(records: Sequence[Mapping[str, Any]]) -> str:
     total = sum(float(r.get("wall_s", 0.0)) for r in main_records)
     lines.append(f"total recorded wall {total:.3f} s")
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Regression engine
-# ---------------------------------------------------------------------------
-
-
-def median(samples: Sequence[float]) -> float:
-    ordered = sorted(samples)
-    n = len(ordered)
-    if n == 0:
-        raise ValueError("median of empty series")
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
-@dataclass
-class DiffRow:
-    """One key's base-vs-new comparison."""
-
-    key: str
-    base_median: Optional[float]
-    new_median: Optional[float]
-    n_base: int
-    n_new: int
-    verdict: str          # "ok" | "regression" | "improvement" | "added" | "removed"
-
-    @property
-    def delta_s(self) -> Optional[float]:
-        if self.base_median is None or self.new_median is None:
-            return None
-        return self.new_median - self.base_median
-
-    @property
-    def ratio(self) -> Optional[float]:
-        if not self.base_median or self.new_median is None:
-            return None
-        return self.new_median / self.base_median
-
-    def to_json(self) -> Dict[str, Any]:
-        return json_sanitize(
-            {
-                "key": self.key,
-                "base_median_s": self.base_median,
-                "new_median_s": self.new_median,
-                "n_base": self.n_base,
-                "n_new": self.n_new,
-                "delta_s": self.delta_s,
-                "ratio": self.ratio,
-                "verdict": self.verdict,
-            }
-        )
-
-
-@dataclass
-class PerfDiff:
-    """Outcome of comparing two perf sources."""
-
-    rows: List[DiffRow]
-    rel_threshold: float
-    min_effect_s: float
-
-    @property
-    def regressions(self) -> List[DiffRow]:
-        return [r for r in self.rows if r.verdict == "regression"]
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "format": "smart-perf-diff/1",
-            "rel_threshold": self.rel_threshold,
-            "min_effect_s": self.min_effect_s,
-            "ok": self.ok,
-            "rows": [r.to_json() for r in self.rows],
-        }
-
-    def render(self) -> str:
-        lines = [
-            f"perf diff (threshold: +{self.rel_threshold:.0%} and "
-            f">= {self.min_effect_s * 1e3:.0f} ms):",
-            f"{'key':<44} {'base s':>9} {'new s':>9} {'delta':>8} "
-            f"{'ratio':>6}  verdict",
-        ]
-        for row in self.rows:
-            base = (
-                f"{row.base_median:9.3f}"
-                if row.base_median is not None
-                else f"{'-':>9}"
-            )
-            new = (
-                f"{row.new_median:9.3f}"
-                if row.new_median is not None
-                else f"{'-':>9}"
-            )
-            delta = (
-                f"{row.delta_s:+8.3f}" if row.delta_s is not None else f"{'-':>8}"
-            )
-            ratio = (
-                f"{row.ratio:6.2f}" if row.ratio is not None else f"{'-':>6}"
-            )
-            lines.append(
-                f"{row.key:<44} {base} {new} {delta} {ratio}  {row.verdict}"
-            )
-        lines.append(
-            "verdict: "
-            + (
-                "OK (no statistically meaningful regression)"
-                if self.ok
-                else f"REGRESSION in {len(self.regressions)} key(s): "
-                + ", ".join(r.key for r in self.regressions)
-            )
-        )
-        return "\n".join(lines)
-
-
-def diff_samples(
-    base: Mapping[str, Sequence[float]],
-    new: Mapping[str, Sequence[float]],
-    *,
-    rel_threshold: float = 0.25,
-    min_effect_s: float = 0.05,
-) -> PerfDiff:
-    """Noise-aware comparison of per-key wall-time samples.
-
-    Median-of-N per key; a key regresses only when the median grew by more
-    than ``rel_threshold`` relatively AND ``min_effect_s`` absolutely — the
-    minimum-effect floor keeps micro-kernels (where scheduler jitter is a
-    large fraction) from tripping the gate, the relative threshold keeps
-    slow kernels from hiding real slowdowns under a small percentage.
-    """
-    rows: List[DiffRow] = []
-    for key in sorted(set(base) | set(new)):
-        base_samples = [float(v) for v in base.get(key, ())]
-        new_samples = [float(v) for v in new.get(key, ())]
-        if base_samples and new_samples:
-            base_med = median(base_samples)
-            new_med = median(new_samples)
-            delta = new_med - base_med
-            if delta > min_effect_s and (
-                base_med == 0.0 or delta / base_med > rel_threshold
-            ):
-                verdict = "regression"
-            elif -delta > min_effect_s and (
-                base_med > 0.0 and -delta / base_med > rel_threshold
-            ):
-                verdict = "improvement"
-            else:
-                verdict = "ok"
-            rows.append(
-                DiffRow(
-                    key=key,
-                    base_median=base_med,
-                    new_median=new_med,
-                    n_base=len(base_samples),
-                    n_new=len(new_samples),
-                    verdict=verdict,
-                )
-            )
-        elif new_samples:
-            rows.append(
-                DiffRow(
-                    key=key,
-                    base_median=None,
-                    new_median=median(new_samples),
-                    n_base=0,
-                    n_new=len(new_samples),
-                    verdict="added",
-                )
-            )
-        else:
-            rows.append(
-                DiffRow(
-                    key=key,
-                    base_median=median(base_samples),
-                    new_median=None,
-                    n_base=len(base_samples),
-                    n_new=0,
-                    verdict="removed",
-                )
-            )
-    return PerfDiff(
-        rows=rows, rel_threshold=rel_threshold, min_effect_s=min_effect_s
-    )
-
-
-def ledger_samples(
-    records: Iterable[Mapping[str, Any]],
-) -> Dict[str, List[float]]:
-    """``kind:name -> [wall_s, ...]`` samples from ledger records."""
-    samples: Dict[str, List[float]] = {}
-    for record in records:
-        key = f"{record.get('kind', '?')}:{record.get('name', '?')}"
-        try:
-            samples.setdefault(key, []).append(float(record["wall_s"]))
-        except (KeyError, TypeError, ValueError):
-            continue
-    return samples
-
-
-def trajectory_samples(
-    payload: Mapping[str, Any],
-) -> Dict[str, List[float]]:
-    """Per-kernel samples from a ``smart-bench-trajectory/1`` stamp."""
-    samples: Dict[str, List[float]] = {}
-    for kernel, data in (payload.get("kernels") or {}).items():
-        if isinstance(data, Mapping):
-            value = data.get("wall_s")
-        else:
-            value = data
-        values = value if isinstance(value, (list, tuple)) else [value]
-        cleaned = [
-            float(v) for v in values if isinstance(v, (int, float))
-        ]
-        if cleaned:
-            samples[str(kernel)] = cleaned
-    return samples
-
-
-def load_perf_source(path: str) -> Dict[str, List[float]]:
-    """Samples from a perf source file, sniffing the format.
-
-    Accepts a run-ledger JSONL (``smart-perf-ledger/1`` records) or a
-    ``BENCH_*.json`` trajectory stamp (``smart-bench-trajectory/1``).
-    """
-    with open(path) as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if not stripped:
-        raise ValueError(f"{path}: empty perf source")
-    first_line = stripped.splitlines()[0]
-    try:
-        first = json.loads(first_line)
-    except json.JSONDecodeError:
-        first = None
-    if isinstance(first, dict) and first.get("format") == LEDGER_FORMAT:
-        ledger = RunLedger.load(path)
-        return ledger_samples(ledger.records)
-    payload = json.loads(text)
-    if (
-        isinstance(payload, dict)
-        and payload.get("format") == TRAJECTORY_FORMAT
-    ):
-        return trajectory_samples(payload)
-    raise ValueError(
-        f"{path}: not a run ledger ({LEDGER_FORMAT}) or bench trajectory "
-        f"({TRAJECTORY_FORMAT})"
-    )
-
-
-def try_load_perf_source(path: str) -> Optional[Dict[str, List[float]]]:
-    """Like :func:`load_perf_source`, but ``None`` when there is no baseline.
-
-    "No baseline" covers the honest empty cases a fresh checkout or a
-    first-ever benchmark run produces: a missing file, an empty file, a
-    bare ``[]``/``{}`` stamp, or a well-formed source with zero samples.
-    Anything else (a present-but-malformed source) still raises, so typos
-    fail loudly instead of silently passing a perf gate.
-    """
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError:
-        return None
-    stripped = text.strip()
-    if not stripped or stripped in ("[]", "{}"):
-        return None
-    samples = load_perf_source(path)
-    return samples or None
-
-
-def diff_paths(
-    base_path: str,
-    new_path: str,
-    *,
-    rel_threshold: float = 0.25,
-    min_effect_s: float = 0.05,
-) -> PerfDiff:
-    """``repro perf diff`` core: load two sources and compare."""
-    return diff_samples(
-        load_perf_source(base_path),
-        load_perf_source(new_path),
-        rel_threshold=rel_threshold,
-        min_effect_s=min_effect_s,
-    )
-
-
-def make_trajectory(
-    kernels: Mapping[str, Union[float, Sequence[float]]],
-    *,
-    pr: Optional[int] = None,
-    ledger_digest: Optional[str] = None,
-    tracked: Optional[Sequence[str]] = None,
-) -> dict:
-    """A ``smart-bench-trajectory/1`` stamp (what ``BENCH_PR*.json`` holds)."""
-    rendered: Dict[str, Any] = {}
-    for kernel, value in kernels.items():
-        values = value if isinstance(value, (list, tuple)) else [value]
-        cleaned = [round(float(v), 6) for v in values]
-        rendered[str(kernel)] = {
-            "wall_s": cleaned if len(cleaned) > 1 else cleaned[0],
-            "n": len(cleaned),
-        }
-    payload: Dict[str, Any] = {
-        "format": TRAJECTORY_FORMAT,
-        "created_unix": time.time(),
-        "kernels": rendered,
-    }
-    if pr is not None:
-        payload["pr"] = int(pr)
-    if ledger_digest is not None:
-        payload["ledger_digest"] = ledger_digest
-    if tracked is not None:
-        payload["tracked"] = list(tracked)
-    return payload

@@ -187,7 +187,8 @@ class NullTracer:
         self,
         spans: Sequence["SpanRecord"],
         events: Sequence["EventRecord"] = (),
-        epoch_unix: Optional[float] = None,
+        *,
+        epoch_unix: float,
     ) -> None:
         return None
 
@@ -329,7 +330,8 @@ class Tracer:
         self,
         spans: Sequence[SpanRecord],
         events: Sequence[EventRecord] = (),
-        epoch_unix: Optional[float] = None,
+        *,
+        epoch_unix: float,
     ) -> None:
         """Merge a subtrace recorded by *another* tracer (typically a worker
         process) under the innermost open span.
@@ -339,13 +341,10 @@ class Tracer:
         correctly.
 
         Worker spans carry times relative to *their own* perf-counter epoch,
-        so they must be re-based onto the parent's axis.  When the caller
-        supplies the worker tracer's ``epoch_unix``, the shift is the
-        wall-clock skew between the two epochs — fork/join skew is recovered
-        exactly and concurrent workers land at their true positions.  Without
-        it, the legacy approximation applies: the subtrace is placed so it
-        *ends* at this tracer's current clock (worker wall-time stays
-        truthful, placement is approximate).
+        so they are re-based onto the parent's axis by the wall-clock skew
+        between the worker tracer's ``epoch_unix`` and this one's — fork/join
+        skew is recovered exactly and concurrent workers land at their true
+        positions.
         """
         spans = list(spans)
         events = list(events)
@@ -356,14 +355,7 @@ class Tracer:
         depth0 = len(self._stack)
         offset = self._next_id
         ids = {s.span_id for s in spans}
-        if epoch_unix is not None:
-            shift = epoch_unix - self.epoch_unix
-        else:
-            t_max = max(
-                [s.t_end if s.t_end is not None else s.t_start for s in spans]
-                + [e.t for e in events]
-            )
-            shift = self._now() - t_max
+        shift = epoch_unix - self.epoch_unix
         for s in spans:
             record = SpanRecord(
                 span_id=s.span_id + offset,
@@ -409,9 +401,6 @@ class Tracer:
 
     def render_tree(self) -> str:
         return render_span_tree(self.spans)
-
-    def profile_summary(self) -> str:
-        return profile_summary(self.spans)
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +536,6 @@ class TraceDump:
     def render_tree(self) -> str:
         return render_span_tree(self.spans)
 
-    def profile_summary(self) -> str:
-        return profile_summary(self.spans)
-
     def jsonl_lines(self) -> Iterator[str]:
         """Re-export the dump in the exact format :class:`Tracer` writes."""
         yield header_line(
@@ -607,41 +593,4 @@ def render_span_tree(spans: Sequence[SpanRecord]) -> str:
 
     for root in children.get(None, []):
         walk(root, 0)
-    return "\n".join(lines)
-
-
-def profile_summary(spans: Sequence[SpanRecord]) -> str:
-    """Aggregate spans by name: calls, total/mean/max wall-time, share.
-
-    The "profile summary table" behind ``--profile``; formatted in the
-    plain aligned style of :mod:`repro.sim.report_fmt`.
-    """
-    if not spans:
-        return "profile: (no spans recorded)"
-    totals: Dict[str, List[float]] = {}
-    for s in spans:
-        totals.setdefault(s.name, []).append(s.duration_s)
-    # Share is measured against root spans only, so nested spans do not
-    # double-count the denominator.
-    wall = sum(s.duration_s for s in spans if s.parent_id is None) or sum(
-        s.duration_s for s in spans
-    )
-    rows = sorted(
-        (
-            (name, len(ds), sum(ds), sum(ds) / len(ds), max(ds))
-            for name, ds in totals.items()
-        ),
-        key=lambda r: -r[2],
-    )
-    lines = [
-        "profile summary:",
-        f"{'span':<28} {'calls':>6} {'total ms':>10} {'mean ms':>9} "
-        f"{'max ms':>9} {'share':>7}",
-    ]
-    for name, calls, total, mean, worst in rows:
-        share = total / wall if wall else 0.0
-        lines.append(
-            f"{name:<28} {calls:>6d} {total * 1e3:>10.2f} {mean * 1e3:>9.2f} "
-            f"{worst * 1e3:>9.2f} {share:>6.1%}"
-        )
     return "\n".join(lines)

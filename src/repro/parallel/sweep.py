@@ -308,7 +308,7 @@ def run_sweep(
                 tracer.graft(
                     outcome.spans,
                     outcome.events,
-                    epoch_unix=outcome.epoch_unix or None,
+                    epoch_unix=outcome.epoch_unix,
                 )
             if cache is not None:
                 if outcome.cache_entries:

@@ -137,7 +137,8 @@ class TestCliTraceFlow:
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "profile summary:" in out
+        assert "self-time attribution" in out
+        assert "% reconciled)" in out
         assert "gp_solve" in out
         assert "metrics:" in out
 
@@ -160,7 +161,8 @@ class TestCliTraceFlow:
         report = inspect_file(trace_path)
         assert "span tree:" in report
         assert "convergence:" in report
-        assert "profile summary:" in report
+        assert "self-time attribution" in report
+        assert "% reconciled)" in report
 
         code = main(["inspect", trace_path])
         out = capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Performance observatory: attribution, ledger, exports, regression diff."""
+"""Performance observatory: attribution, ledger, exports."""
 
 import json
 import math
@@ -11,18 +11,13 @@ from repro.obs.perf import (
     attribution,
     build_run_record,
     critical_path,
-    diff_samples,
     kernel_hotspots,
     ledger_scope,
-    load_perf_source,
-    make_trajectory,
-    median,
     reconcile,
     record_run,
     self_times,
     to_chrome_trace,
     to_speedscope,
-    try_load_perf_source,
 )
 from repro.obs.trace import EventRecord, SpanRecord, Tracer
 
@@ -208,15 +203,6 @@ class TestRunLedger:
         with pytest.raises(ValueError):
             RunLedger().append({"kind": "size"})
 
-    def test_digest_tracks_content(self, tmp_path):
-        a, b = RunLedger(), RunLedger()
-        record = self._record()
-        a.append(dict(record))
-        b.append(dict(record))
-        assert a.digest() == b.digest()
-        b.append(self._record(name="other"))
-        assert a.digest() != b.digest()
-
     def test_memory_ledger_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         RunLedger().append(self._record())
@@ -288,145 +274,9 @@ class TestBuildRunRecord:
         assert rollup["utilization"] == pytest.approx(0.75)
 
 
-class TestRegressionDiff:
-    def test_median(self):
-        assert median([3.0, 1.0, 2.0]) == 2.0
-        assert median([1.0, 2.0, 3.0, 4.0]) == 2.5
-        with pytest.raises(ValueError):
-            median([])
-
-    def test_same_samples_no_regression(self):
-        base = {"size:mux8": [1.0, 1.01, 0.99]}
-        diff = diff_samples(base, base)
-        assert diff.ok
-        assert diff.rows[0].verdict == "ok"
-
-    def test_two_x_slowdown_flagged(self):
-        diff = diff_samples(
-            {"size:mux8": [1.0, 1.0, 1.0]},
-            {"size:mux8": [2.0, 2.1, 1.9]},
-        )
-        assert not diff.ok
-        (row,) = diff.regressions
-        assert row.key == "size:mux8"
-        assert row.ratio == pytest.approx(2.0)
-        assert "REGRESSION" in diff.render()
-
-    def test_min_effect_floor_absorbs_micro_noise(self):
-        # 2x relative but only 20 ms absolute: under the 50 ms floor
-        diff = diff_samples({"k": [0.01]}, {"k": [0.03]})
-        assert diff.ok
-
-    def test_relative_threshold_protects_slow_kernels(self):
-        # 100 ms absolute but only 1% relative: not a regression
-        diff = diff_samples({"k": [10.0]}, {"k": [10.1]})
-        assert diff.ok
-
-    def test_improvement_detected(self):
-        diff = diff_samples({"k": [2.0]}, {"k": [1.0]})
-        assert diff.ok
-        assert diff.rows[0].verdict == "improvement"
-
-    def test_added_and_removed_keys(self):
-        diff = diff_samples({"gone": [1.0]}, {"new": [1.0]})
-        verdicts = {r.key: r.verdict for r in diff.rows}
-        assert verdicts == {"gone": "removed", "new": "added"}
-        assert diff.ok
-
-    def test_median_of_n_rejects_outlier(self):
-        # one noisy sample does not flip the verdict
-        diff = diff_samples(
-            {"k": [1.0, 1.0, 1.0]},
-            {"k": [1.0, 5.0, 1.0]},
-        )
-        assert diff.ok
-
-    def test_to_json_is_strict(self):
-        diff = diff_samples({"k": [1.0]}, {"k": [2.0]})
-        payload = json.loads(json.dumps(diff.to_json(), allow_nan=False))
-        assert payload["ok"] is False
-
-
-class TestPerfSources:
-    def test_load_ledger_source(self, tmp_path):
-        path = str(tmp_path / "l.jsonl")
-        ledger = RunLedger(path)
-        ledger.append(build_run_record("size", "mux8", wall_s=1.0))
-        ledger.append(build_run_record("size", "mux8", wall_s=1.2))
-        samples = load_perf_source(path)
-        assert samples == {"size:mux8": [1.0, 1.2]}
-
-    def test_load_trajectory_source(self, tmp_path):
-        path = tmp_path / "BENCH_PR6.json"
-        stamp = make_trajectory(
-            {"per_bit_sizing": [2.6, 2.65], "adder_sizing": 1.7},
-            pr=6, ledger_digest="abc",
-        )
-        path.write_text(json.dumps(stamp))
-        samples = load_perf_source(str(path))
-        assert samples["per_bit_sizing"] == [2.6, 2.65]
-        assert samples["adder_sizing"] == [1.7]
-
-    def test_unknown_source_rejected(self, tmp_path):
-        path = tmp_path / "x.json"
-        path.write_text('{"something": "else"}')
-        with pytest.raises(ValueError):
-            load_perf_source(str(path))
-
-    def test_diff_paths_ledger_vs_self_ok(self, tmp_path):
-        path = str(tmp_path / "l.jsonl")
-        ledger = RunLedger(path)
-        ledger.append(build_run_record("size", "mux8", wall_s=1.0))
-        assert perf.diff_paths(path, path).ok
-
-    def test_trajectory_format_fields(self):
-        stamp = make_trajectory(
-            {"k": 1.0}, pr=6, ledger_digest="d", tracked=["k"]
-        )
-        assert stamp["format"] == perf.TRAJECTORY_FORMAT
-        assert stamp["pr"] == 6
-        assert stamp["tracked"] == ["k"]
-        assert stamp["kernels"]["k"] == {"wall_s": 1.0, "n": 1}
-
-
-class TestTryLoadPerfSource:
-    """None for honest no-baseline cases; loud for genuine corruption."""
-
-    def test_missing_file_is_none(self, tmp_path):
-        assert try_load_perf_source(str(tmp_path / "nope.json")) is None
-
-    def test_empty_file_is_none(self, tmp_path):
-        path = tmp_path / "empty.json"
-        path.write_text("")
-        assert try_load_perf_source(str(path)) is None
-
-    def test_bare_list_and_dict_are_none(self, tmp_path):
-        for text in ("[]", "{}", "  []\n"):
-            path = tmp_path / "stamp.json"
-            path.write_text(text)
-            assert try_load_perf_source(str(path)) is None
-
-    def test_sampleless_trajectory_is_none(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        path.write_text(json.dumps(make_trajectory({}, pr=8)))
-        assert try_load_perf_source(str(path)) is None
-
-    def test_real_trajectory_loads(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        path.write_text(json.dumps(make_trajectory({"k": 1.0}, pr=8)))
-        assert try_load_perf_source(str(path)) == {"k": [1.0]}
-
-    def test_malformed_source_still_raises(self, tmp_path):
-        path = tmp_path / "x.json"
-        path.write_text('{"something": "else"}')
-        with pytest.raises(ValueError):
-            try_load_perf_source(str(path))
-
-
 class TestLedgerIntegration:
     """Acceptance criteria on a real advisor run: records for every layer,
-    attribution reconciles with the span tree, and two ledgers of the same
-    run diff clean while a synthetic 2x slowdown is flagged."""
+    and attribution reconciles with the span tree."""
 
     def _advise(self):
         from repro.core.advisor import SmartAdvisor
@@ -468,22 +318,6 @@ class TestLedgerIntegration:
         rows = attribution(tracer.spans)
         assert sum(r.self_s for r in rows) == pytest.approx(wall, rel=0.01)
 
-    def test_same_run_diffs_clean_and_slowdown_flagged(self):
-        ledger, _ = self._advise()
-        base = perf.ledger_samples(ledger.records)
-        assert perf.diff_samples(base, base).ok
-
-        slowed = {
-            key: [2.0 * max(v, 0.1) for v in values]
-            for key, values in base.items()
-        }
-        diff = perf.diff_samples(base, slowed)
-        assert not diff.ok
-        assert any(
-            r.key.startswith("size:") or r.key.startswith("advise:")
-            for r in diff.regressions
-        )
-
     def test_ledger_records_are_strict_json(self):
         ledger, _ = self._advise()
         for record in ledger.records:
@@ -507,16 +341,16 @@ class TestRuleRollup:
     """Per-rule wall-time attribution (the slowest-rules table)."""
 
     def _records(self):
-        mk = lambda rule, wall, status: {
-            "kind": "rule", "name": rule, "wall_s": wall,
-            "extra": {"circuit": "c", "status": status},
-        }
+        mk = lambda rule, wall, status: build_run_record(
+            "rule", rule, wall_s=wall,
+            extra={"circuit": "c", "status": status},
+        )
         return [
             mk("DFA301", 0.5, "executed"),
             mk("DFA301", 0.3, "executed"),
             mk("DFA301", 0.0, "replayed"),
             mk("ERC001", 0.1, "executed"),
-            {"kind": "lint", "name": "c", "wall_s": 1.0},
+            build_run_record("lint", "c", wall_s=1.0),
         ]
 
     def test_rollup_totals_and_order(self):
@@ -529,6 +363,27 @@ class TestRuleRollup:
         assert top["max_s"] == pytest.approx(0.5)
         assert top["executed"] == 2
         assert top["replayed"] == 1
+
+    def test_warm_lint_pass_counts_replays(self):
+        from repro.lint import RuleResultCache, lint_circuit
+        from repro.macros import default_database
+        from repro.macros.base import MacroSpec
+        from repro.models import Technology
+        from repro.obs.perf import rule_rollup
+
+        circuit = default_database().generator(
+            "mux/strong_mutex_passgate"
+        ).build(MacroSpec("mux", 4), Technology())
+        cache = RuleResultCache()
+        with ledger_scope() as ledger:
+            lint_circuit(circuit, cache=cache)
+            lint_circuit(circuit, cache=cache)
+        rows = rule_rollup(ledger.records, top=1000)
+        assert rows
+        assert sum(r["replayed"] for r in rows) > 0
+        assert sum(r["replayed"] for r in rows) == sum(
+            r["executed"] for r in rows
+        )
 
     def test_summary_renders_slowest_rules_section(self):
         from repro.obs.perf import render_ledger_summary

@@ -208,7 +208,7 @@ class TestLintDataflow:
 
 
 class TestPerfCommand:
-    """The performance observatory CLI: report, diff, export, watch."""
+    """The performance observatory CLI: report, export, watch."""
 
     def _traced_run(self, tmp_path, extra=()):
         trace_file = str(tmp_path / "run.jsonl")
@@ -248,44 +248,6 @@ class TestPerfCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("nonsense\n")
         assert main(["perf", "report", str(bad)]) == 2
-
-    def test_diff_same_ledger_ok(self, tmp_path, capsys):
-        _, ledger_file = self._traced_run(tmp_path)
-        capsys.readouterr()
-        assert main(["perf", "diff", ledger_file, ledger_file]) == 0
-        out = capsys.readouterr().out
-        assert "OK" in out
-
-    def test_diff_flags_synthetic_slowdown(self, tmp_path, capsys):
-        import json
-
-        _, ledger_file = self._traced_run(tmp_path)
-        slowed_file = str(tmp_path / "slow.jsonl")
-        with open(ledger_file) as fh, open(slowed_file, "w") as out_fh:
-            for line in fh:
-                record = json.loads(line)
-                record["wall_s"] = 2.0 * record["wall_s"] + 0.2
-                out_fh.write(json.dumps(record) + "\n")
-        capsys.readouterr()
-        assert main(["perf", "diff", ledger_file, slowed_file]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
-        # --warn-only softens the exit code but still reports
-        assert main([
-            "perf", "diff", ledger_file, slowed_file, "--warn-only",
-        ]) == 0
-
-    def test_diff_json_output(self, tmp_path, capsys):
-        import json
-
-        _, ledger_file = self._traced_run(tmp_path)
-        capsys.readouterr()
-        assert main([
-            "perf", "diff", ledger_file, ledger_file, "--json",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is True
-        assert payload["rows"]
 
     def test_export_flame_graphs(self, tmp_path, capsys):
         import json
@@ -446,22 +408,3 @@ class TestLintElectrical:
         ]) == 0
         out = capsys.readouterr().out
         assert "NSA6" not in out
-
-
-class TestPerfDiffNoBaseline:
-    def test_missing_baseline_exits_zero(self, tmp_path, capsys):
-        missing = str(tmp_path / "nope.json")
-        new = str(tmp_path / "new.json")
-        with open(new, "w") as fh:
-            fh.write("[]")
-        assert main(["perf", "diff", missing, new]) == 0
-        out = capsys.readouterr().out
-        assert "no baseline" in out
-
-    def test_empty_trajectory_baseline_exits_zero(self, tmp_path, capsys):
-        base = str(tmp_path / "base.json")
-        with open(base, "w") as fh:
-            fh.write("[]")
-        assert main(["perf", "diff", base, base]) == 0
-        out = capsys.readouterr().out
-        assert "no baseline" in out
