@@ -18,7 +18,7 @@ The cache is an *accelerator*, never an oracle: every exact hit is either
 admitted on a verified solution certificate whose bindings are re-checked
 at lookup time (``SmartSizer._admit_certified``, DESIGN §13) or
 re-verified by the engine's own STA check loop before it is returned (see
-``SmartSizer._verify_cached`` and DESIGN.md's soundness argument).
+``SmartSizer._exact_hit`` and DESIGN.md's soundness argument).
 """
 
 from __future__ import annotations
@@ -106,10 +106,10 @@ class SizingCache:
         Optional solution-certificate store (duck-typed to
         :class:`repro.lint.solution.SolutionCertificateStore`; held as a
         plain attribute so this module never imports the lint package).
-        When attached, the engine admits exact hits on a verified
-        ``smart-solution-certificate/1`` record instead of a full STA
-        re-run, and falls back to the STA check when the certificate is
-        absent, stale, or fails any binding.
+        When attached, the engine certifies every result it returns, admits
+        exact hits on a verified ``smart-solution-certificate/1`` record
+        instead of a full STA re-run, and falls back to the STA check when
+        the certificate is absent, stale, or fails any binding.
     """
 
     def __init__(

@@ -145,9 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     advise.add_argument(
         "--certify", action="store_true",
-        help="post-solve gate: audit every sized candidate with the "
-             "OPT70x solution-certificate machinery and reject candidates "
-             "whose solved point provably fails a constraint",
+        help="post-solve gate: reject candidates whose OPT70x solution "
+             "certificate (issued by the sizer, or the one a cache hit was "
+             "admitted on) shows the solved point fails a constraint",
     )
 
     sweep = sub.add_parser(

@@ -46,9 +46,14 @@ class SmartAdvisor:
     sizer the advisor creates: exact hits skip the GP loop after an STA
     re-verification (or a verified solution certificate), near hits
     warm-start it.  ``certify=True`` adds a post-solve gate: every sized
-    candidate is audited by the OPT70x solution-certificate machinery
-    and marked infeasible when the certificate is rejected — the solved
-    point provably fails a constraint the solver claimed satisfied.
+    candidate carries the OPT70x solution certificate the sizer issued
+    (or admitted a cache hit on) for its widths, and is marked infeasible
+    when that certificate is not ok — the solved point provably fails a
+    constraint the solver claimed satisfied.  The sizer certifies only
+    when the cache carries a certificate store, so ``certify=True``
+    attaches an in-memory
+    :class:`~repro.lint.solution.SolutionCertificateStore` when the cache
+    has none, and an in-memory cache when ``cache`` is ``None``.
     """
 
     def __init__(
@@ -62,6 +67,13 @@ class SmartAdvisor:
         self.database = database or default_database()
         self.library = library or ModelLibrary(tech or Technology())
         self.tech = self.library.tech
+        if certify:
+            from ..lint.solution.certificate import SolutionCertificateStore
+
+            if cache is None:
+                cache = SizingCache()
+            if cache.certificates is None:
+                cache.certificates = SolutionCertificateStore()
         self.cache = cache
         self.certify = certify
         #: Lazily created per-advisor incremental lint result cache.
@@ -251,6 +263,7 @@ class SmartAdvisor:
             database=self.database,
             tech=self.tech,
             cache=self.cache,
+            certify=self.certify,
         )
         if outcomes is None:
             log.info(
@@ -412,60 +425,26 @@ class SmartAdvisor:
         )
         return margin
 
-    def _certificate_gate(
-        self, circuit, sizer, constraints: DesignConstraints, sizing,
-        tolerance: float,
-    ):
-        """Post-solve OPT70x audit of a sized candidate (``certify=True``).
+    def _certificate_gate(self, cert: Optional[dict]) -> str:
+        """Post-solve OPT70x gate of a sized candidate (``certify=True``):
+        the rejection reason when its certificate is not ok, else ``""``.
 
-        Returns ``(certificate payload or None, rejection reason or "")``.
-        Audit *infrastructure* failures never fail a sized candidate
-        (same never-fail pattern as :meth:`_noise_margin`); a certificate
-        that runs and comes back not-ok does — the point provably fails a
-        constraint.
+        A result without a certificate (issuance failed in the sizer)
+        passes — the same never-fail pattern as :meth:`_noise_margin`; a
+        certificate that comes back not-ok fails the candidate, because
+        the point provably fails a constraint.
         """
-        from ..lint.solution.audit import SolutionAudit
-
-        t_start = time.perf_counter()
-        try:
-            audit = SolutionAudit(
-                circuit,
-                self.library,
-                constraints.to_delay_spec(),
-                tolerance=tolerance,
-                otb_borrow=constraints.otb_borrow,
-                objective=constraints.cost,
-            )
-            cert = audit.certify(
-                sizing.widths,
-                cache_key=sizer.cache_key(
-                    constraints.to_delay_spec(), tolerance
-                ).key,
-                with_kkt=False,
-            )
-        except Exception as exc:  # never fail a sized candidate on this
-            log.warning(
-                "solution certificate for %s skipped (%s)",
-                circuit.name, exc,
-            )
-            return None, ""
-        perf.record_run(
-            "certificate",
-            circuit.name,
-            wall_s=time.perf_counter() - t_start,
-            extra={"ok": cert.ok, "gate": "advisor"},
+        if cert is None or cert["ok"]:
+            return ""
+        failed = sorted(
+            check for check, verdict in cert["checks"].items()
+            if not verdict.get("ok", True)
         )
-        if not cert.ok:
-            failed = sorted(
-                check for check, verdict in cert.checks.items()
-                if not verdict.get("ok", True)
-            )
-            return cert.to_payload(), (
-                f"solution certificate rejected ({', '.join(failed)}): "
-                f"worst residual {cert.worst_residual_ps:.2f} ps vs "
-                f"tolerance {cert.tolerance:.2f} ps"
-            )
-        return cert.to_payload(), ""
+        return (
+            f"solution certificate rejected ({', '.join(failed)}): "
+            f"worst residual {cert['worst_residual_ps']:.2f} ps vs "
+            f"tolerance {cert['tolerance']:.2f} ps"
+        )
 
     def _apply_pins(self, circuit, constraints: DesignConstraints) -> None:
         for label, width in (constraints.pinned_sizes or {}).items():
@@ -572,21 +551,18 @@ class SmartAdvisor:
                 reason=str(exc),
             )
         metrics.counter("advisor.topologies_sized").inc()
-        certificate = None
-        if self.certify:
-            certificate, reject_reason = self._certificate_gate(
-                circuit, sizer, constraints, sizing, tolerance
+        certificate = sizing.certificate if self.certify else None
+        reject_reason = self._certificate_gate(certificate)
+        if reject_reason:
+            metrics.counter("advisor.certificates_rejected").inc()
+            return CandidateResult(
+                topology=generator.name,
+                description=generator.description,
+                feasible=False,
+                sizing=sizing,
+                reason=reject_reason,
+                certificate=certificate,
             )
-            if reject_reason:
-                metrics.counter("advisor.certificates_rejected").inc()
-                return CandidateResult(
-                    topology=generator.name,
-                    description=generator.description,
-                    feasible=False,
-                    sizing=sizing,
-                    reason=reject_reason,
-                    certificate=certificate,
-                )
         cost = evaluate_cost(circuit, self.library, sizing.resolved, constraints.cost)
         return CandidateResult(
             topology=generator.name,

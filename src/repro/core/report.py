@@ -27,10 +27,10 @@ class CandidateResult:
     #: noise-sensitive nodes or sizing failed.  Negative means some node
     #: dips past its budget at the chosen sizing.
     noise_margin: Optional[float] = None
-    #: Issued post-solve solution certificate payload
-    #: (``smart-solution-certificate/1``) when the advisor runs with
-    #: ``certify=True``; ``None`` when certification is off or was
-    #: skipped defensively.
+    #: The sizing's ``smart-solution-certificate/1`` payload
+    #: (``sizing.certificate``, issued or cache-admitted by the sizer) when
+    #: the advisor runs with ``certify=True``; ``None`` when certification
+    #: is off or its issuance failed.
     certificate: Optional[dict] = None
 
     @property

@@ -11,8 +11,10 @@ parent reassembles everything deterministically:
   whose records ship back over the pool and are grafted into the parent's
   trace (:meth:`repro.obs.trace.Tracer.graft`);
 * **cache** — workers get the parent cache's snapshot read-only
-  (``autosync=False``); new entries and hit/miss stats return with each
-  outcome and the parent (the single writer) merges and persists them.
+  (``autosync=False``), with an in-memory copy of its solution-certificate
+  store when it has one; new entries, the certificates the sized results
+  carry and hit/miss stats return with each outcome, and the parent (the
+  single writer) merges and persists them.
 
 ``run_candidates`` returns ``None`` instead of raising when the pool cannot
 be used at all — unpicklable inputs or a broken pool — and the caller falls
@@ -76,15 +78,30 @@ class CandidateOutcome:
 _WORKER: Dict[str, Any] = {}
 
 
-def _init_worker(database, tech, cache_seed: Optional[List[dict]]) -> None:
+def _init_worker(
+    database,
+    tech,
+    cache_seed: Optional[List[dict]],
+    certify: bool = False,
+    certificate_seed: Optional[List[dict]] = None,
+) -> None:
     from ..core.advisor import SmartAdvisor
+    from ..lint.solution.certificate import (
+        SolutionCertificate, SolutionCertificateStore,
+    )
 
     cache = None
     if cache_seed is not None:
         cache = SizingCache(path=None, autosync=False)
         cache.seed(cache_seed)
+        if certificate_seed is not None:
+            cache.certificates = SolutionCertificateStore()
+            for payload in certificate_seed:
+                cache.certificates.put(
+                    SolutionCertificate.from_payload(payload)
+                )
     _WORKER["advisor"] = SmartAdvisor(
-        database=database, tech=tech, cache=cache
+        database=database, tech=tech, cache=cache, certify=certify
     )
 
 
@@ -124,6 +141,7 @@ def run_candidates(
     database,
     tech,
     cache: Optional[SizingCache] = None,
+    certify: bool = False,
 ) -> Optional[List[CandidateOutcome]]:
     """Run tasks across a process pool; outcomes in task order.
 
@@ -139,13 +157,17 @@ def run_candidates(
         return None
 
     seed = cache.entries_snapshot() if cache is not None else None
+    certificates = getattr(cache, "certificates", None)
+    certificate_seed = (
+        certificates.entries() if certificates is not None else None
+    )
     outcomes: List[CandidateOutcome] = []
     try:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=max(1, min(workers, len(tasks))),
             mp_context=_mp_context(),
             initializer=_init_worker,
-            initargs=(database, tech, seed),
+            initargs=(database, tech, seed, certify, certificate_seed),
         ) as pool:
             futures = [pool.submit(_run_task, task) for task in tasks]
             for task, future in zip(tasks, futures):
@@ -171,8 +193,9 @@ def absorb_outcomes(
     """Fold worker outcomes back into the parent process.
 
     Grafts each worker's trace under the parent's current span, merges new
-    cache entries (the parent is the single writer) and hit/miss stats, and
-    returns the candidate list in task order.  A worker error becomes an
+    cache entries, the solution certificates the sized results carry (the
+    parent is the single writer) and hit/miss stats, and returns the
+    candidate list in task order.  A worker error becomes an
     infeasible :class:`CandidateResult` rather than an exception.
     """
     tracer = trace.get_tracer()
@@ -189,6 +212,13 @@ def absorb_outcomes(
                 cache.merge_entries(outcome.cache_entries)
             if outcome.cache_stats:
                 cache.stats.absorb(outcome.cache_stats)
+            sizing = outcome.candidate and outcome.candidate.sizing
+            if cache.certificates is not None and sizing and sizing.certificate:
+                from ..lint.solution.certificate import SolutionCertificate
+
+                cache.certificates.put(
+                    SolutionCertificate.from_payload(sizing.certificate)
+                )
         if outcome.candidate is not None:
             candidates.append(outcome.candidate)
         else:

@@ -34,7 +34,6 @@ from ..netlist.circuit import Circuit
 from ..netlist.sizing_vars import SizeVar
 from ..obs import metrics, perf, trace
 from ..obs.log import get_logger
-from ..cache.fingerprint import make_entry
 from ..cache.store import SizingCache
 from .constraints import DelaySpec
 from .engine import SizingError, SizingResult, SmartSizer
@@ -72,12 +71,11 @@ class RegularityCollapsedSizer:
 
     Parameters mirror :class:`SmartSizer`; additionally ``radius`` bounds
     the WL refinement (3 separates every distinct boundary role in the
-    macro corpus while still collapsing the interior), ``cache`` receives
-    the certified full-circuit result under the *full problem's* content
-    address, and ``certificates`` (a
-    :class:`repro.lint.solution.SolutionCertificateStore`) receives the
-    issued certificate so later exact hits can be admitted without an STA
-    re-run.
+    macro corpus while still collapsing the interior), and ``cache``
+    receives the certified full-circuit result under the *full problem's*
+    content address (:meth:`SmartSizer.publish`) — with the issued
+    certificate, when ``cache.certificates`` is set, so later exact hits
+    can be admitted without an STA re-run.
     """
 
     def __init__(
@@ -89,7 +87,6 @@ class RegularityCollapsedSizer:
         otb_borrow: float = 0.0,
         analysis_library: Optional[ModelLibrary] = None,
         cache: Optional[SizingCache] = None,
-        certificates: Optional[object] = None,
         with_kkt: bool = True,
     ):
         self.circuit = circuit
@@ -99,17 +96,11 @@ class RegularityCollapsedSizer:
         self.otb_borrow = otb_borrow
         self.analysis_library = analysis_library
         self.cache = cache
-        self.certificates = certificates
         #: Annotate the certificate with the OPT702 optimality-gap bound.
         #: The NNLS fit is O(labels x constraints) — worth skipping on very
         #: wide circuits where the gap annotation is not needed (it is
         #: never a veto; see SolutionAudit.certify).
         self.with_kkt = with_kkt
-        if certificates is not None and cache is not None:
-            # Let the full-solve fallback (and any later SmartSizer over
-            # the same cache) use the certificate fast path too.
-            if getattr(cache, "certificates", None) is None:
-                cache.certificates = certificates
 
     # -- collapse mechanics -------------------------------------------------
 
@@ -284,8 +275,9 @@ class RegularityCollapsedSizer:
             prune_stats=collapsed.prune_stats,
             runtime_s=time.perf_counter() - t_start,
             gp_fallback_count=collapsed.gp_fallback_count,
+            certificate=certificate.to_payload(),
         )
-        self._publish(cache_key, result, spec, tolerance, certificate)
+        full_sizer.publish(result, spec, tolerance, certificate)
         outcome = CollapsedSizingResult(
             result=result,
             classes=[list(c) for c in classes],
@@ -305,35 +297,6 @@ class RegularityCollapsedSizer:
         return outcome
 
     # -- helpers ------------------------------------------------------------
-
-    def _publish(
-        self, cache_key, result: SizingResult, spec: DelaySpec,
-        tolerance: float, certificate,
-    ) -> None:
-        """Store the certified full-circuit result (and its certificate)
-        under the full problem's content address."""
-        if self.cache is not None:
-            self.cache.put(
-                make_entry(
-                    cache_key,
-                    circuit_name=self.circuit.name,
-                    objective=self.objective,
-                    spec_data=spec.data,
-                    tolerance=tolerance,
-                    env=result.widths,
-                    iterations=result.iterations,
-                    area=result.area,
-                    runtime_s=result.runtime_s,
-                )
-            )
-        if self.certificates is not None:
-            try:
-                self.certificates.put(certificate)
-            except Exception:  # pragma: no cover - store must not kill sizing
-                log.warning(
-                    "failed to persist solution certificate for %s",
-                    self.circuit.name, exc_info=True,
-                )
 
     def _fallback(
         self,

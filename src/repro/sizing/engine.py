@@ -106,6 +106,11 @@ class SizingResult:
     runtime_s: float = 0.0            # wall-time of the whole Figure-4 loop
     gp_fallback_count: int = 0        # infeasible-retarget GP recoveries
     cache_hit: str = ""               # "" | "exact" | "exact-cert" | "warm"
+    #: ``smart-solution-certificate/1`` payload of ``widths``; set whenever
+    #: the sizer's cache carries a certificate store (see
+    #: :meth:`SmartSizer.publish`) and on a certified collapsed result,
+    #: ``None`` otherwise.
+    certificate: Optional[dict] = None
 
     @property
     def worst_slack(self) -> float:
@@ -455,22 +460,44 @@ class SmartSizer:
     def _cache_settle(
         self, result: SizingResult, spec: DelaySpec, tolerance: float
     ) -> None:
-        """Post-run cache bookkeeping: credit the wall-time an exact hit
-        saved (cached solve time minus the re-verification pass — near-zero
-        for certificate-admitted hits), or store a freshly converged result
-        (issuing a solution certificate alongside when a certificate store
-        is attached to the cache)."""
+        """Post-run cache bookkeeping: publish a fresh result
+        (:meth:`publish`), or credit the wall-time an exact hit saved
+        (cached solve time minus the re-verification pass — near-zero for
+        certificate-admitted hits).  A certificate-admitted hit already
+        carries the certificate it was admitted on; an STA-verified hit is
+        certified here."""
         if self.cache is None:
             return
-        if result.cache_hit in ("exact", "exact-cert"):
-            saved = max(0.0, self._cache_hit_runtime - result.runtime_s)
-            self.cache.stats.wall_saved_s += saved
-            metrics.histogram("cache.wall_saved_s").observe(saved)
+        if not result.cache_hit.startswith("exact"):
+            self.publish(result, spec, tolerance)
             return
-        if result.converged and self._cache_key is not None:
+        saved = max(0.0, self._cache_hit_runtime - result.runtime_s)
+        self.cache.stats.wall_saved_s += saved
+        metrics.histogram("cache.wall_saved_s").observe(saved)
+        if result.cache_hit == "exact":
+            self._certify(result, spec, tolerance, self._cache_key.key)
+
+    def publish(
+        self,
+        result: SizingResult,
+        spec: DelaySpec,
+        tolerance: float,
+        certificate: Optional[object] = None,
+    ) -> None:
+        """Store a freshly sized ``result`` under this problem's content
+        address: the cache entry when it converged, and — when the cache
+        carries a certificate store — the solution certificate of its
+        widths, which is also attached as ``result.certificate``.
+        ``certificate`` is one the caller already issued for
+        ``result.widths`` (the collapsed sizer's replication audit);
+        without it the certificate is issued here."""
+        if self.cache is None:
+            return
+        key = self._cache_key or self.cache_key(spec, tolerance)
+        if result.converged:
             self.cache.put(
                 make_entry(
-                    self._cache_key,
+                    key,
                     circuit_name=self.circuit.name,
                     objective=self.objective,
                     spec_data=spec.data,
@@ -482,36 +509,53 @@ class SmartSizer:
                 )
             )
             metrics.counter("cache.stores").inc()
-            self._issue_certificate(result, spec, tolerance)
+        self._certify(result, spec, tolerance, key.key, certificate)
 
-    def _issue_certificate(
-        self, result: SizingResult, spec: DelaySpec, tolerance: float
+    def _certify(
+        self,
+        result: SizingResult,
+        spec: DelaySpec,
+        tolerance: float,
+        key: str,
+        certificate: Optional[object] = None,
     ) -> None:
-        """Certify a freshly converged result into the cache's attached
-        certificate store (if any) so later exact hits can be admitted
-        without an STA re-run.  Never-fail: certification problems degrade
-        to the STA fallback path, not to a sizing error."""
+        """Attach the solution certificate of ``result.widths`` and keep it
+        in the cache's certificate store (no-op without one).  A
+        caller-issued ``certificate`` is stored as is; otherwise a stored
+        certificate that still binds these widths is reused, and any other
+        is replaced by a fresh ``SolutionAudit.certify(..., with_kkt=False)``.
+        Never-fail:
+        certification problems leave ``result.certificate`` ``None`` (exact
+        hits then re-verify via STA), not a sizing error."""
         cert_store = getattr(self.cache, "certificates", None)
-        if cert_store is None or self._cache_key is None:
-            return
-        if self._cache_key.key in cert_store:
+        if cert_store is None:
             return
         try:
-            from ..lint.solution.audit import SolutionAudit
+            if certificate is None:
+                from ..lint.solution.audit import SolutionAudit
+                from ..lint.solution.certificate import check_certificate
+                from ..netlist.fingerprint import facet_fingerprints
 
-            audit = SolutionAudit(
-                self.circuit,
-                self.library,
-                spec,
-                tolerance=tolerance,
-                otb_borrow=self.otb_borrow,
-                objective=self.objective,
-                analysis_library=self._analysis_library,
-            )
-            cert = audit.certify(
-                result.widths, cache_key=self._cache_key.key, with_kkt=False
-            )
-            cert_store.put(cert)
+                stored = cert_store.get(key)
+                if stored is not None and check_certificate(
+                    stored,
+                    key=key,
+                    env=result.widths,
+                    tolerance=tolerance,
+                    facets=facet_fingerprints(self.circuit),
+                )[0]:
+                    result.certificate = stored
+                    return
+                certificate = SolutionAudit(
+                    self.circuit,
+                    self.library,
+                    spec,
+                    tolerance=tolerance,
+                    otb_borrow=self.otb_borrow,
+                    objective=self.objective,
+                    analysis_library=self._analysis_library,
+                ).certify(result.widths, cache_key=key, with_kkt=False)
+            result.certificate = cert_store.put(certificate)
         except Exception as exc:  # pragma: no cover - defensive
             log.warning(
                 "%s: solution-certificate issuance failed (%s); exact hits "
@@ -652,71 +696,12 @@ class SmartSizer:
             self._cache_key = key = self.cache_key(spec, tolerance)
             entry = self.cache.get(key.key)
             if entry is not None:
-                admitted = self._admit_certified(entry, key, tolerance)
-                if admitted is not None:
-                    cert_env, cert_realized, cert_worst = admitted
-                    self.cache.stats.exact_hits += 1
-                    self.cache.stats.cert_hits += 1
-                    metrics.counter("cache.cert_hits").inc()
-                    self._cache_hit_runtime = float(
-                        entry.get("runtime_s", 0.0)
-                    )
-                    trace.add_attrs(cache_hit="exact-cert")
-                    log.info(
-                        "%s: cache hit admitted on solution certificate "
-                        "(residual %.2f ps), skipping GP loop and STA "
-                        "re-verify",
-                        self.circuit.name, cert_worst,
-                    )
-                    resolved = self.circuit.size_table.resolve(cert_env)
-                    return SizingResult(
-                        circuit_name=self.circuit.name,
-                        widths=dict(cert_env),
-                        resolved=resolved,
-                        converged=True,
-                        iterations=0,
-                        area=self.circuit.total_width(resolved),
-                        clock_load=self.circuit.clock_load_width(resolved),
-                        worst_violation=max(0.0, cert_worst),
-                        realized=cert_realized,
-                        specs={c.name: c.spec for c in constraints.timing},
-                        history=[],
-                        prune_stats=prune_result.stats,
-                        cache_hit="exact-cert",
-                    )
-                with trace.span("cache_verify", key=key.key[:12]):
-                    verified = self._verify_cached(
-                        entry, spec, tolerance, constraints
-                    )
-                if verified is not None:
-                    hit_env, hit_realized, hit_worst, hit_name = verified
-                    self.cache.stats.exact_hits += 1
-                    metrics.counter("cache.exact_hits").inc()
-                    self._cache_hit_runtime = float(
-                        entry.get("runtime_s", 0.0)
-                    )
-                    trace.add_attrs(cache_hit="exact")
-                    log.info(
-                        "%s: cache hit verified (residual %.2f ps), "
-                        "skipping GP loop",
-                        self.circuit.name, hit_worst,
-                    )
-                    resolved = self.circuit.size_table.resolve(hit_env)
-                    return SizingResult(
-                        circuit_name=self.circuit.name,
-                        widths=dict(hit_env),
-                        resolved=resolved,
-                        converged=True,
-                        iterations=0,
-                        area=self.circuit.total_width(resolved),
-                        clock_load=self.circuit.clock_load_width(resolved),
-                        worst_violation=max(0.0, hit_worst),
-                        realized=hit_realized,
-                        specs={c.name: c.spec for c in constraints.timing},
-                        history=[],
-                        prune_stats=prune_result.stats,
-                        cache_hit="exact",
-                    )
+                hit = self._exact_hit(
+                    entry, key, spec, tolerance, constraints,
+                    prune_result.stats,
+                )
+                if hit is not None:
+                    return hit
                 self.cache.stats.verify_failures += 1
                 metrics.counter("cache.verify_failures").inc()
                 log.warning(
@@ -910,64 +895,111 @@ class SmartSizer:
 
     # -- helpers -----------------------------------------------------------------
 
-    def _verify_cached(
+    def _exact_hit(
         self,
         entry: Mapping[str, object],
+        key: CacheKey,
         spec: DelaySpec,
         tolerance: float,
         constraints: ConstraintSet,
-    ) -> Optional[Tuple[Dict[str, float], Dict[str, float], float, str]]:
-        """Re-verify a cached env against this run's own STA and constraint
-        set (the cache is an accelerator, never an oracle).
+        prune_stats,
+    ) -> Optional[SizingResult]:
+        """The sizing an exact cache hit stands for, or ``None`` when the
+        entry cannot be admitted and the caller re-solves (the cache is an
+        accelerator, never an oracle).
 
-        The check is the engine's own convergence criterion: every timing
-        constraint's realized delay within ``tolerance`` of its spec, measured
-        with true slope propagation.  Returns ``(env, realized, worst
-        violation, worst constraint)`` on success, ``None`` on any mismatch —
-        malformed env, missing free labels, or a residual over tolerance.
+        The entry's env must be finite, positive and cover every free
+        label.  It is then admitted on its verified solution certificate
+        (:meth:`_admit_certified`, no STA) or, absent one, by the engine's
+        own convergence criterion: every timing constraint's realized
+        delay, measured with true slope propagation, within ``tolerance``
+        of its spec.
         """
-        free = set(self.circuit.size_table.free_names())
-        env: Dict[str, float] = {}
-        for name, value in dict(entry.get("env", {})).items():
+        raw = entry.get("env")
+        if not isinstance(raw, Mapping):
+            return None
+        widths: Dict[str, float] = {}
+        for name, value in raw.items():
             try:
                 width = float(value)  # type: ignore[arg-type]
             except (TypeError, ValueError):
                 return None
             if not math.isfinite(width) or width <= 0.0:
                 return None
-            env[str(name)] = width
-        if not free.issubset(env):
+            widths[str(name)] = width
+        free = sorted(self.circuit.size_table.free_names())
+        if not set(free).issubset(widths):
             return None
-        env = {name: env[name] for name in sorted(free)}
-        measurement = measure_constraints(
-            self.analyzer, constraints.timing, env, spec.input_slope
-        )
-        if measurement.worst_violation > tolerance:
-            return None
-        return (
-            env, measurement.realized, measurement.worst_violation,
-            measurement.worst_constraint,
+        env = {name: widths[name] for name in free}
+        certificate = self._admit_certified(env, key, tolerance)
+        if certificate is not None:
+            mode = "exact-cert"
+            realized = {
+                str(name): float(value)
+                for name, value in certificate.get("realized", {}).items()
+            }
+            worst = float(certificate.get("worst_residual_ps", 0.0))
+            self.cache.stats.cert_hits += 1
+            metrics.counter("cache.cert_hits").inc()
+            log.info(
+                "%s: cache hit admitted on solution certificate "
+                "(residual %.2f ps), skipping GP loop and STA re-verify",
+                self.circuit.name, worst,
+            )
+        else:
+            with trace.span("cache_verify", key=key.key[:12]):
+                measurement = measure_constraints(
+                    self.analyzer, constraints.timing, env, spec.input_slope
+                )
+            if measurement.worst_violation > tolerance:
+                return None
+            mode = "exact"
+            realized = measurement.realized
+            worst = measurement.worst_violation
+            metrics.counter("cache.exact_hits").inc()
+            log.info(
+                "%s: cache hit verified (residual %.2f ps), skipping GP loop",
+                self.circuit.name, worst,
+            )
+        self.cache.stats.exact_hits += 1
+        self._cache_hit_runtime = float(entry.get("runtime_s", 0.0))
+        trace.add_attrs(cache_hit=mode)
+        resolved = self.circuit.size_table.resolve(env)
+        return SizingResult(
+            circuit_name=self.circuit.name,
+            widths=env,
+            resolved=resolved,
+            converged=True,
+            iterations=0,
+            area=self.circuit.total_width(resolved),
+            clock_load=self.circuit.clock_load_width(resolved),
+            worst_violation=max(0.0, worst),
+            realized=realized,
+            specs={c.name: c.spec for c in constraints.timing},
+            history=[],
+            prune_stats=prune_stats,
+            cache_hit=mode,
+            certificate=certificate,
         )
 
     def _admit_certified(
         self,
-        entry: Mapping[str, object],
+        env: Mapping[str, float],
         key: CacheKey,
         tolerance: float,
-    ) -> Optional[Tuple[Dict[str, float], Dict[str, float], float]]:
-        """Try to admit an exact cache hit on a verified solution certificate
-        instead of the full STA re-run (:meth:`_verify_cached`).
+    ) -> Optional[dict]:
+        """The stored solution certificate that admits ``env`` as an exact
+        hit without the STA re-run, or ``None``.
 
         Looks up the ``smart-solution-certificate/1`` record stored under the
         same content address as the cache entry and re-checks its bindings at
         lookup time via :func:`repro.lint.solution.check_certificate`: key,
-        widths digest against the entry's env, ``ok`` flag, residual within
+        widths digest against ``env``, ``ok`` flag, residual within
         tolerance, and freshness against this circuit's live facet
-        fingerprints.  Returns ``(env, realized, worst residual)`` on an
-        admissible certificate, ``None`` otherwise — absent store, absent or
-        stale certificate, or any failed binding — in which case the caller
-        falls back to the STA path.  Certificate admission is strictly an
-        accelerator: it can only skip work the certificate already proved.
+        fingerprints.  Returns ``None`` — absent store, absent or stale
+        certificate, or any failed binding — and the caller falls back to
+        the STA check.  Certificate admission is strictly an accelerator:
+        it can only skip work the certificate already proved.
         """
         cert_store = getattr(self.cache, "certificates", None)
         if cert_store is None:
@@ -980,13 +1012,10 @@ class SmartSizer:
         cert = cert_store.get(key.key)
         if cert is None:
             return None
-        raw_env = entry.get("env")
-        if not isinstance(raw_env, Mapping):
-            return None
         ok, reason = check_certificate(
             cert,
             key=key.key,
-            env=raw_env,
+            env=env,
             tolerance=tolerance,
             facets=facet_fingerprints(self.circuit),
         )
@@ -997,25 +1026,7 @@ class SmartSizer:
             )
             metrics.counter("cache.cert_rejects").inc()
             return None
-        free = set(self.circuit.size_table.free_names())
-        env: Dict[str, float] = {}
-        for name, value in raw_env.items():
-            try:
-                width = float(value)  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                return None
-            if not math.isfinite(width) or width <= 0.0:
-                return None
-            env[str(name)] = width
-        if not free.issubset(env):
-            return None
-        env = {name: env[name] for name in sorted(free)}
-        realized = {
-            str(name): float(value)
-            for name, value in dict(cert.get("realized", {})).items()
-        }
-        worst = float(cert.get("worst_residual_ps", 0.0))
-        return env, realized, worst
+        return cert
 
     def _build_gp(
         self, constraints: ConstraintSet, multipliers: Mapping[str, float]

@@ -177,3 +177,82 @@ class TestIntervalScreenGate:
         (cand,) = report.candidates
         assert not cand.screened
         assert cand.feasible
+
+
+class TestCertifyGate:
+    """``certify=True``: every sized candidate carries the certificate the
+    sizer issued for its widths (once, cold) or admitted its cache hit on
+    (no audit, warm); a not-ok certificate demotes the candidate."""
+
+    SPEC = MacroSpec("mux", 4, output_load=30.0)
+    CONSTRAINTS = DesignConstraints(delay=400.0, cost="area")
+
+    @pytest.fixture()
+    def certify_calls(self, monkeypatch):
+        from repro.lint.solution.audit import SolutionAudit
+
+        calls = []
+        certify = SolutionAudit.certify
+
+        def counted(audit, *args, **kwargs):
+            calls.append(audit.circuit.name)
+            return certify(audit, *args, **kwargs)
+
+        monkeypatch.setattr(SolutionAudit, "certify", counted)
+        return calls
+
+    def test_one_audit_cold_none_warm(self, database, certify_calls):
+        from repro.cache import SizingCache
+        from repro.lint.solution import SolutionCertificateStore
+
+        cache = SizingCache(certificates=SolutionCertificateStore())
+        advisor = SmartAdvisor(database=database, cache=cache, certify=True)
+        cold = advisor.advise(self.SPEC, self.CONSTRAINTS)
+        sized = [c for c in cold.candidates if c.sizing is not None]
+        assert len(sized) >= 2
+        assert len(certify_calls) == len(sized)
+
+        del certify_calls[:]
+        warm = advisor.advise(self.SPEC, self.CONSTRAINTS)
+        assert certify_calls == []
+        for cand in warm.candidates:
+            if cand.converged:
+                assert cand.sizing.cache_hit == "exact-cert"
+        assert [c.certificate for c in warm.candidates] == [
+            c.certificate for c in cold.candidates
+        ]
+
+    def test_without_cache_every_sized_candidate_certified(self, database):
+        advisor = SmartAdvisor(database=database, certify=True)
+        report = advisor.advise(self.SPEC, self.CONSTRAINTS)
+        sized = [c for c in report.candidates if c.sizing is not None]
+        assert sized
+        for cand in sized:
+            assert cand.certificate is not None
+            assert cand.certificate is cand.sizing.certificate
+            assert cand.certificate["ok"] == cand.feasible
+
+    def test_rejected_certificate_demotes_candidate(
+        self, database, monkeypatch
+    ):
+        from repro.lint.solution.audit import SolutionAudit
+
+        monkeypatch.setattr(
+            SolutionAudit,
+            "feasibility",
+            lambda audit, widths: {
+                "ok": False, "worst_residual_ps": 9.0, "violations": [{}],
+            },
+        )
+        report = SmartAdvisor(database=database, certify=True).advise(
+            self.SPEC, self.CONSTRAINTS
+        )
+        sized = [c for c in report.candidates if c.sizing is not None]
+        assert sized and report.best is None
+        for cand in sized:
+            cert = cand.certificate
+            assert not cand.feasible and not cert["ok"]
+            assert cand.reason == (
+                "solution certificate rejected (OPT701): worst residual "
+                f"{cert['worst_residual_ps']:.2f} ps vs tolerance 2.00 ps"
+            )

@@ -68,6 +68,25 @@ class TestParallelAdvise:
         assert len(cache) >= len(report.feasible)
         assert cache.stats.stores >= len(report.feasible)
 
+    def test_certificates_cross_the_pool(self, database, spec, constraints):
+        inline = SmartAdvisor(database=database, certify=True).advise(
+            spec, constraints, workers=1
+        )
+        advisor = SmartAdvisor(database=database, certify=True)
+        cold = advisor.advise(spec, constraints, workers=2)
+        sized = [c for c in inline.candidates if c.sizing is not None]
+        assert sized and all(c.certificate is not None for c in sized)
+        assert [c.certificate for c in cold.candidates] == [
+            c.certificate for c in inline.candidates
+        ]
+        assert len(advisor.cache.certificates) == len(sized)
+
+        warm = advisor.advise(spec, constraints, workers=2)
+        converged = [c for c in warm.candidates if c.converged]
+        assert converged
+        assert all(c.sizing.cache_hit == "exact-cert" for c in converged)
+        assert advisor.cache.stats.cert_hits == len(converged)
+
     def test_single_worker_stays_inline(
         self, database, spec, constraints, monkeypatch
     ):

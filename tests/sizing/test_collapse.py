@@ -150,9 +150,9 @@ class TestCertificateCachePath:
         spec = _spec(circuit, library)
         certs = SolutionCertificateStore(str(tmp_path / "certs.jsonl"))
         cache = SizingCache(certificates=certs)
-        cold = RegularityCollapsedSizer(
-            circuit, library, cache=cache, certificates=certs
-        ).size(spec)
+        cold = RegularityCollapsedSizer(circuit, library, cache=cache).size(
+            spec
+        )
         assert not cold.fallback and cold.certificate is not None
         return circuit, spec, cache, certs
 
