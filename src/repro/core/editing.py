@@ -15,7 +15,10 @@ Supported edits:
 * :func:`pin_sizes` / :func:`unpin_sizes` — designer size control per label;
 * :func:`retarget_load` — change an output's external load in place.
 
-Every edit re-validates the circuit.
+Every edit re-validates the circuit.  Structural edits call
+:func:`~repro.netlist.memo.forget`, dropping the circuit's memoized
+analyses (timing arc tables, switch-level extraction); pins only touch
+the size table, whose state the timing tables are keyed on.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from ..netlist.circuit import Circuit
+from ..netlist.memo import forget
 from ..netlist.nets import Net, NetKind, Pin, PinClass
 from ..netlist.stages import Stage, StageKind
 from ..netlist.validate import validate_circuit
@@ -78,6 +82,7 @@ def merge_condition_gate(
         size_vars={"pull_up": pull_up_label, "pull_down": pull_down_label},
     )
     circuit.add_stage(stage)
+    forget(circuit)
     validate_circuit(circuit).raise_if_failed()
     return stage
 
@@ -110,6 +115,7 @@ def add_keeper(circuit: Circuit, stage_name: str, ratio: float = 0.1) -> None:
     if ratio < 0:
         raise ValueError("keeper ratio must be nonnegative")
     stage.params["keeper"] = float(ratio)
+    forget(circuit)
     validate_circuit(circuit).raise_if_failed()
 
 
@@ -121,3 +127,4 @@ def retarget_load(circuit: Circuit, output_net: str, new_load: float) -> None:
     replacement = Net(old.name, old.kind, old.wire_cap, new_load, old.wire_res)
     circuit.nets[output_net] = replacement
     circuit._rebind_net(replacement)
+    forget(circuit)

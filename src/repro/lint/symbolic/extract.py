@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import itertools
 import random
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ...netlist.circuit import Circuit
 from ...netlist.funcspec import FunctionalSpec
+from ...netlist.memo import circuit_memo
 from .switchlevel import ChannelGraph, Conflict, evaluate_assignment
 
 #: Exact enumeration up to this many primary inputs (2^budget assignments).
@@ -204,18 +204,6 @@ def extract(
 
 # -- memoization -------------------------------------------------------------
 
-_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def invalidate_cache(circuit: Circuit) -> None:
-    """Forget memoized extractions for ``circuit``.
-
-    The memo assumes circuits are immutable after construction; anything
-    that rewires pins in place (:mod:`repro.lint.symbolic.mutate` is the
-    only sanctioned path) must call this before re-extracting.
-    """
-    _CACHE.pop(circuit, None)
-
 
 def extract_cached(
     circuit: Circuit,
@@ -224,14 +212,12 @@ def extract_cached(
     samples: int,
     seed: int = DEFAULT_SEED,
 ) -> Extraction:
-    """Per-circuit memoized :func:`extract` (shared by the SVC rules)."""
-    key = (id(spec), exact_budget, samples, seed)
-    per_circuit = _CACHE.get(circuit)
-    if per_circuit is None:
-        per_circuit = {}
-        _CACHE[circuit] = per_circuit
-    if key not in per_circuit:
-        per_circuit[key] = extract(
+    """Per-circuit memoized :func:`extract` (shared by the SVC rules; kept
+    in :func:`~repro.netlist.memo.circuit_memo`)."""
+    key = (Extraction, id(spec), exact_budget, samples, seed)
+    memo = circuit_memo(circuit)
+    if key not in memo:
+        memo[key] = extract(
             circuit, spec, exact_budget=exact_budget, samples=samples, seed=seed
         )
-    return per_circuit[key]
+    return memo[key]

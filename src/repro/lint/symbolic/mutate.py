@@ -19,8 +19,8 @@ from ...macros.base import MacroSpec
 from ...macros.registry import default_database
 from ...models.technology import Technology
 from ...netlist.circuit import Circuit
+from ...netlist.memo import forget
 from ..corpus import Mutant
-from .extract import invalidate_cache
 
 
 def rebind_pin(circuit: Circuit, stage_name: str, pin_name: str, net_name: str) -> None:
@@ -31,7 +31,7 @@ def rebind_pin(circuit: Circuit, stage_name: str, pin_name: str, net_name: str) 
             old = pin.net.name
             pin.net = circuit.net(net_name)
             _refresh_fanout(circuit, old, net_name)
-            invalidate_cache(circuit)
+            forget(circuit)
             return
     raise KeyError(f"stage {stage_name} has no pin {pin_name}")
 
@@ -45,7 +45,7 @@ def swap_pins(circuit: Circuit, stage_name: str, pin_a: str, pin_b: str) -> None
     a, b = pins[pin_a], pins[pin_b]
     a.net, b.net = b.net, a.net
     _refresh_fanout(circuit, a.net.name, b.net.name)
-    invalidate_cache(circuit)
+    forget(circuit)
 
 
 def _refresh_fanout(circuit: Circuit, *net_names: str) -> None:

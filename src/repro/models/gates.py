@@ -14,7 +14,9 @@ form::
 
 where ``R`` is the switching resistance of the pull network engaged by the
 transition (a monomial ``1/W`` term) and ``C_par`` the stage's own output
-diffusion (a posynomial in the stage's labels).  The GP chains
+diffusion (a posynomial in the stage's labels).  The models below build the
+first term of each line; the ``t_in_slope`` terms are the *hop rule*, applied
+in one place for every consumer (:mod:`repro.sim.timing`).  The GP chains
 ``t_in_slope`` posynomially along each path from the designer's input slope;
 the timing analyzer measures the slopes sibling paths really deliver, and
 the Figure-4 outer loop retargets budgets on the mismatch — which is exactly
@@ -129,9 +131,10 @@ class StageModel:
         transition: Transition,
         load: Posynomial,
         table: SizeTable,
-        input_slope: float = 0.0,
     ) -> Posynomial:
-        """Pin-to-output delay, ps (posynomial in size labels).
+        """Pin-to-output delay at zero input slope, ps (posynomial in size
+        labels); the hop rule of :mod:`repro.sim.timing` adds the
+        ``slope_sensitivity * t_in_slope`` term.
 
         ``load`` must be the *total* node capacitance (fanout gate caps, wire,
         external, and every driver's own diffusion — the timing analyzer's
@@ -139,11 +142,7 @@ class StageModel:
         pass-gate/tri-state merge nodes charge all their parasitics.
         """
         r = self.resistance(stage, pin, transition, table)
-        c = as_posynomial(load)
-        expr = LN2 * (r * c)
-        if input_slope > 0.0:
-            expr = expr + self.tech.slope_sensitivity * input_slope
-        return expr
+        return LN2 * (r * as_posynomial(load))
 
     def output_slope(
         self,
@@ -152,17 +151,13 @@ class StageModel:
         transition: Transition,
         load: Posynomial,
         table: SizeTable,
-        input_slope: float = 0.0,
     ) -> Posynomial:
-        """Output transition time, ps (posynomial).  ``load`` is the total
-        node capacitance, as in :meth:`delay`."""
+        """Output transition time at zero input slope, ps (posynomial).
+        ``load`` is the total node capacitance, as in :meth:`delay`; the hop
+        rule adds the ``SLOPE_LEAK * t_in_slope`` leak of a slow input
+        edge."""
         r = self.resistance(stage, pin, transition, table)
-        c = as_posynomial(load)
-        expr = self.tech.slope_gain * (r * c)
-        if input_slope > 0.0:
-            # A fraction of a slow input edge leaks into the output edge.
-            expr = expr + SLOPE_LEAK * input_slope
-        return expr
+        return self.tech.slope_gain * (r * as_posynomial(load))
 
 
 class PassGateModel(StageModel):
@@ -201,9 +196,8 @@ class PassGateModel(StageModel):
         transition: Transition,
         load: Posynomial,
         table: SizeTable,
-        input_slope: float = 0.0,
     ) -> Posynomial:
-        base = super().delay(stage, pin, transition, load, table, input_slope)
+        base = super().delay(stage, pin, transition, load, table)
         if pin.pin_class is PinClass.SELECT:
             # Select path first traverses the local complement inverter
             # (it must switch before the PMOS half conducts).
@@ -235,9 +229,8 @@ class TriStateModel(StageModel):
         transition: Transition,
         load: Posynomial,
         table: SizeTable,
-        input_slope: float = 0.0,
     ) -> Posynomial:
-        base = super().delay(stage, pin, transition, load, table, input_slope)
+        base = super().delay(stage, pin, transition, load, table)
         if pin.pin_class is PinClass.SELECT:
             # Enable inverter is a fixed 0.25x relation of the drive devices
             # and loads only their enable gates, so its delay is a size-
@@ -378,9 +371,8 @@ class ModelLibrary:
         transition: Transition,
         load: Posynomial,
         table: SizeTable,
-        input_slope: float = 0.0,
     ) -> Posynomial:
-        return self.model(stage).delay(stage, pin, transition, load, table, input_slope)
+        return self.model(stage).delay(stage, pin, transition, load, table)
 
     def output_slope(
         self,
@@ -389,8 +381,5 @@ class ModelLibrary:
         transition: Transition,
         load: Posynomial,
         table: SizeTable,
-        input_slope: float = 0.0,
     ) -> Posynomial:
-        return self.model(stage).output_slope(
-            stage, pin, transition, load, table, input_slope
-        )
+        return self.model(stage).output_slope(stage, pin, transition, load, table)

@@ -3,6 +3,7 @@
 from .circuit import Circuit, CircuitError
 from .devices import Polarity, Transistor
 from .nets import Net, NetKind, Pin, PinClass, PinSpeed
+from .memo import circuit_memo, forget
 from .sizing_vars import SizeTable, SizeVar
 from .spice import circuit_ports, export_circuit, read_spice, write_spice
 from .stages import LogicFamily, Stage, StageKind, VDD, VSS
@@ -31,4 +32,6 @@ __all__ = [
     "read_spice",
     "export_circuit",
     "circuit_ports",
+    "circuit_memo",
+    "forget",
 ]

@@ -50,10 +50,7 @@ def as_monomial(expr: Expression) -> Monomial:
 
 def posy_sum(exprs: Iterable[Expression]) -> Posynomial:
     """Sum of expressions, coerced posynomial (empty sum -> zero)."""
-    total = Posynomial.zero()
-    for expr in exprs:
-        total = total + as_posynomial(expr)
-    return total
+    return Posynomial.weighted_sum((1.0, as_posynomial(e)) for e in exprs)
 
 
 def is_posynomial_in(expr: Expression, allowed: Iterable[str]) -> bool:

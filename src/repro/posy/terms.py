@@ -233,6 +233,23 @@ class Posynomial:
         return cls({sig: c for sig, c in terms.items() if c > _COEFF_EPS})
 
     @classmethod
+    def weighted_sum(
+        cls, pairs: Iterable[Tuple[float, "Posynomial"]]
+    ) -> "Posynomial":
+        """``Σ w·p`` over ``(w, p)`` pairs, accumulated into one term dict
+        (linear in the total term count).  Zero weights add nothing;
+        negative weights would leave the posynomial cone."""
+        terms: Dict[Signature, float] = {}
+        for weight, posy in pairs:
+            if weight < 0:
+                raise ValueError("cannot scale a posynomial by a negative number")
+            if weight == 0:
+                continue
+            for sig, coeff in posy._terms.items():
+                terms[sig] = terms.get(sig, 0.0) + weight * coeff
+        return cls(terms)
+
+    @classmethod
     def zero(cls) -> "Posynomial":
         """The empty sum.  Valid as an additive identity only — a GP constraint
         body must be nonempty."""

@@ -15,6 +15,11 @@ Timing graph nodes are ``(net, transition)`` pairs.  Stage arcs:
 * tri-states: inverting data arcs, select-RISE -> both output transitions;
 * domino nodes: data-RISE -> node FALL (evaluate), clock RISE -> node FALL
   (D1 evaluate via the foot), clock FALL -> node RISE (precharge).
+
+Each circuit's arcs are compiled once into an :class:`ArcTable` of
+posynomials that every analyzer, the constraint generator and the interval
+screen share; a measurement evaluates each arc once per sizing and then
+walks the graph with float arithmetic.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..models.gates import LN2, ModelLibrary, Transition
+from ..models.gates import LN2, SLOPE_LEAK, ModelLibrary, Transition
 from ..netlist.circuit import Circuit
+from ..netlist.memo import circuit_memo
 from ..netlist.nets import NetKind, Pin, PinClass
 from ..netlist.stages import Stage, StageKind
 from ..obs import metrics, trace
@@ -31,6 +37,13 @@ from ..posy import Posynomial, posy_sum
 
 #: A hop along a timing path: (stage name, input pin name, output transition).
 Hop = Tuple[str, str, Transition]
+#: A timing-graph node: (net name, transition).
+NetKey = Tuple[str, Transition]
+#: One arc at one sizing: (delay, slope) at zero input slope, ps, and the
+#: node the arc leaves from.
+ArcValue = Tuple[float, float, NetKey]
+#: An evaluation point: (widths as given, every label's width, arc values).
+Point = Tuple[Dict[str, float], Dict[str, float], Dict[Hop, ArcValue]]
 
 
 @dataclass(frozen=True)
@@ -134,117 +147,196 @@ def stage_arcs(stage: Stage, pin: Pin) -> List[Tuple[Transition, Transition]]:
     ]
 
 
+class ArcTable:
+    """The compiled hop model of one circuit under one size-table state.
+
+    Filled on first use and then only read: per arc ``(stage, pin, output
+    transition)`` the ``(delay, slope)`` posynomials at zero input slope,
+    Elmore wire terms included, plus the timing-graph node the arc leaves
+    from; the load posynomial per net; and
+    ``schedule``, every arc in topological stage order, for :meth:`analyze
+    <StaticTimingAnalyzer.analyze>`.  It also keeps the numeric arc values
+    of the latest width point, so an ``analyze`` followed by any number of
+    ``path_delay`` calls at the same widths evaluates each arc once.
+
+    One table per circuit, library and size-table state lives in the
+    circuit's memo (:func:`~repro.netlist.memo.circuit_memo`): every
+    analyzer over that circuit shares it, it dies with the circuit, and an
+    in-place edit drops it (:func:`~repro.netlist.memo.forget`).  A table
+    holds names, posynomials and floats only — never the circuit.
+    """
+
+    __slots__ = ("arcs", "loads", "schedule", "point")
+
+    def __init__(self) -> None:
+        #: hop -> (delay, slope, (input net, input transition))
+        self.arcs: Dict[Hop, Tuple[Posynomial, Posynomial, NetKey]] = {}
+        self.loads: Dict[str, Posynomial] = {}
+        #: (hop, source node, output node) per arc, stages in topological
+        #: order; built by the first ``analyze``.
+        self.schedule: Optional[List[Tuple[Hop, NetKey, NetKey]]] = None
+        #: The latest evaluation: (widths as given, resolved widths,
+        #: {hop: (delay, slope, source node)}).
+        self.point: Optional[Point] = None
+
+
 class StaticTimingAnalyzer:
-    """Propagates arrivals/slopes through a circuit at concrete widths."""
+    """Propagates arrivals/slopes through a circuit at concrete widths.
+
+    Every analyzer reads the circuit's shared :class:`ArcTable`; a hop
+    entered with input slope ``s_in`` costs ``d0 + slope_sensitivity·s_in``
+    and launches ``s0 + SLOPE_LEAK·s_in``, with ``(d0, s0)`` the arc's
+    posynomials evaluated at the widths (equations (1)/(2)).
+    """
 
     def __init__(self, circuit: Circuit, library: ModelLibrary):
         self.circuit = circuit
         self.library = library
-        # Posynomial memos: the circuit's size table must not change while
-        # this analyzer is in use (collapse re-ties it between sizers).
-        self._loads: Dict[str, Posynomial] = {}
-        self._arcs: Dict[Tuple[str, str, Transition], Tuple[Posynomial, Posynomial]] = {}
+        #: (circuit memo, size-variable snapshot, table) of the last lookup.
+        self._bound: Optional[Tuple[dict, tuple, ArcTable]] = None
 
-    # -- loads ---------------------------------------------------------------
+    # -- the shared arc table --------------------------------------------------
 
-    def net_load(self, net_name: str, widths: Mapping[str, float]) -> float:
-        """Total capacitance on a net at concrete widths, fF: fanout gate
-        caps + wire/external + every driver's own output diffusion (so shared
-        pass-gate/tri-state merge nodes count all their parasitics)."""
-        net = self.circuit.net(net_name)
-        total = net.fixed_cap
-        table = self.circuit.size_table
-        for stage, pin in self.circuit.fanout_of(net_name):
-            total += self.library.input_cap(stage, pin, table).evaluate(widths)
-        for driver in self.circuit.drivers_of(net_name):
-            total += self.library.output_parasitic(driver, table).evaluate(widths)
-        return total
+    def _lookup(self) -> Tuple[ArcTable, bool]:
+        """This circuit's table for the current size-table state, and
+        whether this call built it.  Collapse's ties and designer pins
+        replace :class:`SizeVar` objects, so an unchanged snapshot of them
+        (compared by identity first) means an unchanged state."""
+        memo = circuit_memo(self.circuit)
+        snapshot = tuple(self.circuit.size_table)
+        bound = self._bound
+        if bound is not None and bound[0] is memo and bound[1] == snapshot:
+            return bound[2], False
+        key = (
+            ArcTable,
+            self.library,
+            tuple((v.name, v.pinned, v.ratio_of) for v in snapshot),
+        )
+        table = memo.get(key)
+        built = table is None
+        if built:
+            table = memo[key] = ArcTable()
+            metrics.counter("sta.arc_tables").inc()
+        self._bound = (memo, snapshot, table)
+        return table, built
 
-    def load_posynomial(self, net_name: str) -> Posynomial:
-        """Same total load as a posynomial (memoized)."""
-        total = self._loads.get(net_name)
+    def _arc(
+        self, table: ArcTable, hop: Hop
+    ) -> Tuple[Posynomial, Posynomial, NetKey]:
+        arc = table.arcs.get(hop)
+        if arc is not None:
+            return arc
+        stage_name, pin_name, out_trans = hop
+        stage = self.circuit.stage(stage_name)
+        pin = stage.pin(pin_name)
+        out = stage.output
+        size_table = self.circuit.size_table
+        load = self._load(table, out.name)
+        delay = self.library.delay(stage, pin, out_trans, load, size_table)
+        slope = self.library.output_slope(stage, pin, out_trans, load, size_table)
+        if out.wire_res > 0.0:
+            far = self.far_cap_posynomial(out.name)
+            delay = delay + LN2 * out.wire_res * far
+            slope = slope + self.library.tech.slope_gain * out.wire_res * far
+        source = (pin.net.name, arc_input_transition(stage, pin, out_trans))
+        arc = table.arcs[hop] = (delay, slope, source)
+        return arc
+
+    def _load(self, table: ArcTable, net_name: str) -> Posynomial:
+        total = table.loads.get(net_name)
         if total is not None:
             return total
         net = self.circuit.net(net_name)
-        table = self.circuit.size_table
+        size_table = self.circuit.size_table
         parts = [
-            self.library.input_cap(stage, pin, table)
+            self.library.input_cap(stage, pin, size_table)
             for stage, pin in self.circuit.fanout_of(net_name)
         ]
         parts.extend(
-            self.library.output_parasitic(driver, table)
+            self.library.output_parasitic(driver, size_table)
             for driver in self.circuit.drivers_of(net_name)
         )
         total = posy_sum(parts)
         if net.fixed_cap > 0:
             total = total + net.fixed_cap
-        self._loads[net_name] = total
+        table.loads[net_name] = total
+        return total
+
+
+    def _schedule(self, table: ArcTable) -> List[Tuple[Hop, NetKey, NetKey]]:
+        if table.schedule is None:
+            schedule = []
+            for stage in self.circuit.topological_stages():
+                out = stage.output.name
+                for pin in stage.inputs:
+                    for in_trans, out_trans in stage_arcs(stage, pin):
+                        schedule.append((
+                            (stage.name, pin.name, out_trans),
+                            (pin.net.name, in_trans),
+                            (out, out_trans),
+                        ))
+            table.schedule = schedule
+        return table.schedule
+
+    def _point(self, table: ArcTable, widths: Mapping[str, float]) -> Point:
+        """The table's latest point when its widths equal ``widths``, else
+        a new one (arc values filled lazily by :meth:`_evaluate`)."""
+        point = table.point
+        if point is None or point[0] != widths:
+            point = table.point = (dict(widths), self._resolve(widths), {})
+        return point
+
+    def _evaluate(self, table: ArcTable, point: Point, hop: Hop) -> ArcValue:
+        """Evaluate one arc at ``point`` and record it there."""
+        delay, slope, source = self._arc(table, hop)
+        resolved = point[1]
+        value = point[2][hop] = (
+            delay.evaluate(resolved), slope.evaluate(resolved), source
+        )
+        return value
+
+    # -- posynomial views ----------------------------------------------------
+
+    def load_posynomial(self, net_name: str) -> Posynomial:
+        """Total capacitance on a net, fF: fanout gate caps + wire/external
+        + every driver's own output diffusion (so shared pass-gate/tri-state
+        merge nodes count all their parasitics)."""
+        return self._load(self._lookup()[0], net_name)
+
+    def far_cap_posynomial(self, net_name: str) -> Posynomial:
+        """Capacitance on the *far* side of a net's wire resistance, fF:
+        fanout gates, external load, and half the distributed wire cap."""
+        net = self.circuit.net(net_name)
+        size_table = self.circuit.size_table
+        total = posy_sum(
+            self.library.input_cap(stage, pin, size_table)
+            for stage, pin in self.circuit.fanout_of(net_name)
+        )
+        fixed = net.external_load + net.wire_cap / 2.0
+        if fixed > 0:
+            total = total + fixed
         return total
 
     def arc_posynomials(
         self, stage: Stage, pin: Pin, out_trans: Transition
     ) -> Tuple[Posynomial, Posynomial]:
         """``(delay, slope)`` of one arc at zero input slope, Elmore wire
-        terms included (memoized) — the hop model every posynomial timing
-        consumer shares.  A hop entered with input slope ``s_in`` costs
-        ``delay + slope_sensitivity * s_in`` and launches
-        ``slope + SLOPE_LEAK * s_in`` (equations (1)/(2))."""
-        key = (stage.name, pin.name, out_trans)
-        arc = self._arcs.get(key)
-        if arc is not None:
-            return arc
-        out = stage.output
-        load = self.load_posynomial(out.name)
-        table = self.circuit.size_table
-        delay = self.library.delay(stage, pin, out_trans, load, table)
-        slope = self.library.output_slope(stage, pin, out_trans, load, table)
-        if out.wire_res > 0.0:
-            far = self.far_cap_posynomial(out.name)
-            delay = delay + LN2 * out.wire_res * far
-            slope = slope + self.library.tech.slope_gain * out.wire_res * far
-        arc = self._arcs[key] = (delay, slope)
-        return arc
+        terms included — the hop model every timing consumer shares.  A hop
+        entered with input slope ``s_in`` costs ``delay +
+        slope_sensitivity * s_in`` and launches ``slope + SLOPE_LEAK *
+        s_in`` (equations (1)/(2))."""
+        return self.path_arcs([(stage.name, pin.name, out_trans)])[0]
 
-    def far_cap(self, net_name: str, widths: Mapping[str, float]) -> float:
-        """Capacitance on the *far* side of a net's wire resistance, fF:
-        fanout gates, external load, and half the distributed wire cap."""
-        net = self.circuit.net(net_name)
-        table = self.circuit.size_table
-        total = net.external_load + net.wire_cap / 2.0
-        for stage, pin in self.circuit.fanout_of(net_name):
-            total += self.library.input_cap(stage, pin, table).evaluate(widths)
-        return total
+    def path_arcs(
+        self, hops: Sequence[Hop]
+    ) -> List[Tuple[Posynomial, Posynomial]]:
+        """:meth:`arc_posynomials` of every hop of a path."""
+        table = self._lookup()[0]
+        return [self._arc(table, hop)[:2] for hop in hops]
 
-    def far_cap_posynomial(self, net_name: str) -> Posynomial:
-        net = self.circuit.net(net_name)
-        table = self.circuit.size_table
-        parts = [
-            self.library.input_cap(stage, pin, table)
-            for stage, pin in self.circuit.fanout_of(net_name)
-        ]
-        total = posy_sum(parts)
-        fixed = net.external_load + net.wire_cap / 2.0
-        if fixed > 0:
-            total = total + fixed
-        return total
-
-    def wire_delay(self, net_name: str, widths: Mapping[str, float]) -> float:
-        """Elmore delay of the net's interconnect, ps (0 for short wires)."""
-        return self._wire_terms(net_name, widths)[0]
-
-    def _wire_terms(
-        self, net_name: str, resolved: Mapping[str, float]
-    ) -> Tuple[float, float]:
-        """(Elmore delay, slope degradation) of the net's interconnect at
-        concrete widths, ps — both 0 for short wires."""
-        wire_res = self.circuit.net(net_name).wire_res
-        if wire_res <= 0.0:
-            return 0.0, 0.0
-        far = self.far_cap(net_name, resolved)
-        return (
-            LN2 * wire_res * far,
-            self.library.tech.slope_gain * wire_res * far,
-        )
+    def net_load(self, net_name: str, widths: Mapping[str, float]) -> float:
+        """:meth:`load_posynomial` at concrete widths, fF."""
+        return self.load_posynomial(net_name).evaluate(self._resolve(widths))
 
     def _resolve(self, widths: Mapping[str, float]) -> Dict[str, float]:
         """Every label's width from a free-variable or full assignment."""
@@ -276,58 +368,55 @@ class StaticTimingAnalyzer:
         clock_arrival:
             Arrival of both clock edges.
         """
-        resolved = self._resolve(widths)
-        arrivals: Dict[Tuple[str, Transition], ArrivalEvent] = {}
-
+        table, built = self._lookup()
+        point = self._point(table, widths)
+        values = point[2]
+        # node -> (time, slope, arc, source node); events are built at the end
+        latest: Dict[NetKey, tuple] = {}
         input_arrivals = dict(input_arrivals or {})
         for net_name in self.circuit.primary_inputs:
             t0 = input_arrivals.get(net_name, 0.0)
             for trans in Transition:
-                arrivals[(net_name, trans)] = ArrivalEvent(
-                    net_name, trans, t0, input_slope
-                )
+                latest[(net_name, trans)] = (t0, input_slope, None, None)
         for clk in self.circuit.clock_nets():
             for trans in Transition:
-                arrivals[(clk, trans)] = ArrivalEvent(
-                    clk, trans, clock_arrival, input_slope * 0.5
-                )
+                latest[(clk, trans)] = (clock_arrival, input_slope * 0.5, None, None)
 
-        table = self.circuit.size_table
-        # Arc relaxations are counted locally and flushed to the metrics
-        # registry once per run, keeping the inner loop free of lookups.
-        visits = 0
-        for stage in self.circuit.topological_stages():
-            out = stage.output.name
-            load = self.net_load(out, resolved)
-            wire_extra, wire_slope = self._wire_terms(out, resolved)
-            for pin in stage.inputs:
-                for in_trans, out_trans in stage_arcs(stage, pin):
-                    src = arrivals.get((pin.net.name, in_trans))
-                    if src is None:
-                        continue
-                    visits += 1
-                    delay = wire_extra + self.library.delay(
-                        stage, pin, out_trans, load, table, input_slope=src.slope
-                    ).evaluate(resolved)
-                    slope = wire_slope + self.library.output_slope(
-                        stage, pin, out_trans, load, table, input_slope=src.slope
-                    ).evaluate(resolved)
-                    time = src.time + delay
-                    key = (out, out_trans)
-                    existing = arrivals.get(key)
-                    if existing is None or time > existing.time:
-                        arrivals[key] = ArrivalEvent(
-                            out,
-                            out_trans,
-                            time,
-                            slope,
-                            stage.name,
-                            pin.name,
-                            src_key=(pin.net.name, in_trans),
-                        )
+        sens = self.library.tech.slope_sensitivity
+        # Work is counted locally and flushed to the metrics registry once
+        # per run, keeping the inner loop free of lookups.
+        visits = evaluations = 0
+        for hop, source, node in self._schedule(table):
+            src = latest.get(source)
+            if src is None:
+                continue
+            visits += 1
+            value = values.get(hop)
+            if value is None:
+                value = self._evaluate(table, point, hop)
+                evaluations += 1
+            time = src[0] + value[0] + sens * src[1]
+            existing = latest.get(node)
+            if existing is None or time > existing[0]:
+                latest[node] = (
+                    time, value[1] + SLOPE_LEAK * src[1], hop, source
+                )
+        arrivals = {
+            node: ArrivalEvent(
+                node[0], node[1], time, slope,
+                hop[0] if hop else None, hop[1] if hop else None,
+                src_key=source,
+            )
+            for node, (time, slope, hop, source) in latest.items()
+        }
         metrics.counter("sta.analyses").inc()
         metrics.counter("sta.node_visits").inc(visits)
-        trace.add_attrs(sta_node_visits=visits)
+        metrics.counter("sta.arc_evaluations").inc(evaluations)
+        trace.add_attrs(
+            sta_node_visits=visits,
+            sta_arc_tables=int(built),
+            sta_arc_evaluations=evaluations,
+        )
         return TimingReport(arrivals=arrivals, circuit_name=self.circuit.name)
 
     def path_delay(
@@ -335,7 +424,7 @@ class StaticTimingAnalyzer:
         hops: Sequence[Hop],
         widths: Mapping[str, float],
         input_slope: float = 30.0,
-        net_slopes: Optional[Mapping[Tuple[str, Transition], float]] = None,
+        net_slopes: Optional[Mapping[NetKey, float]] = None,
     ) -> float:
         """Realized delay along one explicit path.
 
@@ -349,30 +438,28 @@ class StaticTimingAnalyzer:
         precharge edge must not poison its critical evaluate edge.
         """
         metrics.counter("sta.path_delays").inc()
-        resolved = self._resolve(widths)
-        table = self.circuit.size_table
+        table, _built = self._lookup()
+        point = self._point(table, widths)
+        values = point[2]
+        sens = self.library.tech.slope_sensitivity
+        evaluations = 0
         total = 0.0
         chained = input_slope
-        if hops:
-            first_pin = self.circuit.stage(hops[0][0]).pin(hops[0][1])
-            if first_pin.net.kind is NetKind.CLOCK:
+        for index, hop in enumerate(hops):
+            value = values.get(hop)
+            if value is None:
+                value = self._evaluate(table, point, hop)
+                evaluations += 1
+            delay, slope, source = value
+            if index == 0 and self.circuit.net(source[0]).kind is NetKind.CLOCK:
                 chained = input_slope * 0.5
-        for stage_name, pin_name, out_trans in hops:
-            stage = self.circuit.stage(stage_name)
-            pin = stage.pin(pin_name)
-            out = stage.output.name
-            load = self.net_load(out, resolved)
             slope_in = chained
             if net_slopes is not None:
-                in_trans = arc_input_transition(stage, pin, out_trans)
-                recorded = net_slopes.get((pin.net.name, in_trans))
-                if recorded is not None:
-                    slope_in = max(recorded, chained)
-            wire_delay, wire_slope = self._wire_terms(out, resolved)
-            total += wire_delay + self.library.delay(
-                stage, pin, out_trans, load, table, input_slope=slope_in
-            ).evaluate(resolved)
-            chained = wire_slope + self.library.output_slope(
-                stage, pin, out_trans, load, table, input_slope=slope_in
-            ).evaluate(resolved)
+                recorded = net_slopes.get(source)
+                if recorded is not None and recorded > chained:
+                    slope_in = recorded
+            total += delay + sens * slope_in
+            chained = slope + SLOPE_LEAK * slope_in
+        if evaluations:
+            metrics.counter("sta.arc_evaluations").inc(evaluations)
         return total

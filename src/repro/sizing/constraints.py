@@ -30,7 +30,7 @@ from ..models.gates import SLOPE_LEAK, ModelLibrary, Transition
 from ..netlist.circuit import Circuit
 from ..netlist.nets import NetKind, PinClass
 from ..netlist.stages import StageKind
-from ..posy import Posynomial
+from ..posy import Posynomial, as_posynomial
 from ..sim.timing import StaticTimingAnalyzer, stage_arcs
 from .paths import StructuralPath
 
@@ -235,23 +235,30 @@ class ConstraintGenerator:
         (1)'s ``t_in_slope`` term stays inside the optimization).  Only the
         very first hop uses a constant: the designer's input slope, halved
         on clock nets.
+
+        Hop ``k`` of ``n`` enters with ``LEAK^k·start + Σ_{j<k}
+        LEAK^(k-1-j)·s_j`` (``s_j`` the arc slopes), so the chained sum is
+        ``Σ d_k + Σ_j w_j·s_j + w_start·start`` with ``w_j = sens·Σ_{m <
+        n-1-j} LEAK^m``.  The weights run back to front (``w_{n-1} = 0``,
+        ``w_j = sens + LEAK·w_{j+1}``, ``w_start`` one step past ``w_0``)
+        and :meth:`Posynomial.weighted_sum` adds every term once, linear in
+        the path length.
         """
         sens = self.library.tech.slope_sensitivity
-        total = Posynomial.zero()
         start = self.spec.input_slope
         if hops:
             first_pin = self.circuit.stage(hops[0][0]).pin(hops[0][1])
             if first_pin.net.kind is NetKind.CLOCK:
                 start *= 0.5
-        slope = Posynomial.from_terms([start])
-        for stage_name, pin_name, out_trans in hops:
-            stage = self.circuit.stage(stage_name)
-            delay, out_slope = self.analyzer.arc_posynomials(
-                stage, stage.pin(pin_name), out_trans
-            )
-            total = total + delay + sens * slope
-            slope = out_slope + SLOPE_LEAK * slope
-        return total
+        pairs = []
+        weight = 0.0
+        for delay, slope in reversed(self.analyzer.path_arcs(hops)):
+            pairs.append((1.0, delay))
+            pairs.append((weight, slope))
+            weight = sens + SLOPE_LEAK * weight
+        if hops:
+            pairs.append((weight * start, as_posynomial(1.0)))
+        return Posynomial.weighted_sum(pairs)
 
     # -- top level -------------------------------------------------------------------
 

@@ -147,6 +147,8 @@ def measure_constraints(
     re-verification and certification: one full STA at ``widths``, then
     every constraint's path re-timed where each hop sees the worst of its
     chained slope and the slope the STA recorded for the edge it receives.
+    All of it reads the circuit's arc table at one width point, so each arc
+    is evaluated once however many constraints cross it.
     """
     with trace.span("sta"):
         report = analyzer.analyze(widths, input_slope=input_slope)

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.models import ModelLibrary, ModelError, Technology, Transition
-from repro.netlist import Net, NetKind, Pin, PinClass, SizeTable, Stage, StageKind
+from repro.models.gates import SLOPE_LEAK
+from repro.netlist import (
+    Circuit, Net, NetKind, Pin, PinClass, SizeTable, Stage, StageKind,
+)
 from repro.posy import as_posynomial, is_posynomial_in
-from repro.sim.timing import stage_arcs
+from repro.sim.timing import StaticTimingAnalyzer, stage_arcs
 
 TECH = Technology()
 LIB = ModelLibrary(TECH)
@@ -77,6 +80,16 @@ def _domino(clocked=True):
 LOAD = as_posynomial(20.0)
 
 
+def _analyzer(stage, table):
+    """A timing analyzer over a one-stage circuit around ``stage``."""
+    circuit = Circuit(stage.name)
+    circuit.size_table = table
+    for net in [pin.net for pin in stage.inputs] + [stage.output]:
+        circuit.nets[net.name] = net
+    circuit.add_stage(stage)
+    return StaticTimingAnalyzer(circuit, LIB)
+
+
 class TestPosynomiality:
     def test_static_delay_is_posynomial(self):
         table = _table("P", "N")
@@ -92,9 +105,17 @@ class TestPosynomiality:
         ]
         for stage, table in cases:
             for pin in stage.inputs:
+                analyzer = _analyzer(stage, table)
                 for trans in _outputs(stage, pin):
-                    d = LIB.delay(stage, pin, trans, LOAD, table, input_slope=10.0)
+                    d = LIB.delay(stage, pin, trans, LOAD, table)
                     s = LIB.output_slope(stage, pin, trans, LOAD, table)
+                    assert is_posynomial_in(d, table.names())
+                    assert is_posynomial_in(s, table.names())
+                    # The arc (own diffusion in the load) entered with a
+                    # 10 ps input slope, through the hop rule.
+                    d, s = analyzer.arc_posynomials(stage, pin, trans)
+                    d = d + TECH.slope_sensitivity * 10.0
+                    s = s + SLOPE_LEAK * 10.0
                     assert is_posynomial_in(d, table.names())
                     assert is_posynomial_in(s, table.names())
 
@@ -127,11 +148,15 @@ class TestMonotonicity:
         table = _table("P", "N")
         stage = _inv()
         env = {"P": 2.0, "N": 1.0}
-        base = LIB.delay(stage, stage.inputs[0], Transition.FALL, LOAD, table,
-                         input_slope=0.0).evaluate(env)
-        slow = LIB.delay(stage, stage.inputs[0], Transition.FALL, LOAD, table,
-                         input_slope=40.0).evaluate(env)
+        analyzer = _analyzer(stage, table)
+        hop = [(stage.name, stage.inputs[0].name, Transition.FALL)]
+        base = analyzer.path_delay(hop, env, input_slope=0.0)
+        slow = analyzer.path_delay(hop, env, input_slope=40.0)
         assert slow == pytest.approx(base + TECH.slope_sensitivity * 40.0)
+        delay, _slope = analyzer.arc_posynomials(
+            stage, stage.inputs[0], Transition.FALL
+        )
+        assert base == pytest.approx(delay.evaluate(env))
 
     def test_stack_penalty(self):
         table = _table("P", "N")

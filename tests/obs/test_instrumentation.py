@@ -15,8 +15,10 @@ from repro.macros import MacroSpec, default_database
 from repro.models import ModelLibrary, Technology
 from repro.obs import metrics, trace
 from repro.obs.inspect import inspect_file
-from repro.sizing import DelaySpec, SmartSizer
-from repro.sizing.engine import nominal_delay
+from repro.sim import StaticTimingAnalyzer
+from repro.sim.timing import stage_arcs
+from repro.sizing import ConstraintGenerator, DelaySpec, SmartSizer
+from repro.sizing.engine import measure_constraints, nominal_delay
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +111,49 @@ class TestEngineTracing:
         assert result.runtime_s > 0.0
         assert result.gp_fallback_count >= 0
         assert result.converged
+
+
+class TestArcTableCounters:
+    """``sta.arc_tables`` / ``sta.arc_evaluations``: one table per circuit,
+    each arc evaluated once per sizing."""
+
+    def test_measure_evaluates_each_arc_at_most_once(self, database, library):
+        circuit = database.generate(
+            "mux/unsplit_domino", MacroSpec("mux", 8, output_load=30.0),
+            library.tech,
+        )
+        sizer = SmartSizer(circuit, library)
+        spec = DelaySpec(data=300.0)
+        timing = ConstraintGenerator(circuit, library, spec).generate(
+            sizer._extract(prune=True).paths
+        ).timing
+        arcs = sum(
+            len(stage_arcs(stage, pin))
+            for stage in circuit.stages for pin in stage.inputs
+        )
+        env = circuit.size_table.default_env()
+        with trace.tracing_scope() as tracer, metrics.metrics_scope() as reg:
+            measure_constraints(sizer.analyzer, timing, env, spec.input_slope)
+        evaluations = reg.counter("sta.arc_evaluations").value
+        assert len(timing) > 1
+        assert reg.counter("sta.path_delays").value == len(timing)
+        assert 0 < evaluations <= arcs
+        # the generator built the table; the measurement only reads it
+        assert reg.counter("sta.arc_tables").value == 0
+        [sta] = [s for s in tracer.spans if s.name == "sta"]
+        assert sta.attrs["sta_arc_tables"] == 0
+        assert sta.attrs["sta_arc_evaluations"] == evaluations
+
+    def test_second_analyzer_builds_no_table(self, database, library):
+        circuit = database.generate(
+            "mux/tristate", MacroSpec("mux", 4, output_load=30.0), library.tech,
+        )
+        env = circuit.size_table.default_env()
+        with metrics.metrics_scope() as reg:
+            StaticTimingAnalyzer(circuit, library).analyze(env)
+            assert reg.counter("sta.arc_tables").value == 1
+            StaticTimingAnalyzer(circuit, library).analyze(env)
+            assert reg.counter("sta.arc_tables").value == 1
 
 
 class TestDisabledOverhead:

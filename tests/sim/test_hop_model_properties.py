@@ -1,11 +1,13 @@
-"""The posynomial hop model pinned to the numeric STA that measures it.
+"""The posynomial hop model pinned to an independent numeric STA.
 
-``ConstraintGenerator.path_delay_posynomial`` (the GP's path delay) and the
-DFA303 ``IntervalAnalysis`` both chain ``StaticTimingAnalyzer.arc_posynomials``;
-the float-load ``StaticTimingAnalyzer.path_delay`` is the reference.  At any
-sizing in the box the GP posynomial must evaluate to the STA's chained path
-delay, and an interval propagation over the point box must bound every
-path's delay at its sink from above.
+``ConstraintGenerator.path_delay_posynomial`` (the GP's path delay), the
+DFA303 ``IntervalAnalysis`` and ``StaticTimingAnalyzer`` all read the
+circuit's arc table (``StaticTimingAnalyzer.arc_posynomials``); the
+reference is ``tests/sim/reference_sta.py``, the per-hop walk at float net
+loads that shares none of it.  At any sizing in the box the GP posynomial
+must evaluate to the reference's chained path delay, and an interval
+propagation over the point box must bound every path's delay at its sink
+from above.
 """
 
 import functools
@@ -20,6 +22,8 @@ from repro.lint.dataflow.interval import IntervalAnalysis, _sink_nets
 from repro.macros import MacroSpec, default_database
 from repro.models import ModelLibrary, Technology
 from repro.sizing import ConstraintGenerator, DelaySpec, SmartSizer
+
+from .reference_sta import ReferenceSTA
 
 TECH = Technology()
 LIB = ModelLibrary(TECH)
@@ -48,21 +52,26 @@ def _cases():
 CASES = _cases()
 
 
-@functools.lru_cache(maxsize=None)
-def _case(label):
-    """(circuit, [(hops, delay posynomial)]) over the sizer's pruned paths,
-    each expanded into its source-to-sink transition paths."""
-    circuit = DB.generate(label.split()[0].split("[")[0], CASES[label], TECH)
+def chains_of(circuit):
+    """[(hops, delay posynomial)] over the sizer's pruned paths, each
+    expanded into its source-to-sink transition paths."""
     generator = ConstraintGenerator(circuit, LIB, SPEC)
     chains = []
     for path in SmartSizer(circuit, LIB)._extract(prune=True).paths:
         for hops in generator.transition_paths(path):
             if hops:
                 chains.append((hops, generator.path_delay_posynomial(hops)))
-    return circuit, chains
+    return chains
 
 
-def _draw_point(data, circuit):
+@functools.lru_cache(maxsize=None)
+def corpus_case(label):
+    """(circuit, chains_of(circuit)) of one corpus case."""
+    circuit = DB.generate(label.split()[0].split("[")[0], CASES[label], TECH)
+    return circuit, chains_of(circuit)
+
+
+def draw_point(data, circuit):
     """A sizing drawn log-uniformly over each free label's box."""
     table = circuit.size_table
     env = {}
@@ -73,7 +82,7 @@ def _draw_point(data, circuit):
     return env
 
 
-def _draw_chains(data, chains):
+def draw_chains(data, chains):
     if len(chains) <= PATHS_PER_EXAMPLE:
         return chains
     picks = data.draw(
@@ -96,12 +105,12 @@ def test_cases_cover_every_registry_topology():
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_gp_path_delay_equals_sta_path_delay(label, data):
-    circuit, chains = _case(label)
-    env = _draw_point(data, circuit)
+    circuit, chains = corpus_case(label)
+    env = draw_point(data, circuit)
     resolved = circuit.size_table.resolve(env)
-    analyzer = SmartSizer(circuit, LIB).analyzer
-    for hops, delay in _draw_chains(data, chains):
-        measured = analyzer.path_delay(hops, env, input_slope=SPEC.input_slope)
+    reference = ReferenceSTA(circuit, LIB)
+    for hops, delay in draw_chains(data, chains):
+        measured = reference.path_delay(hops, env, input_slope=SPEC.input_slope)
         assert math.isclose(
             delay.evaluate(resolved), measured, rel_tol=1e-12
         ), (label, hops)
@@ -111,8 +120,8 @@ def test_gp_path_delay_equals_sta_path_delay(label, data):
 @settings(max_examples=4, deadline=None)
 @given(data=st.data())
 def test_point_interval_bounds_every_path_at_its_sink(label, data):
-    circuit, chains = _case(label)
-    env = _draw_point(data, circuit)
+    circuit, chains = corpus_case(label)
+    env = draw_point(data, circuit)
     resolved = circuit.size_table.resolve(env)
     analysis = IntervalAnalysis(
         circuit, LIB, SPEC.input_slope,
@@ -120,13 +129,13 @@ def test_point_interval_bounds_every_path_at_its_sink(label, data):
     )
     values = solve_forward(circuit, analysis).values
     sinks = set(_sink_nets(circuit))
-    analyzer = SmartSizer(circuit, LIB).analyzer
+    reference = ReferenceSTA(circuit, LIB)
     checked = 0
-    for hops, _delay in _draw_chains(data, chains):
+    for hops, _delay in draw_chains(data, chains):
         sink = circuit.stage(hops[-1][0]).output.name
         if sink not in sinks:
             continue
-        measured = analyzer.path_delay(hops, env, input_slope=SPEC.input_slope)
+        measured = reference.path_delay(hops, env, input_slope=SPEC.input_slope)
         assert values[sink].arr_hi >= measured, (label, hops)
         checked += 1
     assert checked or not chains

@@ -8,7 +8,7 @@ import pytest
 
 from repro.macros import MacroSpec
 from repro.macros.base import MacroBuilder
-from repro.models import ModelLibrary, Technology
+from repro.models import ModelLibrary, Technology, Transition
 from repro.sim import StaticTimingAnalyzer
 from repro.sizing import DelaySpec, SmartSizer
 from repro.sizing.engine import nominal_delay
@@ -40,16 +40,28 @@ class TestSTAWireTerm:
         assert t_long > t_short
 
     def test_wire_delay_value(self):
-        circuit = _wire_chain(2.0)
-        analyzer = StaticTimingAnalyzer(circuit, LIB)
-        far = analyzer.far_cap("mid", WIDTHS)
-        expected = 0.6931471805599453 * 2.0 * far
-        assert analyzer.wire_delay("mid", WIDTHS) == pytest.approx(expected)
+        """The arc carries the Elmore wire term ``ln2 · R_wire · C_far`` on
+        top of the wireless arc (and ``slope_gain · R_wire · C_far`` on its
+        slope)."""
+        wired = StaticTimingAnalyzer(_wire_chain(2.0), LIB)
+        plain = StaticTimingAnalyzer(_wire_chain(0.0), LIB)
+        far = wired.far_cap_posynomial("mid").evaluate(WIDTHS)
+        stage = wired.circuit.stage("i0")
+        for trans in Transition:
+            d_wired, s_wired = wired.arc_posynomials(stage, stage.inputs[0], trans)
+            d_plain, s_plain = plain.arc_posynomials(stage, stage.inputs[0], trans)
+            expected = 0.6931471805599453 * 2.0 * far
+            assert d_wired.evaluate(WIDTHS) - d_plain.evaluate(WIDTHS) == (
+                pytest.approx(expected)
+            )
+            assert s_wired.evaluate(WIDTHS) - s_plain.evaluate(WIDTHS) == (
+                pytest.approx(TECH.slope_gain * 2.0 * far)
+            )
 
     def test_far_cap_excludes_driver_diffusion(self):
         circuit = _wire_chain(2.0)
         analyzer = StaticTimingAnalyzer(circuit, LIB)
-        far = analyzer.far_cap("mid", WIDTHS)
+        far = analyzer.far_cap_posynomial("mid").evaluate(WIDTHS)
         total = analyzer.net_load("mid", WIDTHS)
         assert far < total  # no driver parasitic, half the wire cap
 
@@ -57,7 +69,12 @@ class TestSTAWireTerm:
         circuit = _wire_chain(2.0)
         analyzer = StaticTimingAnalyzer(circuit, LIB)
         posy = analyzer.far_cap_posynomial("mid")
-        assert posy.evaluate(WIDTHS) == pytest.approx(analyzer.far_cap("mid", WIDTHS))
+        net = circuit.net("mid")
+        numeric = net.external_load + net.wire_cap / 2.0 + sum(
+            LIB.input_cap(stage, pin, circuit.size_table).evaluate(WIDTHS)
+            for stage, pin in circuit.fanout_of("mid")
+        )
+        assert posy.evaluate(WIDTHS) == pytest.approx(numeric)
 
     def test_negative_resistance_rejected(self):
         from repro.netlist import Net
