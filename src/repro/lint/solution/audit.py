@@ -43,7 +43,7 @@ from ...obs import perf, trace
 from ...obs.log import get_logger
 from ...sizing.constraints import ConstraintGenerator, ConstraintSet, DelaySpec
 from ...sizing.engine import SmartSizer, measure_constraints
-from ...sizing.gp import _LogSumExp
+from ...sizing.gp import StackedLogSumExp
 from .certificate import SolutionCertificate, widths_digest
 
 log = get_logger(__name__)
@@ -283,21 +283,17 @@ class SolutionAudit:
         names = sorted(env)
         index = {name: i for i, name in enumerate(names)}
         y = np.array([math.log(env[name]) for name in names])
-        objective = _LogSumExp.from_posynomial(gp.objective, index)
-        g0 = objective.grad(y)
+        g0 = StackedLogSumExp([gp.objective], index).jacobian(y)[0]
 
-        columns: List[np.ndarray] = []
-        active_names: List[str] = []
-        slacks: List[float] = []
-        for constraint in gp.inequalities:
-            if not set(constraint.expr.variables()) <= set(index):
-                continue
-            lse = _LogSumExp.from_posynomial(constraint.expr, index)
-            value = lse.value(y)  # <= 0 when satisfied
-            if value >= -_ACTIVE_TOL:
-                columns.append(lse.grad(y))
-                active_names.append(constraint.name)
-                slacks.append(abs(value))
+        inequalities = [
+            c for c in gp.inequalities if c.expr.variables() <= index.keys()
+        ]
+        rows = StackedLogSumExp([c.expr for c in inequalities], index)
+        values = rows.values(y)  # <= 0 when satisfied
+        active = np.flatnonzero(values >= -_ACTIVE_TOL)
+        columns: List[np.ndarray] = list(rows.jacobian(y)[active])
+        active_names = [inequalities[i].name for i in active]
+        slacks = [abs(float(values[i])) for i in active]
         diam_sq = 0.0
         for name in names:
             lower, upper = gp.bounds(name)

@@ -14,6 +14,10 @@ With ``x = exp(y)`` each posynomial becomes a log-sum-exp function of ``y``
 (convex) and bounds become box constraints on ``y``.  We solve the convex
 problem with SciPy's SLSQP using analytic gradients, preceded by a phase-1
 SLSQP feasibility solve when the initial point violates a constraint.
+
+Every log-sum-exp row is evaluated through one :class:`StackedLogSumExp`: all
+terms of all rows in one sparse exponent matrix, so an SLSQP callback costs a
+fixed handful of numpy operations however many rows the program has.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
 
 from ..netlist.sizing_vars import DEFAULT_BOUNDS
 from ..obs import metrics, trace
@@ -162,46 +166,22 @@ class GeometricProgram:
 
         y0 = self._initial_point(names, index, lower, upper, initial)
 
-        lse_obj = _LogSumExp.from_posynomial(self.objective, index)
-        lse_cons = [
-            _LogSumExp.from_posynomial(c.expr, index) for c in self.inequalities
-        ]
-
+        objective = StackedLogSumExp([self.objective], index)
+        rows = StackedLogSumExp([c.expr for c in self.inequalities], index)
         metrics.counter("gp.solves").inc()
-        constraints = []
-        if lse_cons:
-            worst = max(c.value(y0) for c in lse_cons)
-            if worst > 0.0:
-                metrics.counter("gp.phase1_solves").inc()
-                with trace.span("gp_phase1", violation=round(worst, 4)):
-                    y0, worst = _phase1(y0, lse_cons, lower, upper)
-                if worst > 1e-4:
-                    metrics.counter("gp.infeasible").inc()
-                    raise GPInfeasibleError(
-                        f"phase-1 could not find a feasible point "
-                        f"(max log-violation {worst:.3g})"
-                    )
-            constraints.append({
-                "type": "ineq",
-                "fun": lambda y: -np.array([c.value(y) for c in lse_cons]),
-                "jac": lambda y: -np.array([c.grad(y) for c in lse_cons]),
-            })
-
-        result = optimize.minimize(
-            lse_obj.value,
-            y0,
-            jac=lse_obj.grad,
-            bounds=list(zip(lower, upper)),
-            constraints=constraints,
-            method="SLSQP",
-            options={"maxiter": MAX_ITERATIONS, "ftol": TOL},
+        trace.add_attrs(
+            variables=len(names),
+            constraints=rows.rows,
+            terms=rows.terms,
+            nonzeros=rows.nonzeros,
         )
+        try:
+            y, result = _minimize(y0, objective, rows, lower, upper)
+        finally:
+            metrics.counter("gp.exponent_passes").inc(rows.passes)
 
-        y = np.clip(result.x, lower, upper)
         env = {name: float(math.exp(y[index[name]])) for name in names}
-        max_violation = max(
-            (c.expr.evaluate(env) - 1.0 for c in self.inequalities), default=0.0
-        )
+        max_violation = float(np.expm1(rows.values(y)).max(initial=0.0))
 
         if max_violation >= 5e-3:
             status = "infeasible"
@@ -212,14 +192,13 @@ class GeometricProgram:
 
         metrics.histogram("gp.solver_iterations").observe(int(result.nit))
         metrics.counter(f"gp.status.{status}").inc()
-        trace.add_attrs(variables=len(names), constraints=len(lse_cons))
 
         return GPSolution(
             status=status,
             env=env,
             objective=self.objective.evaluate(env),
             iterations=int(result.nit),
-            max_violation=float(max(0.0, max_violation)),
+            max_violation=max_violation,
             message=str(result.message),
         )
 
@@ -255,15 +234,55 @@ class GeometricProgram:
         return np.clip(y0, lower, upper)
 
 
+def _minimize(
+    y0: np.ndarray,
+    objective: "StackedLogSumExp",
+    rows: "StackedLogSumExp",
+    lower: np.ndarray,
+    upper: np.ndarray,
+) -> Tuple[np.ndarray, optimize.OptimizeResult]:
+    """Phase 1 when ``y0`` violates a row, then the main SLSQP solve."""
+    constraints = []
+    if rows.rows:
+        worst = float(rows.values(y0).max())
+        if worst > 0.0:
+            metrics.counter("gp.phase1_solves").inc()
+            with trace.span("gp_phase1", violation=round(worst, 4)):
+                y0, worst = _phase1(y0, rows, lower, upper)
+            if worst > 1e-4:
+                metrics.counter("gp.infeasible").inc()
+                raise GPInfeasibleError(
+                    f"phase-1 could not find a feasible point "
+                    f"(max log-violation {worst:.3g})"
+                )
+        constraints.append({
+            "type": "ineq",
+            "fun": lambda y: -rows.values(y),
+            "jac": lambda y: -rows.jacobian(y),
+        })
+
+    result = optimize.minimize(
+        lambda y: objective.values(y)[0],
+        y0,
+        jac=lambda y: objective.jacobian(y)[0],
+        bounds=list(zip(lower, upper)),
+        constraints=constraints,
+        method="SLSQP",
+        options={"maxiter": MAX_ITERATIONS, "ftol": TOL},
+    )
+    return np.clip(result.x, lower, upper), result
+
+
 def _phase1(
     y0: np.ndarray,
-    lse_cons: Sequence["_LogSumExp"],
+    rows: "StackedLogSumExp",
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> Tuple[np.ndarray, float]:
     """Minimize the worst constraint violation (with slack variable s)."""
-    s0 = max(c.value(y0) for c in lse_cons) + 0.1
+    s0 = float(rows.values(y0).max()) + 0.1
     z0 = np.concatenate([y0, [s0]])
+    ones = np.ones((rows.rows, 1))
 
     def objective(z: np.ndarray) -> float:
         return z[-1]
@@ -274,12 +293,10 @@ def _phase1(
         return grad
 
     def slack(z: np.ndarray) -> np.ndarray:
-        return np.array([z[-1] - c.value(z[:-1]) for c in lse_cons])
+        return z[-1] - rows.values(z[:-1])
 
     def slack_jac(z: np.ndarray) -> np.ndarray:
-        return np.array(
-            [np.concatenate([-c.grad(z[:-1]), [1.0]]) for c in lse_cons]
-        )
+        return np.hstack([-rows.jacobian(z[:-1]), ones])
 
     bounds = list(zip(lower, upper)) + [(-10.0, s0 + 1.0)]
     result = optimize.minimize(
@@ -292,38 +309,93 @@ def _phase1(
         options={"maxiter": 300, "ftol": TOL},
     )
     y = np.clip(result.x[:-1], lower, upper)
-    worst = max(c.value(y) for c in lse_cons)
+    worst = float(rows.values(y).max())
     return y, worst
 
 
-@dataclass
-class _LogSumExp:
-    """``log sum_k exp(b_k + A_k . y)`` with analytic gradient."""
+class StackedLogSumExp:
+    """Rows ``F_i(y) = log sum_k exp(b_k + A_k . y)``, one per posynomial.
 
-    A: np.ndarray  # (terms, vars) exponent matrix
-    b: np.ndarray  # (terms,) log coefficients
+    ``posy(exp(y)) = exp(F(y))`` for each posynomial, so ``F_i <= 0`` is the
+    log-space form of ``posy_i <= 1``.  The terms of every row share one CSR
+    exponent matrix ``A`` (terms x variables) and one log-coefficient vector
+    ``b``; row ``i`` is the contiguous term segment starting at
+    ``starts[i]``.  One exponent pass ``e = b + A @ y`` and a segmented
+    log-sum-exp give every row value; the Jacobian is one ``bincount`` of the
+    normalized term weights times ``A``'s nonzeros.
 
-    @classmethod
-    def from_posynomial(cls, posy: Posynomial, index: Mapping[str, int]) -> "_LogSumExp":
-        terms = posy.terms
-        A = np.zeros((len(terms), len(index)))
-        b = np.zeros(len(terms))
-        for k, mono in enumerate(terms):
-            b[k] = math.log(mono.coefficient)
-            for name, exp in mono.signature:
-                A[k, index[name]] = exp
-        return cls(A=A, b=b)
+    :meth:`values` and :meth:`jacobian` at the same point share one exponent
+    pass (``passes`` counts them).  The pass is keyed on a copy of ``y``:
+    SLSQP reuses its ``x`` buffer, so an array identity check would return
+    stale rows.  The returned arrays are that cache, marked read-only.
+    """
 
-    def _exponents(self, y: np.ndarray) -> np.ndarray:
-        return self.b + self.A @ y
+    def __init__(self, posynomials: Sequence[Posynomial], index: Mapping[str, int]):
+        width = len(index)
+        counts = np.array([len(p) for p in posynomials], dtype=np.intp)
+        if (counts == 0).any():
+            raise GPError("every stacked row needs at least one term")
+        b: List[float] = []
+        cols: List[int] = []
+        data: List[float] = []
+        indptr = [0]
+        for posy in posynomials:
+            for mono in posy.terms:
+                b.append(math.log(mono.coefficient))
+                for name, exp in mono.signature:
+                    cols.append(index[name])
+                    data.append(exp)
+                indptr.append(len(cols))
+        self.rows = len(counts)
+        self.terms = len(b)
+        self.nonzeros = len(cols)
+        self.passes = 0
+        self._width = width
+        self._A = sparse.csr_matrix(
+            (np.array(data), np.array(cols, dtype=np.intp), np.array(indptr)),
+            shape=(self.terms, width),
+        )
+        self._b = np.array(b)
+        self._starts = np.cumsum(counts) - counts
+        self._term_row = np.repeat(np.arange(self.rows), counts)
+        self._nonzero_term = np.repeat(
+            np.arange(self.terms), np.diff(self._A.indptr)
+        )
+        self._flat = self._term_row[self._nonzero_term] * width + self._A.indices
+        # The latest exponent pass: its point, row values and normalized
+        # term weights, and the Jacobian once asked for.
+        self._point: Optional[np.ndarray] = None
+        self._values: Optional[np.ndarray] = None
+        self._weights: Optional[np.ndarray] = None
+        self._jacobian: Optional[np.ndarray] = None
 
-    def value(self, y: np.ndarray) -> float:
-        e = self._exponents(y)
-        m = float(e.max())
-        return m + math.log(float(np.exp(e - m).sum()))
+    def _exponent_pass(self, y: np.ndarray) -> None:
+        if self._point is not None and np.array_equal(y, self._point):
+            return
+        self._point = np.array(y, dtype=float)
+        self.passes += 1
+        e = self._b + self._A @ self._point
+        mx = np.maximum.reduceat(e, self._starts)
+        w = np.exp(e - mx[self._term_row])
+        s = np.add.reduceat(w, self._starts)
+        self._values = mx + np.log(s)
+        self._values.flags.writeable = False
+        self._weights = w / s[self._term_row]
+        self._jacobian = None
 
-    def grad(self, y: np.ndarray) -> np.ndarray:
-        e = self._exponents(y)
-        w = np.exp(e - e.max())
-        w /= w.sum()
-        return w @ self.A
+    def values(self, y: np.ndarray) -> np.ndarray:
+        """``F(y)``, shape ``(rows,)``."""
+        self._exponent_pass(y)
+        return self._values
+
+    def jacobian(self, y: np.ndarray) -> np.ndarray:
+        """``dF/dy``, shape ``(rows, variables)``."""
+        self._exponent_pass(y)
+        if self._jacobian is None:
+            self._jacobian = np.bincount(
+                self._flat,
+                weights=self._weights[self._nonzero_term] * self._A.data,
+                minlength=self.rows * self._width,
+            ).reshape(self.rows, self._width)
+            self._jacobian.flags.writeable = False
+        return self._jacobian

@@ -9,16 +9,20 @@ readable report.
 
 import json
 
+import numpy as np
 import pytest
+from scipy import optimize
 
 from repro.macros import MacroSpec, default_database
 from repro.models import ModelLibrary, Technology
 from repro.obs import metrics, trace
 from repro.obs.inspect import inspect_file
+from repro.posy import as_posynomial, var
 from repro.sim import StaticTimingAnalyzer
 from repro.sim.timing import stage_arcs
 from repro.sizing import ConstraintGenerator, DelaySpec, SmartSizer
 from repro.sizing.engine import measure_constraints, nominal_delay
+from repro.sizing.gp import StackedLogSumExp
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +158,48 @@ class TestArcTableCounters:
             assert reg.counter("sta.arc_tables").value == 1
             StaticTimingAnalyzer(circuit, library).analyze(env)
             assert reg.counter("sta.arc_tables").value == 1
+
+
+class TestGPWorkCounters:
+    """``gp_solve`` carries the stacked program's size; ``gp.exponent_passes``
+    counts passes over its rows, one per point SLSQP visits."""
+
+    def test_passes_bounded_by_solver_evaluations(
+        self, database, library, monkeypatch
+    ):
+        evaluations = []
+        minimize = optimize.minimize
+
+        def counting_minimize(*args, **kwargs):
+            result = minimize(*args, **kwargs)
+            evaluations.append(result.nfev + result.njev)
+            return result
+
+        monkeypatch.setattr(optimize, "minimize", counting_minimize)
+        _, tracer, reg = _sized_run(database, library)
+        passes = reg.counter("gp.exponent_passes").value
+        assert reg.counter("gp.phase1_solves").value >= 1
+        assert len(evaluations) > reg.counter("gp.solves").value
+        assert 0 < passes <= sum(evaluations)
+        for span in (s for s in tracer.spans if s.name == "gp_solve"):
+            assert span.attrs["terms"] >= span.attrs["constraints"] > 0
+            assert span.attrs["nonzeros"] > 0
+            assert span.attrs["variables"] > 0
+
+    def test_values_then_jacobian_share_one_pass(self):
+        program = StackedLogSumExp(
+            [
+                var("x") + var("y") ** -1.0,
+                as_posynomial(2.0 * var("x") * var("y")),
+            ],
+            {"x": 0, "y": 1},
+        )
+        y = np.array([0.1, -0.2])
+        program.values(y)
+        program.jacobian(y)
+        assert program.passes == 1
+        program.jacobian(y + 1.0)
+        assert program.passes == 2
 
 
 class TestDisabledOverhead:
