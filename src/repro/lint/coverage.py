@@ -26,7 +26,7 @@ from typing import Dict, Sequence, Tuple
 from ..netlist.circuit import Circuit
 from ..netlist.nets import PinSpeed
 from ..sizing.paths import StructuralPath
-from ..sizing.pruning import PruningCertificate, _stage_key, path_signature
+from ..sizing.pruning import PruningCertificate, _stage_key
 from .diagnostics import Diagnostic, LintReport, Location, Severity
 from .registry import Rule, register
 
@@ -64,6 +64,18 @@ def _describe(path: StructuralPath) -> str:
     )
 
 
+def _signature(circuit: Circuit, path: StructuralPath) -> Tuple:
+    """:func:`~repro.sizing.pruning.path_signature`, recomputed from the
+    :func:`~repro.sizing.pruning._stage_key` formula stage by stage — not
+    from the stage-key table the pruning passes read."""
+    steps = []
+    for step in path.steps:
+        stage = circuit.stage(step.stage_name)
+        pin = stage.pin(step.pin_name)
+        steps.append(_stage_key(circuit, stage) + (pin.pin_class.value,))
+    return (circuit.net(path.start_net).kind.value, tuple(steps))
+
+
 def verify_pruning(
     circuit: Circuit,
     raw_paths: Sequence[StructuralPath],
@@ -91,7 +103,7 @@ def verify_pruning(
         ))
 
     surviving = set(certificate.surviving)
-    surviving_sigs = {path_signature(circuit, p) for p in surviving}
+    surviving_sigs = {_signature(circuit, p) for p in surviving}
 
     # CST103 — recount fanouts for every dominance claim.
     groups: Dict[Tuple, list] = {}
@@ -150,8 +162,8 @@ def verify_pruning(
                     net=path.start_net,
                 )
             elif (
-                path_signature(circuit, survivor)
-                != path_signature(circuit, path)
+                _signature(circuit, survivor)
+                != _signature(circuit, path)
             ):
                 emit(
                     CST102,
@@ -160,7 +172,7 @@ def verify_pruning(
                     "constrain the same stage/pin sequence",
                     net=path.start_net,
                 )
-            elif path_signature(circuit, path) not in surviving_sigs:
+            elif _signature(circuit, path) not in surviving_sigs:
                 emit(  # pragma: no cover - unreachable if survivor checked
                     CST101,
                     f"{_describe(path)} signature not covered",

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..netlist.nets import Pin, PinClass
 from ..netlist.sizing_vars import SizeTable
@@ -64,9 +64,10 @@ class ModelError(Exception):
 class StageModel:
     """Base template: static CMOS complementary gate.
 
-    Subclasses override the resistance/capacitance pieces; the delay/slope
-    assembly in :meth:`delay` and :meth:`output_slope` is shared so equations
-    (1)/(2) keep one shape across families.
+    Subclasses override the resistance/capacitance pieces; :meth:`arc`
+    assembles equations (1)/(2) from them in one place, so they keep one
+    shape across families (a subclass extends :meth:`arc` only to add a
+    term, as the select paths of pass gates and tri-states do).
     """
 
     def __init__(self, tech: Technology):
@@ -124,40 +125,27 @@ class StageModel:
 
     # -- assembled equations (1) and (2) --------------------------------------
 
-    def delay(
+    def arc(
         self,
         stage: Stage,
         pin: Pin,
         transition: Transition,
         load: Posynomial,
         table: SizeTable,
-    ) -> Posynomial:
-        """Pin-to-output delay at zero input slope, ps (posynomial in size
-        labels); the hop rule of :mod:`repro.sim.timing` adds the
-        ``slope_sensitivity * t_in_slope`` term.
+    ) -> Tuple[Posynomial, Posynomial]:
+        """``(delay, output slope)`` of one pin-to-output arc at zero input
+        slope, ps (posynomials in size labels); the hop rule of
+        :mod:`repro.sim.timing` adds the ``slope_sensitivity * t_in_slope``
+        and ``SLOPE_LEAK * t_in_slope`` terms.  Both lines share one
+        ``R·C`` product.
 
         ``load`` must be the *total* node capacitance (fanout gate caps, wire,
         external, and every driver's own diffusion — the timing analyzer's
         ``net_load``/``load_posynomial`` compute exactly that), so shared
         pass-gate/tri-state merge nodes charge all their parasitics.
         """
-        r = self.resistance(stage, pin, transition, table)
-        return LN2 * (r * as_posynomial(load))
-
-    def output_slope(
-        self,
-        stage: Stage,
-        pin: Pin,
-        transition: Transition,
-        load: Posynomial,
-        table: SizeTable,
-    ) -> Posynomial:
-        """Output transition time at zero input slope, ps (posynomial).
-        ``load`` is the total node capacitance, as in :meth:`delay`; the hop
-        rule adds the ``SLOPE_LEAK * t_in_slope`` leak of a slow input
-        edge."""
-        r = self.resistance(stage, pin, transition, table)
-        return self.tech.slope_gain * (r * as_posynomial(load))
+        rc = self.resistance(stage, pin, transition, table) * as_posynomial(load)
+        return LN2 * rc, self.tech.slope_gain * rc
 
 
 class PassGateModel(StageModel):
@@ -189,15 +177,15 @@ class PassGateModel(StageModel):
         r_pass = self.tech.pass_parallel * self.tech.r_nmos
         return as_posynomial(r_pass / w_pass)
 
-    def delay(
+    def arc(
         self,
         stage: Stage,
         pin: Pin,
         transition: Transition,
         load: Posynomial,
         table: SizeTable,
-    ) -> Posynomial:
-        base = super().delay(stage, pin, transition, load, table)
+    ) -> Tuple[Posynomial, Posynomial]:
+        delay, slope = super().arc(stage, pin, transition, load, table)
         if pin.pin_class is PinClass.SELECT:
             # Select path first traverses the local complement inverter
             # (it must switch before the PMOS half conducts).
@@ -205,8 +193,8 @@ class PassGateModel(StageModel):
             w_pass = table.monomial(stage.label("pass"))
             r_inv = (self.tech.r_pmos + self.tech.r_nmos) / 2.0
             inv_delay = LN2 * ((r_inv / w_inv) * (self.tech.c_gate * w_pass))
-            base = base + inv_delay
-        return base
+            delay = delay + inv_delay
+        return delay, slope
 
 
 class TriStateModel(StageModel):
@@ -222,23 +210,23 @@ class TriStateModel(StageModel):
             0.25 * self.tech.c_gate * (w_up + w_dn)
         )
 
-    def delay(
+    def arc(
         self,
         stage: Stage,
         pin: Pin,
         transition: Transition,
         load: Posynomial,
         table: SizeTable,
-    ) -> Posynomial:
-        base = super().delay(stage, pin, transition, load, table)
+    ) -> Tuple[Posynomial, Posynomial]:
+        delay, slope = super().arc(stage, pin, transition, load, table)
         if pin.pin_class is PinClass.SELECT:
             # Enable inverter is a fixed 0.25x relation of the drive devices
             # and loads only their enable gates, so its delay is a size-
             # independent constant: ln2 * (r_inv / 0.25W) * (c_gate * W).
             r_inv = (self.tech.r_pmos + self.tech.r_nmos) / 2.0
             inv_delay = LN2 * (r_inv / 0.25) * self.tech.c_gate
-            base = base + inv_delay
-        return base
+            delay = delay + inv_delay
+        return delay, slope
 
 
 class DominoModel(StageModel):
@@ -364,6 +352,17 @@ class ModelLibrary:
     def output_parasitic(self, stage: Stage, table: SizeTable) -> Posynomial:
         return self.model(stage).output_parasitic(stage, table)
 
+    def arc(
+        self,
+        stage: Stage,
+        pin: Pin,
+        transition: Transition,
+        load: Posynomial,
+        table: SizeTable,
+    ) -> Tuple[Posynomial, Posynomial]:
+        """``(delay, output slope)`` of one arc (:meth:`StageModel.arc`)."""
+        return self.model(stage).arc(stage, pin, transition, load, table)
+
     def delay(
         self,
         stage: Stage,
@@ -372,7 +371,7 @@ class ModelLibrary:
         load: Posynomial,
         table: SizeTable,
     ) -> Posynomial:
-        return self.model(stage).delay(stage, pin, transition, load, table)
+        return self.arc(stage, pin, transition, load, table)[0]
 
     def output_slope(
         self,
@@ -382,4 +381,4 @@ class ModelLibrary:
         load: Posynomial,
         table: SizeTable,
     ) -> Posynomial:
-        return self.model(stage).output_slope(stage, pin, transition, load, table)
+        return self.arc(stage, pin, transition, load, table)[1]

@@ -116,6 +116,12 @@ class SizeTable:
     def names(self) -> Tuple[str, ...]:
         return tuple(self._vars)
 
+    def state(self) -> Tuple[Tuple[str, Optional[float], Optional[Tuple[str, float]]], ...]:
+        """``(name, pinned, ratio_of)`` per label: everything a designer pin
+        or a regularity tie changes, the key of per-circuit memos derived
+        from the table."""
+        return tuple((v.name, v.pinned, v.ratio_of) for v in self._vars.values())
+
     def free_names(self) -> Tuple[str, ...]:
         """Labels the GP optimizes over."""
         return tuple(v.name for v in self._vars.values() if v.free)

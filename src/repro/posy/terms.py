@@ -47,6 +47,81 @@ def _make_signature(exponents: Mapping[str, float]) -> Signature:
     return tuple(sorted((v, float(e)) for v, e in exponents.items() if e != 0.0))
 
 
+def _checked(coefficient: Number) -> float:
+    """``coefficient`` as a float, or ``ValueError`` unless it is positive
+    and finite (an overflowed or underflowed product fails here)."""
+    coefficient = float(coefficient)
+    if not coefficient > 0.0:
+        raise ValueError(f"monomial coefficient must be > 0, got {coefficient}")
+    if not math.isfinite(coefficient):
+        raise ValueError(f"monomial coefficient must be finite, got {coefficient}")
+    return coefficient
+
+
+def _merge(left: Signature, right: Signature) -> Signature:
+    """Signature of the product of two monomials: the sorted merge of two
+    sorted signatures, a shared variable's exponents added and the variable
+    dropped when they cancel."""
+    if not right:
+        return left
+    if not left:
+        return right
+    if len(left) == 1 and len(right) == 1:
+        (l_var, l_exp), (r_var, r_exp) = left[0], right[0]
+        if l_var < r_var:
+            return left + right
+        if r_var < l_var:
+            return right + left
+        exp = l_exp + r_exp
+        return ((l_var, exp),) if exp != 0.0 else ()
+    merged = []
+    i = j = 0
+    n_left, n_right = len(left), len(right)
+    while i < n_left and j < n_right:
+        l_var, l_exp = left[i]
+        r_var, r_exp = right[j]
+        if l_var < r_var:
+            merged.append(left[i])
+            i += 1
+        elif r_var < l_var:
+            merged.append(right[j])
+            j += 1
+        else:
+            exp = l_exp + r_exp
+            if exp != 0.0:
+                merged.append((l_var, exp))
+            i += 1
+            j += 1
+    merged.extend(left[i:])
+    merged.extend(right[j:])
+    return tuple(merged)
+
+
+def _product(
+    left: Mapping[Signature, float], right: Mapping[Signature, float]
+) -> Dict[Signature, float]:
+    """Term dict of ``left × right``, merged at the signature level.
+
+    The outer loop runs over the right-hand terms in sorted order, the inner
+    one over the left-hand terms in sorted order.  Each right-hand term's
+    products are summed and pruned (``<= _COEFF_EPS``) before joining the
+    result, exactly as the term-by-term expansion ``Σ_r left × r`` does, so
+    term insertion order — and with it every :meth:`Posynomial.evaluate`
+    sum — is bit-identical to it.
+    """
+    left_items = sorted(left.items())
+    terms: Dict[Signature, float] = {}
+    for r_sig, r_coeff in sorted(right.items()):
+        partial: Dict[Signature, float] = {}
+        for l_sig, l_coeff in left_items:
+            sig = _merge(l_sig, r_sig)
+            partial[sig] = partial.get(sig, 0.0) + _checked(l_coeff * r_coeff)
+        for sig, coeff in partial.items():
+            if coeff > _COEFF_EPS:
+                terms[sig] = terms.get(sig, 0.0) + coeff
+    return terms
+
+
 class Monomial:
     """A positive-coefficient monomial ``c * prod(x_i ** a_i)``.
 
@@ -62,12 +137,7 @@ class Monomial:
     __slots__ = ("coefficient", "_signature")
 
     def __init__(self, coefficient: Number, exponents: Mapping[str, float] = ()):
-        coefficient = float(coefficient)
-        if not coefficient > 0.0:
-            raise ValueError(f"monomial coefficient must be > 0, got {coefficient}")
-        if not math.isfinite(coefficient):
-            raise ValueError(f"monomial coefficient must be finite, got {coefficient}")
-        self.coefficient = coefficient
+        self.coefficient = _checked(coefficient)
         self._signature = _make_signature(dict(exponents))
 
     # -- constructors ------------------------------------------------------
@@ -83,7 +153,14 @@ class Monomial:
         return cls(value, {})
 
     @classmethod
-    def _from_signature(cls, coefficient: float, signature: Signature) -> "Monomial":
+    def _from_signature(cls, coefficient: Number, signature: Signature) -> "Monomial":
+        """A monomial from a canonical signature, with the constructor's
+        coefficient check."""
+        return cls._view(_checked(coefficient), signature)
+
+    @classmethod
+    def _view(cls, coefficient: float, signature: Signature) -> "Monomial":
+        """A monomial over one stored term of a posynomial, unchecked."""
         mono = cls.__new__(cls)
         mono.coefficient = coefficient
         mono._signature = signature
@@ -151,12 +228,14 @@ class Monomial:
 
     def __mul__(self, other: Union["Monomial", Number]) -> "Monomial":
         if isinstance(other, Monomial):
-            exponents = self.exponents
-            for var, exp in other._signature:
-                exponents[var] = exponents.get(var, 0.0) + exp
-            return Monomial(self.coefficient * other.coefficient, exponents)
+            return Monomial._from_signature(
+                self.coefficient * other.coefficient,
+                _merge(self._signature, other._signature),
+            )
         if isinstance(other, (int, float)):
-            return Monomial(self.coefficient * other, self.exponents)
+            return Monomial._from_signature(
+                self.coefficient * other, self._signature
+            )
         return NotImplemented
 
     __rmul__ = __mul__
@@ -165,7 +244,9 @@ class Monomial:
         if isinstance(other, Monomial):
             return self * other ** -1
         if isinstance(other, (int, float)):
-            return Monomial(self.coefficient / other, self.exponents)
+            return Monomial._from_signature(
+                self.coefficient / other, self._signature
+            )
         return NotImplemented
 
     def __rtruediv__(self, other: Number) -> "Monomial":
@@ -175,8 +256,14 @@ class Monomial:
 
     def __pow__(self, power: Number) -> "Monomial":
         power = float(power)
-        exponents = {var: exp * power for var, exp in self._signature}
-        return Monomial(self.coefficient ** power, exponents)
+        return Monomial._from_signature(
+            self.coefficient ** power,
+            tuple(
+                (var, exp * power)
+                for var, exp in self._signature
+                if exp * power != 0.0
+            ),
+        )
 
     def __add__(self, other) -> "Posynomial":
         return Posynomial.from_terms([self]) + other
@@ -260,7 +347,7 @@ class Posynomial:
     @property
     def terms(self) -> Tuple[Monomial, ...]:
         return tuple(
-            Monomial._from_signature(c, sig) for sig, c in sorted(self._terms.items())
+            Monomial._view(c, sig) for sig, c in sorted(self._terms.items())
         )
 
     def __iter__(self) -> Iterator[Monomial]:
@@ -285,7 +372,7 @@ class Posynomial:
         if not self.is_monomial():
             raise ValueError(f"{self!r} is not a monomial")
         ((sig, coeff),) = self._terms.items()
-        return Monomial._from_signature(coeff, sig)
+        return Monomial._view(coeff, sig)
 
     def constant_part(self) -> float:
         """Coefficient of the constant term (0 if none)."""
@@ -400,12 +487,11 @@ class Posynomial:
                 raise ValueError("cannot scale a posynomial by a negative number")
             return Posynomial({sig: c * other for sig, c in self._terms.items()})
         if isinstance(other, Monomial):
-            return Posynomial.from_terms(term * other for term in self.terms)
+            return Posynomial(
+                _product(self._terms, {other._signature: other.coefficient})
+            )
         if isinstance(other, Posynomial):
-            product = Posynomial.zero()
-            for term in other.terms:
-                product = product + self * term
-            return product
+            return Posynomial(_product(self._terms, other._terms))
         return NotImplemented
 
     __rmul__ = __mul__

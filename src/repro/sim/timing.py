@@ -153,7 +153,8 @@ class ArcTable:
     Filled on first use and then only read: per arc ``(stage, pin, output
     transition)`` the ``(delay, slope)`` posynomials at zero input slope,
     Elmore wire terms included, plus the timing-graph node the arc leaves
-    from; the load posynomial per net; and
+    from; the load posynomial per net and, per wired net, the far-side
+    capacitance of its Elmore term; and
     ``schedule``, every arc in topological stage order, for :meth:`analyze
     <StaticTimingAnalyzer.analyze>`.  It also keeps the numeric arc values
     of the latest width point, so an ``analyze`` followed by any number of
@@ -166,12 +167,14 @@ class ArcTable:
     holds names, posynomials and floats only — never the circuit.
     """
 
-    __slots__ = ("arcs", "loads", "schedule", "point")
+    __slots__ = ("arcs", "loads", "far_caps", "schedule", "point")
 
     def __init__(self) -> None:
         #: hop -> (delay, slope, (input net, input transition))
         self.arcs: Dict[Hop, Tuple[Posynomial, Posynomial, NetKey]] = {}
         self.loads: Dict[str, Posynomial] = {}
+        #: wired net -> capacitance beyond its wire resistance
+        self.far_caps: Dict[str, Posynomial] = {}
         #: (hop, source node, output node) per arc, stages in topological
         #: order; built by the first ``analyze``.
         self.schedule: Optional[List[Tuple[Hop, NetKey, NetKey]]] = None
@@ -207,11 +210,7 @@ class StaticTimingAnalyzer:
         bound = self._bound
         if bound is not None and bound[0] is memo and bound[1] == snapshot:
             return bound[2], False
-        key = (
-            ArcTable,
-            self.library,
-            tuple((v.name, v.pinned, v.ratio_of) for v in snapshot),
-        )
+        key = (ArcTable, self.library, self.circuit.size_table.state())
         table = memo.get(key)
         built = table is None
         if built:
@@ -230,12 +229,12 @@ class StaticTimingAnalyzer:
         stage = self.circuit.stage(stage_name)
         pin = stage.pin(pin_name)
         out = stage.output
-        size_table = self.circuit.size_table
-        load = self._load(table, out.name)
-        delay = self.library.delay(stage, pin, out_trans, load, size_table)
-        slope = self.library.output_slope(stage, pin, out_trans, load, size_table)
+        delay, slope = self.library.arc(
+            stage, pin, out_trans, self._load(table, out.name),
+            self.circuit.size_table,
+        )
         if out.wire_res > 0.0:
-            far = self.far_cap_posynomial(out.name)
+            far = self._far_cap(table, out.name)
             delay = delay + LN2 * out.wire_res * far
             slope = slope + self.library.tech.slope_gain * out.wire_res * far
         source = (pin.net.name, arc_input_transition(stage, pin, out_trans))
@@ -262,6 +261,21 @@ class StaticTimingAnalyzer:
         table.loads[net_name] = total
         return total
 
+    def _far_cap(self, table: ArcTable, net_name: str) -> Posynomial:
+        total = table.far_caps.get(net_name)
+        if total is not None:
+            return total
+        net = self.circuit.net(net_name)
+        size_table = self.circuit.size_table
+        total = posy_sum(
+            self.library.input_cap(stage, pin, size_table)
+            for stage, pin in self.circuit.fanout_of(net_name)
+        )
+        fixed = net.external_load + net.wire_cap / 2.0
+        if fixed > 0:
+            total = total + fixed
+        table.far_caps[net_name] = total
+        return total
 
     def _schedule(self, table: ArcTable) -> List[Tuple[Hop, NetKey, NetKey]]:
         if table.schedule is None:
@@ -306,16 +320,7 @@ class StaticTimingAnalyzer:
     def far_cap_posynomial(self, net_name: str) -> Posynomial:
         """Capacitance on the *far* side of a net's wire resistance, fF:
         fanout gates, external load, and half the distributed wire cap."""
-        net = self.circuit.net(net_name)
-        size_table = self.circuit.size_table
-        total = posy_sum(
-            self.library.input_cap(stage, pin, size_table)
-            for stage, pin in self.circuit.fanout_of(net_name)
-        )
-        fixed = net.external_load + net.wire_cap / 2.0
-        if fixed > 0:
-            total = total + fixed
-        return total
+        return self._far_cap(self._lookup()[0], net_name)
 
     def arc_posynomials(
         self, stage: Stage, pin: Pin, out_trans: Transition

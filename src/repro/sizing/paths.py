@@ -123,20 +123,21 @@ class PathExtractor:
         meaningful paths" — while the raw space is combinatorial.
         """
         from ..netlist.nets import PinSpeed
-        from .pruning import _stage_key  # regularity identity
+        from .pruning import stage_keys  # regularity identity
 
         circuit = self.circuit
+        keys = stage_keys(circuit)
 
         def net_class(net_name: str) -> Tuple:
             driver = circuit.driver_of(net_name)
             if driver is not None:
-                return ("drv",) + _stage_key(circuit, driver)
+                return ("drv",) + keys[driver.name]
             net = circuit.net(net_name)
             if net.kind is NetKind.CLOCK:
                 return ("clk",)
             profile = tuple(
                 sorted(
-                    _stage_key(circuit, stage) + (pin.pin_class.value,)
+                    keys[stage.name] + (pin.pin_class.value,)
                     for stage, pin in circuit.fanout_of(net_name)
                 )
             )
@@ -175,7 +176,7 @@ class PathExtractor:
                     for p in stage.inputs
                 ):
                     continue
-                branch_key = _stage_key(circuit, stage) + (
+                branch_key = keys[stage.name] + (
                     pin.pin_class.value,
                     getattr(pin.speed, "value", None),
                 )

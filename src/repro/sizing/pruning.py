@@ -30,11 +30,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..netlist.circuit import Circuit
+from ..netlist.memo import circuit_memo
 from ..netlist.nets import PinSpeed
 from ..netlist.stages import Stage
 from ..obs import metrics, trace
 from .paths import StructuralPath
 
+#: Regularity identity of a stage: (kind, canonical size-label signature).
+StageKey = Tuple[str, Tuple[str, ...]]
 #: Signature of one path step for regularity comparisons.
 StepKey = Tuple[str, Tuple[str, ...], str]
 
@@ -97,16 +100,29 @@ class PruneResult:
     certificate: Optional[PruningCertificate] = None
 
 
-def _stage_key(circuit: Circuit, stage: Stage) -> Tuple[str, Tuple[str, ...]]:
+def _stage_key(circuit: Circuit, stage: Stage) -> StageKey:
     """Regularity identity of a stage: kind + canonical label signature."""
     labels = circuit.size_table.regularity_signature(stage.labels())
     return (stage.kind.value, labels)
 
 
-def _step_key(circuit: Circuit, stage: Stage, pin_name: str) -> StepKey:
-    pin = stage.pin(pin_name)
-    kind, labels = _stage_key(circuit, stage)
-    return (kind, labels, pin.pin_class.value)
+def stage_keys(circuit: Circuit) -> Dict[str, StageKey]:
+    """Every stage's regularity identity (:func:`_stage_key`) by name.
+
+    One table per circuit and size-table state lives in the circuit's memo
+    (:func:`~repro.netlist.memo.circuit_memo`), as the timing arc tables
+    do: collapse's ratio ties and designer pins get a fresh table, and an
+    in-place edit drops it (:func:`~repro.netlist.memo.forget`).
+    """
+    memo = circuit_memo(circuit)
+    key = ("stage_keys", circuit.size_table.state())
+    table = memo.get(key)
+    if table is None:
+        table = memo[key] = {
+            stage.name: _stage_key(circuit, stage) for stage in circuit.stages
+        }
+        metrics.counter("prune.stage_key_tables").inc()
+    return table
 
 
 def path_signature(circuit: Circuit, path: StructuralPath) -> Tuple:
@@ -115,12 +131,38 @@ def path_signature(circuit: Circuit, path: StructuralPath) -> Tuple:
     Two paths with equal signatures traverse identical (same-sized) stages
     through same-class pins, so they produce identical GP constraints.
     """
-    source_kind = circuit.net(path.start_net).kind.value
-    keys = tuple(
-        _step_key(circuit, circuit.stage(s.stage_name), s.pin_name)
-        for s in path.steps
-    )
-    return (source_kind, keys)
+    return _signed(circuit, [path], stage_keys(circuit))[0][1]
+
+
+#: A path with its :func:`path_signature`, computed once per pruning run.
+_Signed = Tuple[StructuralPath, Tuple]
+
+
+def _signed(
+    circuit: Circuit,
+    paths: Sequence[StructuralPath],
+    keys: Dict[str, StageKey],
+) -> List[_Signed]:
+    """Every path with its :func:`path_signature`, read from one step-key
+    lookup built from the stage-key table ``keys``."""
+    step_keys: Dict[str, Dict[str, StepKey]] = {
+        stage.name: {
+            pin.name: keys[stage.name] + (pin.pin_class.value,)
+            for pin in stage.inputs
+        }
+        for stage in circuit.stages
+    }
+    net = circuit.net
+    return [
+        (
+            path,
+            (
+                net(path.start_net).kind.value,
+                tuple(step_keys[s.stage_name][s.pin_name] for s in path.steps),
+            ),
+        )
+        for path in paths
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -138,31 +180,28 @@ def prune_pin_precedence(
 
     When ``drops`` is given, each pruned path records the FAST step that
     justified dropping it."""
-    slow_classes: Dict[str, set] = {}
+    # stage -> its FAST pins that have a SLOW pin of the same class
+    prunable: Dict[str, set] = {}
     for stage in circuit.stages:
-        classes = {
-            p.pin_class for p in stage.inputs if p.speed is PinSpeed.SLOW
+        slow = {p.pin_class for p in stage.inputs if p.speed is PinSpeed.SLOW}
+        fast = {
+            p.name
+            for p in stage.inputs
+            if p.speed is PinSpeed.FAST and p.pin_class in slow
         }
-        if classes:
-            slow_classes[stage.name] = classes
+        if fast:
+            prunable[stage.name] = fast
 
     kept = []
     for path in paths:
-        prunable = False
         for step in path.steps:
-            stage = circuit.stage(step.stage_name)
-            pin = stage.pin(step.pin_name)
-            if (
-                pin.speed is PinSpeed.FAST
-                and pin.pin_class in slow_classes.get(stage.name, ())
-            ):
-                prunable = True
+            if step.pin_name in prunable.get(step.stage_name, ()):
                 if drops is not None:
                     drops[path] = DropWitness(
-                        "precedence", stage=stage.name, pin=pin.name
+                        "precedence", stage=step.stage_name, pin=step.pin_name
                     )
                 break
-        if not prunable:
+        else:
             kept.append(path)
     return kept
 
@@ -172,13 +211,19 @@ def prune_pin_precedence(
 # ---------------------------------------------------------------------------
 
 
-def dominant_stages(circuit: Circuit) -> Dict[Tuple, str]:
+def dominant_stages(circuit: Circuit) -> Dict[StageKey, str]:
     """For each regularity group, the name of its dominant (max fanout)
     stage.  Ties break lexicographically for determinism."""
-    groups: Dict[Tuple, List[Stage]] = {}
+    return _dominant(circuit, stage_keys(circuit))
+
+
+def _dominant(
+    circuit: Circuit, keys: Dict[str, StageKey]
+) -> Dict[StageKey, str]:
+    groups: Dict[StageKey, List[Stage]] = {}
     for stage in circuit.stages:
-        groups.setdefault(_stage_key(circuit, stage), []).append(stage)
-    dominant: Dict[Tuple, str] = {}
+        groups.setdefault(keys[stage.name], []).append(stage)
+    dominant: Dict[StageKey, str] = {}
     for key, members in groups.items():
         best = max(
             members,
@@ -200,27 +245,41 @@ def prune_fanout_dominance(
     When ``drops`` is given, each pruned path records a ``"dominance"``
     witness (the same-signature survivor is filled in by
     :func:`prune_paths` once the final set is known)."""
-    dominant = dominant_stages(circuit)
+    keys = stage_keys(circuit)
+    kept, _pruned = _dominance(
+        _signed(circuit, paths, keys), keys, _dominant(circuit, keys), drops
+    )
+    return [path for path, _sig in kept]
 
-    kept: List[StructuralPath] = []
-    dropped: List[StructuralPath] = []
-    for path in paths:
+
+def _dominance(
+    signed: Sequence[_Signed],
+    keys: Dict[str, StageKey],
+    dominant: Dict[StageKey, str],
+    drops: Optional[Dict[StructuralPath, DropWitness]],
+) -> Tuple[List[_Signed], List[_Signed]]:
+    """:func:`prune_fanout_dominance` over signed paths; returns the kept
+    and the pruned ones."""
+    kept: List[_Signed] = []
+    dropped: List[_Signed] = []
+    for entry in signed:
         through_dominant = all(
-            dominant[_stage_key(circuit, circuit.stage(s.stage_name))]
-            == s.stage_name
-            for s in path.steps
+            dominant[keys[s.stage_name]] == s.stage_name for s in entry[0].steps
         )
-        (kept if through_dominant else dropped).append(path)
+        (kept if through_dominant else dropped).append(entry)
 
-    covered = {path_signature(circuit, p) for p in kept}
-    for path in dropped:
-        sig = path_signature(circuit, path)
+    covered = {sig for _path, sig in kept}
+    pruned: List[_Signed] = []
+    for entry in dropped:
+        path, sig = entry
         if sig not in covered:
-            kept.append(path)
+            kept.append(entry)
             covered.add(sig)
-        elif drops is not None:
-            drops[path] = DropWitness("dominance")
-    return kept
+        else:
+            pruned.append(entry)
+            if drops is not None:
+                drops[path] = DropWitness("dominance")
+    return kept, pruned
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +293,21 @@ def prune_regularity(
     drops: Optional[Dict[StructuralPath, DropWitness]] = None,
 ) -> List[StructuralPath]:
     """One representative per path signature (first in input order)."""
+    signed = _signed(circuit, paths, stage_keys(circuit))
+    return [path for path, _sig in _regularity(signed, drops)]
+
+
+def _regularity(
+    signed: Sequence[_Signed],
+    drops: Optional[Dict[StructuralPath, DropWitness]],
+) -> List[_Signed]:
     seen: Dict[Tuple, StructuralPath] = {}
-    kept = []
-    for path in paths:
-        sig = path_signature(circuit, path)
+    kept: List[_Signed] = []
+    for entry in signed:
+        path, sig = entry
         if sig not in seen:
             seen[sig] = path
-            kept.append(path)
+            kept.append(entry)
         elif drops is not None:
             drops[path] = DropWitness("regularity", survivor=seen[sig])
     return kept
@@ -273,29 +340,43 @@ def prune_paths(
             current = prune_pin_precedence(circuit, current, drops=drops)
             sp.set_attrs(after=len(current))
     after_precedence = len(current)
+    keys = stage_keys(circuit)
+    signed = _signed(circuit, current, keys)
+    dominant: Dict[StageKey, str] = {}
+    pruned: List[_Signed] = []
     if use_dominance:
         with trace.span("prune_fanout_dominance", before=after_precedence) as sp:
-            current = prune_fanout_dominance(circuit, current, drops=drops)
-            sp.set_attrs(after=len(current))
-    after_dominance = len(current)
+            dominant = _dominant(circuit, keys)
+            signed, pruned = _dominance(signed, keys, dominant, drops)
+            sp.set_attrs(after=len(signed))
+    after_dominance = len(signed)
     if use_regularity:
         with trace.span("prune_regularity", before=after_dominance) as sp:
-            current = prune_regularity(circuit, current, drops=drops)
-            sp.set_attrs(after=len(current))
-    after_regularity = len(current)
+            signed = _regularity(signed, drops)
+            sp.set_attrs(after=len(signed))
+    after_regularity = len(signed)
     gauges = metrics.registry()
     gauges.gauge("prune.initial").set(initial)
     gauges.gauge("prune.after_precedence").set(after_precedence)
     gauges.gauge("prune.after_dominance").set(after_dominance)
     gauges.gauge("prune.after_regularity").set(after_regularity)
     metrics.counter("prune.runs").inc()
+    survivors = [path for path, _sig in signed]
     certificate = None
     if certify:
-        certificate = _build_certificate(
-            circuit, initial, current, drops, use_dominance
+        # Dominance drops learn their same-signature survivor now that the
+        # final set is known; the dominance pass's fanout claims ride along.
+        by_sig = {sig: path for path, sig in signed}
+        for path, sig in pruned:
+            drops[path] = DropWitness("dominance", survivor=by_sig.get(sig))
+        certificate = PruningCertificate(
+            initial=initial,
+            surviving=list(survivors),
+            dropped=drops,
+            dominant=dominant,
         )
     return PruneResult(
-        paths=current,
+        paths=survivors,
         stats=PruneStats(
             initial=initial,
             after_precedence=after_precedence,
@@ -303,31 +384,4 @@ def prune_paths(
             after_regularity=after_regularity,
         ),
         certificate=certificate,
-    )
-
-
-def _build_certificate(
-    circuit: Circuit,
-    initial: int,
-    surviving: List[StructuralPath],
-    drops: Dict[StructuralPath, DropWitness],
-    used_dominance: bool,
-) -> PruningCertificate:
-    """Finalize the per-pass drop records into a certificate: dominance
-    drops learn their same-signature survivor now that the final set is
-    known, and the dominance pass's fanout claims are attached."""
-    by_sig = {path_signature(circuit, p): p for p in surviving}
-    finalized: Dict[StructuralPath, DropWitness] = {}
-    for path, witness in drops.items():
-        if witness.reason == "dominance":
-            witness = DropWitness(
-                "dominance",
-                survivor=by_sig.get(path_signature(circuit, path)),
-            )
-        finalized[path] = witness
-    return PruningCertificate(
-        initial=initial,
-        surviving=list(surviving),
-        dropped=finalized,
-        dominant=dict(dominant_stages(circuit)) if used_dominance else {},
     )

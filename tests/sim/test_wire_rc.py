@@ -13,6 +13,8 @@ from repro.sim import StaticTimingAnalyzer
 from repro.sizing import DelaySpec, SmartSizer
 from repro.sizing.engine import nominal_delay
 
+from .reference_sta import ReferenceSTA
+
 TECH = Technology()
 LIB = ModelLibrary(TECH)
 
@@ -81,6 +83,64 @@ class TestSTAWireTerm:
 
         with pytest.raises(ValueError):
             Net("w", wire_res=-1.0)
+
+
+#: The long-interconnect mux instances of :class:`TestTopologyChoice`.
+WIRED_MUXES = ("mux/strong_mutex_passgate", "mux/tristate")
+
+
+class CountingLibrary(ModelLibrary):
+    """Counts ``input_cap`` builds per (stage, pin)."""
+
+    def __init__(self, tech):
+        super().__init__(tech)
+        self.input_caps = {}
+
+    def input_cap(self, stage, pin, table):
+        key = (stage.name, pin.name)
+        self.input_caps[key] = self.input_caps.get(key, 0) + 1
+        return super().input_cap(stage, pin, table)
+
+
+class TestFarCapMemo:
+    """Each wired net's far-side capacitance is built once per arc table
+    and shared by every arc that drives the net."""
+
+    @pytest.mark.parametrize("topology", WIRED_MUXES)
+    def test_wired_mux_matches_reference(self, database, topology):
+        spec = MacroSpec("mux", 4, output_load=120.0, params=(("wire_res", 1.0),))
+        circuit = database.generate(topology, spec, TECH)
+        assert any(net.wire_res > 0.0 for net in circuit.nets.values())
+        env = circuit.size_table.default_env()
+        report = StaticTimingAnalyzer(circuit, LIB).analyze(env)
+        expected = ReferenceSTA(circuit, LIB).analyze(env)
+        assert set(report.arrivals) == set(expected)
+        for node, (time, slope) in expected.items():
+            event = report.arrivals[node]
+            assert event.time == pytest.approx(time, rel=1e-9), node
+            assert event.slope == pytest.approx(slope, rel=1e-9), node
+
+    def test_wire_chain_matches_reference(self):
+        circuit = _wire_chain(2.0)
+        report = StaticTimingAnalyzer(circuit, LIB).analyze(WIDTHS)
+        for node, (time, slope) in ReferenceSTA(circuit, LIB).analyze(WIDTHS).items():
+            assert report.arrivals[node].time == pytest.approx(time, rel=1e-9)
+            assert report.arrivals[node].slope == pytest.approx(slope, rel=1e-9)
+
+    def test_far_cap_built_once_per_table(self):
+        circuit = _wire_chain(2.0)
+        library = CountingLibrary(TECH)
+        driver = circuit.stage("i0")
+        hops = [("i0", driver.inputs[0].name, trans) for trans in Transition]
+        analyzer = StaticTimingAnalyzer(circuit, library)
+        analyzer.path_arcs(hops)
+        StaticTimingAnalyzer(circuit, library).path_arcs(hops)
+        # Two arcs drive the wired net; its one fanout pin is costed once
+        # for the net load and once for the far-side capacitance.
+        assert library.input_caps == {("i1", "a"): 2}
+        far = analyzer.far_cap_posynomial("mid")
+        assert far is analyzer.far_cap_posynomial("mid")
+        assert library.input_caps == {("i1", "a"): 2}
 
 
 class TestSizerWithWires:
