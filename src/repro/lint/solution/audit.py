@@ -53,10 +53,12 @@ log = get_logger(__name__)
 _ACTIVE_TOL = 1e-2
 
 #: Relative slack granted on hard GP constraints (slope, noise): the
-#: solver only enforces them to its own constraint tolerance (SLSQP
-#: ftol ~1e-6 in log space), so an honest optimum rides an active limit
-#: with up to ~1e-8 relative excess.  Kept far below any physically
-#: meaningful violation — the seeded mutants perturb by >=1e-3.
+#: interior-point solver ends strictly inside every GP row, but the STA
+#: re-measure of an active limit and a width read back from a cache or
+#: certificate agree with the solver's rows only to rounding, so an
+#: honest optimum may ride an active limit with a tiny relative excess.
+#: Kept far below any physically meaningful violation — the seeded
+#: mutants perturb by >=1e-3.
 _SOLVER_REL_TOL = 1e-6
 
 

@@ -11,13 +11,20 @@ A GP in standard form:
                 lb_k <= x_k <= ub_k        (variable bounds)
 
 With ``x = exp(y)`` each posynomial becomes a log-sum-exp function of ``y``
-(convex) and bounds become box constraints on ``y``.  We solve the convex
-problem with SciPy's SLSQP using analytic gradients, preceded by a phase-1
-SLSQP feasibility solve when the initial point violates a constraint.
+(convex) and bounds become linear rows on ``y``.  We solve the convex problem
+with a primal-dual interior-point method (Boyd & Vandenberghe, algorithm
+11.2; the paper cites Kortanek/Xu/Ye [7] for the same class).  When the start
+point violates a row, phase 1 runs the same method on ``(y, s)``: minimize
+``s`` subject to ``F_i(y) - s <= 0``.  It stops at the first ``s < 0``, a
+strictly feasible start for the main solve, or at the first tangent-plane
+bound that proves ``max_i F_i > 0`` over the whole box: that bound is the
+certificate :class:`GPInfeasibleError` carries.
 
 Every log-sum-exp row is evaluated through one :class:`StackedLogSumExp`: all
-terms of all rows in one sparse exponent matrix, so an SLSQP callback costs a
-fixed handful of numpy operations however many rows the program has.
+terms of all rows in one sparse exponent matrix, so a Newton step costs a
+fixed handful of numpy operations plus one dense Cholesky however many rows
+the program has.  Variables with ``lower == upper`` are folded into the rows
+as constants, so every solved variable has a nonempty interior.
 """
 
 from __future__ import annotations
@@ -27,16 +34,27 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import linalg, sparse
 
 from ..netlist.sizing_vars import DEFAULT_BOUNDS
 from ..obs import metrics, trace
 from ..posy import Posynomial, as_posynomial
 
-#: SLSQP ``ftol`` of the phase-1 and main solves.
-TOL = 1e-8
-#: SLSQP iteration limit of the main solve.
-MAX_ITERATIONS = 400
+#: Surrogate duality gap (log-objective units) and dual-residual norm at
+#: which a solve stops, and the margin by which phase 1's infeasibility
+#: bound must clear zero to count as a proof under rounding.
+TOL = 1e-9
+#: Newton-step cap of each phase.
+MAX_ITERATIONS = 200
+#: Barrier growth: each step aims at ``t = MU * (rows + 2 variables) / gap``.
+MU = 10.0
+#: Backtracking line search: required residual decrease and step shrink.
+ALPHA, BETA = 0.01, 0.5
+#: Fraction of each variable's log-box width that keeps a start point off
+#: the box faces.
+INTERIOR = 1e-3
+
+_ONE = np.ones(1)
 
 
 class GPError(Exception):
@@ -44,8 +62,30 @@ class GPError(Exception):
 
 
 class GPInfeasibleError(GPError):
-    """Raised when the solver proves (numerically) that no point satisfies
-    the constraints."""
+    """Raised when no point satisfies the constraints.
+
+    A solver raise carries phase 1's certificate: ``weights`` (one per
+    inequality, nonnegative, summing to one), the log-space ``point`` (one
+    entry per :meth:`GeometricProgram.variables` name) and ``bound``, a lower
+    bound on ``max_i log f_i`` over the whole box::
+
+        bound = sum_i w_i F_i(y) + sum_k min(g_k (l_k - y_k), g_k (u_k - y_k))
+
+    with ``g = sum_i w_i grad F_i(y)``.  Convexity makes the tangent planes
+    under-estimate every ``F_i``, so ``bound > 0`` proves infeasibility.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        weights: Optional[np.ndarray] = None,
+        point: Optional[np.ndarray] = None,
+        bound: Optional[float] = None,
+    ):
+        super().__init__(message)
+        self.weights = weights
+        self.point = point
+        self.bound = bound
 
 
 @dataclass
@@ -62,7 +102,8 @@ class GPConstraint:
 
 @dataclass
 class GPSolution:
-    """Result of a GP solve."""
+    """Result of a GP solve.  ``iterations`` counts Newton steps, phase 1
+    included."""
 
     status: str
     env: Dict[str, float]
@@ -147,27 +188,27 @@ class GeometricProgram:
     def solve(self, initial: Optional[Mapping[str, float]] = None) -> GPSolution:
         """Solve the GP.  Returns a :class:`GPSolution`.
 
-        Raises :class:`GPInfeasibleError` when even the phase-1 problem cannot
-        drive the worst constraint violation near zero.
+        Raises :class:`GPInfeasibleError`, with phase 1's certificate, when
+        phase 1 proves that no point of the box satisfies every row.
         """
         names = self.variables()
-        if not names:
-            return GPSolution(
-                status="optimal",
-                env={},
-                objective=self.objective.evaluate({}),
-                iterations=0,
-                max_violation=0.0,
-            )
-        index = {name: i for i, name in enumerate(names)}
+        fixed = {}
+        free = []
+        for name in names:
+            lo, hi = self.bounds(name)
+            if lo == hi:
+                fixed[name] = math.log(lo)
+            else:
+                free.append(name)
+        index = {name: i for i, name in enumerate(free)}
 
-        lower = np.array([math.log(self.bounds(n)[0]) for n in names])
-        upper = np.array([math.log(self.bounds(n)[1]) for n in names])
+        lower = np.array([math.log(self.bounds(n)[0]) for n in free])
+        upper = np.array([math.log(self.bounds(n)[1]) for n in free])
 
-        y0 = self._initial_point(names, index, lower, upper, initial)
+        y0 = self._initial_point(free, index, lower, upper, initial)
 
-        objective = StackedLogSumExp([self.objective], index)
-        rows = StackedLogSumExp([c.expr for c in self.inequalities], index)
+        objective = StackedLogSumExp([self.objective], index, fixed)
+        rows = StackedLogSumExp([c.expr for c in self.inequalities], index, fixed)
         metrics.counter("gp.solves").inc()
         trace.add_attrs(
             variables=len(names),
@@ -176,30 +217,52 @@ class GeometricProgram:
             nonzeros=rows.nonzeros,
         )
         try:
-            y, result = _minimize(y0, objective, rows, lower, upper)
+            run = _minimize(y0, objective, rows, lower, upper)
         finally:
             metrics.counter("gp.exponent_passes").inc(rows.passes)
+        metrics.counter("gp.line_search_trials").inc(run.trials)
+        trace.add_attrs(
+            phase1_steps=run.phase1_steps,
+            newton_steps=run.steps,
+            duality_gap=run.gap,
+        )
+        if run.certificate is not None:
+            metrics.counter("gp.infeasible").inc()
+            weights, bound = run.certificate
+            point = np.array([
+                run.y[index[name]] if name in index else fixed[name]
+                for name in names
+            ])
+            raise GPInfeasibleError(
+                f"phase 1 proved the rows infeasible over the box "
+                f"(tangent-plane bound {bound:.3g} > 0 on max log-violation)",
+                weights=weights,
+                point=point,
+                bound=bound,
+            )
 
-        env = {name: float(math.exp(y[index[name]])) for name in names}
-        max_violation = float(np.expm1(rows.values(y)).max(initial=0.0))
+        env = {name: float(math.exp(run.y[index[name]])) for name in free}
+        env.update((name, self.bounds(name)[0]) for name in fixed)
+        max_violation = float(np.expm1(rows.values(run.y)).max(initial=0.0))
 
         if max_violation >= 5e-3:
             status = "infeasible"
-        elif result.success and max_violation < 1e-4:
+        elif run.converged and max_violation < 1e-4:
             status = "optimal"
         else:
             status = "inaccurate"
 
-        metrics.histogram("gp.solver_iterations").observe(int(result.nit))
+        iterations = run.phase1_steps + run.steps
+        metrics.histogram("gp.solver_iterations").observe(iterations)
         metrics.counter(f"gp.status.{status}").inc()
 
         return GPSolution(
             status=status,
             env=env,
             objective=self.objective.evaluate(env),
-            iterations=int(result.nit),
+            iterations=iterations,
             max_violation=max_violation,
-            message=str(result.message),
+            message=run.message,
         )
 
     # -- internals ---------------------------------------------------------
@@ -230,8 +293,26 @@ class GeometricProgram:
                     continue
                 if not math.isfinite(value) or value <= 0.0:
                     continue
-                y0[i] = min(upper[i], max(lower[i], math.log(value)))
-        return np.clip(y0, lower, upper)
+                y0[i] = math.log(value)
+        # The interior-point method needs every box row strictly satisfied.
+        margin = INTERIOR * (upper - lower)
+        return np.clip(y0, lower + margin, upper - margin)
+
+
+@dataclass
+class _Run:
+    """Outcome of :func:`_minimize`."""
+
+    y: np.ndarray
+    phase1_steps: int
+    steps: int
+    #: Line-search trial points that cost an exponent pass, both phases.
+    trials: int
+    gap: float
+    converged: bool
+    message: str
+    #: ``(weights, bound)`` when phase 1 proved the rows infeasible.
+    certificate: Optional[Tuple[np.ndarray, float]] = None
 
 
 def _minimize(
@@ -240,77 +321,201 @@ def _minimize(
     rows: "StackedLogSumExp",
     lower: np.ndarray,
     upper: np.ndarray,
-) -> Tuple[np.ndarray, optimize.OptimizeResult]:
-    """Phase 1 when ``y0`` violates a row, then the main SLSQP solve."""
-    constraints = []
-    if rows.rows:
-        worst = float(rows.values(y0).max())
-        if worst > 0.0:
-            metrics.counter("gp.phase1_solves").inc()
-            with trace.span("gp_phase1", violation=round(worst, 4)):
-                y0, worst = _phase1(y0, rows, lower, upper)
-            if worst > 1e-4:
-                metrics.counter("gp.infeasible").inc()
-                raise GPInfeasibleError(
-                    f"phase-1 could not find a feasible point "
-                    f"(max log-violation {worst:.3g})"
-                )
-        constraints.append({
-            "type": "ineq",
-            "fun": lambda y: -rows.values(y),
-            "jac": lambda y: -rows.jacobian(y),
-        })
-
-    result = optimize.minimize(
-        lambda y: objective.values(y)[0],
-        y0,
-        jac=lambda y: objective.jacobian(y)[0],
-        bounds=list(zip(lower, upper)),
-        constraints=constraints,
-        method="SLSQP",
-        options={"maxiter": MAX_ITERATIONS, "ftol": TOL},
+) -> _Run:
+    """Phase 1 when ``y0`` violates a row, then the main solve."""
+    phase1_steps = trials = 0
+    worst = float(rows.values(y0).max(initial=-math.inf))
+    if worst >= 0.0:
+        metrics.counter("gp.phase1_solves").inc()
+        with trace.span("gp_phase1", violation=round(worst, 4)):
+            z0 = np.append(y0, worst + 1.0)
+            phase1 = _Newton(objective, rows, lower, upper, phase1=True)
+            z, verdict = phase1.run(z0)
+        phase1_steps, trials = phase1.steps, phase1.trials
+        y0 = z[:-1]
+        if verdict == "infeasible":
+            return _Run(
+                y0, phase1_steps, 0, trials, phase1.gap, False,
+                "phase 1: infeasible", certificate=phase1.certificate,
+            )
+        if verdict != "feasible":
+            # No strictly feasible point and no proof of infeasibility: the
+            # caller grades the phase-1 point by its violation.
+            return _Run(
+                y0, phase1_steps, 0, trials, phase1.gap, False,
+                f"phase 1 found no strictly feasible point ({verdict})",
+            )
+    main = _Newton(objective, rows, lower, upper, phase1=False)
+    y, verdict = main.run(y0)
+    return _Run(
+        y, phase1_steps, main.steps, trials + main.trials, main.gap,
+        verdict == "optimal",
+        f"{verdict} after {main.steps} Newton steps "
+        f"(duality gap {main.gap:.3g})",
     )
-    return np.clip(result.x, lower, upper), result
 
 
-def _phase1(
-    y0: np.ndarray,
-    rows: "StackedLogSumExp",
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> Tuple[np.ndarray, float]:
-    """Minimize the worst constraint violation (with slack variable s)."""
-    s0 = float(rows.values(y0).max()) + 0.1
-    z0 = np.concatenate([y0, [s0]])
-    ones = np.ones((rows.rows, 1))
+class _Newton:
+    """Primal-dual interior-point iteration (B&V algorithm 11.2) on
+    ``F0(y)`` subject to ``F(y) <= 0`` and ``lower < y < upper``.
 
-    def objective(z: np.ndarray) -> float:
-        return z[-1]
+    Phase 1 runs on ``z = (y, s)``: objective ``s``, rows ``F(y) - s``.
+    All constraints sit in one vector ``f = (rows, lower - y, y - upper)``
+    with multipliers ``lam`` of the same layout.  Each step eliminates the
+    multiplier update and solves the reduced Newton system
 
-    def objective_grad(z: np.ndarray) -> np.ndarray:
-        grad = np.zeros_like(z)
-        grad[-1] = 1.0
-        return grad
+        (grad2 F0 + sum_i lam_i grad2 F_i + J' diag(lam / -f) J + box) dy
+            = -(grad F0 + sum_i grad f_i / (t (-f_i)))
 
-    def slack(z: np.ndarray) -> np.ndarray:
-        return z[-1] - rows.values(z[:-1])
+    with one dense Cholesky.  The backtracking line search keeps every
+    constraint strictly satisfied and lowers the residual norm; a trial
+    point costs one exponent pass (values and the ``A' (lam p)`` dual
+    residual), and the dense Jacobian is built only at accepted points.
+    """
 
-    def slack_jac(z: np.ndarray) -> np.ndarray:
-        return np.hstack([-rows.jacobian(z[:-1]), ones])
+    def __init__(
+        self,
+        objective: "StackedLogSumExp",
+        rows: "StackedLogSumExp",
+        lower: np.ndarray,
+        upper: np.ndarray,
+        phase1: bool,
+    ):
+        self.objective = objective
+        self.rows = rows
+        self.lower = lower
+        self.upper = upper
+        self.phase1 = phase1
+        self.n = lower.size
+        self.m = rows.rows
+        self.steps = 0
+        self.trials = 0
+        self.gap = math.inf
+        self.certificate: Optional[Tuple[np.ndarray, float]] = None
 
-    bounds = list(zip(lower, upper)) + [(-10.0, s0 + 1.0)]
-    result = optimize.minimize(
-        objective,
-        z0,
-        jac=objective_grad,
-        bounds=bounds,
-        constraints=[{"type": "ineq", "fun": slack, "jac": slack_jac}],
-        method="SLSQP",
-        options={"maxiter": 300, "ftol": TOL},
-    )
-    y = np.clip(result.x[:-1], lower, upper)
-    worst = float(rows.values(y).max())
-    return y, worst
+    def _constraints(self, z: np.ndarray) -> Optional[np.ndarray]:
+        """``f(z)``, or ``None`` when ``z`` is outside the open box."""
+        y = z[:self.n]
+        if not ((y > self.lower).all() and (y < self.upper).all()):
+            return None
+        F = self.rows.values(y)
+        if self.phase1:
+            F = F - z[-1]
+        return np.concatenate([F, self.lower - y, y - self.upper])
+
+    def _dual_residual(self, z: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        n, m = self.n, self.m
+        y = z[:n]
+        r = self.rows.gradient(y, lam[:m]) - lam[m:m + n] + lam[m + n:]
+        if self.phase1:
+            return np.append(r, 1.0 - lam[:m].sum())
+        return r + self.objective.gradient(y, _ONE)
+
+    @staticmethod
+    def _residual(r_dual, lam, f, t) -> float:
+        """Norm of the primal-dual residual ``(r_dual, -lam f - 1/t)``."""
+        r_cent = -lam * f - 1.0 / t
+        return math.sqrt(r_dual @ r_dual + r_cent @ r_cent)
+
+    def _bound(self, y: np.ndarray, lam: np.ndarray, J: np.ndarray) -> Tuple[np.ndarray, float]:
+        """Phase 1's tangent-plane lower bound on ``max_i F_i`` over the box,
+        with weights ``w = lam / sum(lam)`` on the rows."""
+        w = lam[:self.m] / lam[:self.m].sum()
+        g = w @ J
+        bound = w @ self.rows.values(y) + np.minimum(
+            g * (self.lower - y), g * (self.upper - y)
+        ).sum()
+        return w, float(bound)
+
+    def _direction(self, z, lam, f, t, J):
+        """The Newton step ``(dz, dlam)`` at ``z``."""
+        n, m = self.n, self.m
+        y = z[:n]
+        d = lam / -f
+        c = 1.0 / (t * -f)
+        H = self.rows.hessian(y, lam[:m], outer=d[:m])
+        H.flat[::n + 1] += d[m:m + n] + d[m + n:]
+        g = c[:m] @ J - c[m:m + n] + c[m + n:]
+        if self.phase1:
+            coupling = -(d[:m] @ J)
+            H = np.block([
+                [H, coupling[:, None]],
+                [coupling[None, :], np.array([[d[:m].sum()]])],
+            ])
+            g = np.append(g, 1.0 - c[:m].sum())
+        else:
+            H += self.objective.hessian(y, _ONE)
+            g += self.objective.gradient(y, _ONE)
+        dz = _solve_spd(H, -g)
+        dy = dz[:n]
+        slope = J @ dy
+        if self.phase1:
+            slope -= dz[-1]
+        dlam = c - lam + d * np.concatenate([slope, -dy, dy])
+        return dz, dlam
+
+    def run(self, z: np.ndarray) -> Tuple[np.ndarray, str]:
+        """Iterate from the strictly feasible ``z``; returns the last point
+        and the verdict: ``optimal``, ``feasible`` / ``infeasible`` (phase
+        1), ``stalled`` or ``iteration cap``."""
+        f = self._constraints(z)
+        # Unit multipliers: 1 / -f would put huge weights on rows and box
+        # faces the start point hugs and leave the iterate off-centre.
+        lam = np.ones_like(f)
+        while True:
+            self.gap = float(-f @ lam)
+            y = z[:self.n]
+            J = self.rows.jacobian(y)
+            if self.phase1:
+                if z[-1] < 0.0:
+                    return z, "feasible"
+                w, bound = self._bound(y, lam, J)
+                if bound > TOL:
+                    self.certificate = (w, bound)
+                    return z, "infeasible"
+            r_dual = self._dual_residual(z, lam)
+            if self.gap <= TOL and math.sqrt(r_dual @ r_dual) <= TOL:
+                return z, "optimal"
+            t = MU * f.size / self.gap
+            residual = self._residual(r_dual, lam, f, t)
+            if self.steps == MAX_ITERATIONS:
+                return z, "iteration cap"
+            dz, dlam = self._direction(z, lam, f, t, J)
+            shrinking = dlam < 0.0
+            step = 0.99 * min(
+                1.0, float((-lam[shrinking] / dlam[shrinking]).min(initial=1.0))
+            )
+            while True:
+                trial = z + step * dz
+                f_trial = self._constraints(trial)
+                if f_trial is not None:
+                    self.trials += 1
+                    if (f_trial < 0.0).all():
+                        lam_trial = lam + step * dlam
+                        r_trial = self._dual_residual(trial, lam_trial)
+                        if self._residual(r_trial, lam_trial, f_trial, t) <= (
+                            1.0 - ALPHA * step
+                        ) * residual:
+                            break
+                step *= BETA
+                if step < 1e-14:
+                    return z, "stalled"
+            z, lam, f = trial, lam_trial, f_trial
+            self.steps += 1
+
+
+def _solve_spd(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``H^-1 rhs`` for the symmetric positive definite Newton matrix; a
+    growing diagonal shift absorbs a Cholesky that rounding made fail."""
+    shift = 1e-14 * float(np.abs(H.diagonal()).max(initial=1.0))
+    for _ in range(16):
+        try:
+            factor = linalg.cho_factor(H, check_finite=False)
+            return linalg.cho_solve(factor, rhs, check_finite=False)
+        except linalg.LinAlgError:
+            H = H + shift * np.eye(len(H))
+            shift *= 10.0
+    raise GPError("the Newton matrix is not positive definite")
 
 
 class StackedLogSumExp:
@@ -320,17 +525,26 @@ class StackedLogSumExp:
     log-space form of ``posy_i <= 1``.  The terms of every row share one CSR
     exponent matrix ``A`` (terms x variables) and one log-coefficient vector
     ``b``; row ``i`` is the contiguous term segment starting at
-    ``starts[i]``.  One exponent pass ``e = b + A @ y`` and a segmented
-    log-sum-exp give every row value; the Jacobian is one ``bincount`` of the
-    normalized term weights times ``A``'s nonzeros.
+    ``starts[i]``.  Variables named in ``fixed`` (name -> log value) are not
+    columns: their ``exponent * log value`` is folded into ``b``.  One
+    exponent pass ``e = b + A @ y`` and a segmented log-sum-exp give every
+    row value and the normalized term weights ``p``; the Jacobian is one
+    ``bincount`` of ``p`` times ``A``'s nonzeros, and :meth:`hessian` one
+    ``bincount`` over the nonzero pairs inside each term.
 
-    :meth:`values` and :meth:`jacobian` at the same point share one exponent
-    pass (``passes`` counts them).  The pass is keyed on a copy of ``y``:
-    SLSQP reuses its ``x`` buffer, so an array identity check would return
-    stale rows.  The returned arrays are that cache, marked read-only.
+    :meth:`values`, :meth:`jacobian`, :meth:`gradient` and :meth:`hessian`
+    at the same point share one exponent pass (``passes`` counts them).  The
+    pass is keyed on a copy of ``y``, so a caller that mutates its array in
+    place between calls never reads stale rows.  The returned value and
+    Jacobian arrays are that cache, marked read-only.
     """
 
-    def __init__(self, posynomials: Sequence[Posynomial], index: Mapping[str, int]):
+    def __init__(
+        self,
+        posynomials: Sequence[Posynomial],
+        index: Mapping[str, int],
+        fixed: Optional[Mapping[str, float]] = None,
+    ):
         width = len(index)
         counts = np.array([len(p) for p in posynomials], dtype=np.intp)
         if (counts == 0).any():
@@ -341,10 +555,15 @@ class StackedLogSumExp:
         indptr = [0]
         for posy in posynomials:
             for mono in posy.terms:
-                b.append(math.log(mono.coefficient))
+                e = math.log(mono.coefficient)
                 for name, exp in mono.signature:
-                    cols.append(index[name])
+                    i = index.get(name)
+                    if i is None:
+                        e += exp * fixed[name]
+                        continue
+                    cols.append(i)
                     data.append(exp)
+                b.append(e)
                 indptr.append(len(cols))
         self.rows = len(counts)
         self.terms = len(b)
@@ -362,6 +581,9 @@ class StackedLogSumExp:
             np.arange(self.terms), np.diff(self._A.indptr)
         )
         self._flat = self._term_row[self._nonzero_term] * width + self._A.indices
+        # Hessian scatter indices, built on first use: (term, flat (j, k)
+        # cell, a_j * a_k) for every ordered pair of nonzeros in a term.
+        self._pairs: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         # The latest exponent pass: its point, row values and normalized
         # term weights, and the Jacobian once asked for.
         self._point: Optional[np.ndarray] = None
@@ -399,3 +621,58 @@ class StackedLogSumExp:
             ).reshape(self.rows, self._width)
             self._jacobian.flags.writeable = False
         return self._jacobian
+
+    def gradient(self, y: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """``sum_i lam_i grad F_i(y) = A' (lam_row p)``, shape
+        ``(variables,)``, without building the Jacobian."""
+        self._exponent_pass(y)
+        scaled = lam[self._term_row] * self._weights
+        return np.bincount(
+            self._A.indices,
+            weights=scaled[self._nonzero_term] * self._A.data,
+            minlength=self._width,
+        )
+
+    def hessian(
+        self, y: np.ndarray, lam: np.ndarray, outer: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``sum_i lam_i grad2 F_i(y) + J' diag(outer) J``, shape
+        ``(variables, variables)``.
+
+        Row ``i``'s Hessian is ``A_i' diag(p_i) A_i - g_i g_i'`` with
+        ``g_i = A_i' p_i``, so the sum is one pair ``bincount`` for
+        ``A' diag(lam_row p) A`` and one dense ``J' diag(outer - lam) J``.
+        """
+        self._exponent_pass(y)
+        if self._pairs is None:
+            self._pairs = self._nonzero_pairs()
+        pair_term, pair_flat, pair_coef = self._pairs
+        scaled = lam[self._term_row] * self._weights
+        width = self._width
+        # ``astype``: a bincount over no pairs comes back as integers.
+        H = np.bincount(
+            pair_flat,
+            weights=scaled[pair_term] * pair_coef,
+            minlength=width * width,
+        ).astype(float, copy=False).reshape(width, width)
+        J = self.jacobian(y)
+        diag = -lam if outer is None else outer - lam
+        H += (J.T * diag) @ J
+        return H
+
+    def _nonzero_pairs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        indptr, indices, data = self._A.indptr, self._A.indices, self._A.data
+        counts = np.diff(indptr)
+        per_term = counts * counts
+        pair_term = np.repeat(np.arange(self.terms), per_term)
+        offset = np.arange(pair_term.size) - np.repeat(
+            np.cumsum(per_term) - per_term, per_term
+        )
+        size = counts[pair_term]
+        first = indptr[pair_term] + offset // size
+        second = indptr[pair_term] + offset % size
+        return (
+            pair_term,
+            indices[first] * self._width + indices[second],
+            data[first] * data[second],
+        )

@@ -11,7 +11,6 @@ import json
 
 import numpy as np
 import pytest
-from scipy import optimize
 
 from repro.macros import MacroSpec, default_database
 from repro.models import ModelLibrary, Technology
@@ -161,30 +160,30 @@ class TestArcTableCounters:
 
 
 class TestGPWorkCounters:
-    """``gp_solve`` carries the stacked program's size; ``gp.exponent_passes``
-    counts passes over its rows, one per point SLSQP visits."""
+    """``gp_solve`` carries the stacked program's size and the solver's step
+    counts; ``gp.exponent_passes`` counts passes over its rows, one per
+    point the interior-point method visits."""
 
-    def test_passes_bounded_by_solver_evaluations(
-        self, database, library, monkeypatch
-    ):
-        evaluations = []
-        minimize = optimize.minimize
-
-        def counting_minimize(*args, **kwargs):
-            result = minimize(*args, **kwargs)
-            evaluations.append(result.nfev + result.njev)
-            return result
-
-        monkeypatch.setattr(optimize, "minimize", counting_minimize)
+    def test_passes_bounded_by_solver_evaluations(self, database, library):
         _, tracer, reg = _sized_run(database, library)
         passes = reg.counter("gp.exponent_passes").value
+        solves = reg.counter("gp.solves").value
+        steps = reg.histogram("gp.solver_iterations")
+        trials = reg.counter("gp.line_search_trials").value
         assert reg.counter("gp.phase1_solves").value >= 1
-        assert len(evaluations) > reg.counter("gp.solves").value
-        assert 0 < passes <= sum(evaluations)
+        assert steps.count == solves
+        assert trials >= steps.total
+        # One pass at each solve's start point, then one per trial point;
+        # an accepted step reuses its trial's pass.
+        assert 0 < passes <= trials + solves
         for span in (s for s in tracer.spans if s.name == "gp_solve"):
             assert span.attrs["terms"] >= span.attrs["constraints"] > 0
             assert span.attrs["nonzeros"] > 0
             assert span.attrs["variables"] > 0
+            assert span.attrs["solver_iterations"] == (
+                span.attrs["phase1_steps"] + span.attrs["newton_steps"]
+            )
+            assert span.attrs["duality_gap"] <= 1e-9
 
     def test_values_then_jacobian_share_one_pass(self):
         program = StackedLogSumExp(

@@ -1,8 +1,11 @@
 """GP solver tests: known-optimum problems, constraints, infeasibility."""
 
+import math
 
+import numpy as np
 import pytest
 
+from repro.obs import trace
 from repro.posy import as_posynomial, var
 from repro.sizing.gp import GeometricProgram, GPError, GPInfeasibleError
 
@@ -171,3 +174,82 @@ class TestWarmStartRobustness:
     def test_negative_values_ignored(self):
         sol = self._gp().solve(initial={"x": -3.0})
         assert sol.optimal
+
+
+class TestInteriorPointEdgeCases:
+    """What an interior-point method needs: a nonempty interior for every
+    solved variable and a start point strictly inside the box."""
+
+    def test_pinned_variable_is_folded_as_a_constant(self):
+        """min x + y s.t. xy >= 4 with x pinned at 2: y = 2."""
+        gp = GeometricProgram(var("x") + var("y"))
+        gp.add_upper_bound(4.0 / (var("x") * var("y")), 1.0, "prod")
+        gp.set_bounds("x", 2.0, 2.0)
+        gp.set_bounds("y", 0.1, 10.0)
+        sol = gp.solve()
+        assert sol.optimal
+        assert sol.env["x"] == 2.0
+        assert sol.env["y"] == pytest.approx(2.0, rel=1e-6)
+        assert sol.objective == pytest.approx(4.0, rel=1e-6)
+
+    def test_every_variable_pinned(self):
+        gp = GeometricProgram(var("x") * var("y"))
+        gp.add_upper_bound(var("x") / var("y"), 1.0, "ratio")
+        gp.set_bounds("x", 1.5, 1.5)
+        gp.set_bounds("y", 3.0, 3.0)
+        sol = gp.solve()
+        assert sol.optimal
+        assert sol.env == {"x": 1.5, "y": 3.0}
+        assert sol.objective == pytest.approx(4.5)
+
+    def test_pinned_variable_violating_a_row_raises_with_certificate(self):
+        gp = GeometricProgram(var("x") + var("y"))
+        gp.add_upper_bound(var("x"), 1.0, "cap")
+        gp.set_bounds("x", 2.0, 2.0)
+        gp.set_bounds("y", 0.1, 10.0)
+        with pytest.raises(GPInfeasibleError) as info:
+            gp.solve()
+        assert info.value.bound > 0.0
+        assert list(info.value.weights) == [1.0]
+        assert info.value.point[gp.variables().index("x")] == pytest.approx(
+            math.log(2.0)
+        )
+
+    @pytest.mark.parametrize("start", [0.5, 100.0, 1e-9, 1e9])
+    def test_start_on_or_outside_a_face_moves_strictly_inside(self, start):
+        gp = GeometricProgram(var("x") + 1.0 / var("x"))
+        gp.set_bounds("x", 0.5, 100.0)
+        lower, upper = np.log([0.5]), np.log([100.0])
+        y0 = gp._initial_point(["x"], {"x": 0}, lower, upper, {"x": start})
+        assert lower[0] < y0[0] < upper[0]
+        assert gp.solve(initial={"x": start}).optimal
+
+    def test_optimum_on_a_box_face(self):
+        """min x on [1, 10], started at the face the optimum sits on."""
+        gp = GeometricProgram(as_posynomial(var("x")))
+        gp.set_bounds("x", 1.0, 10.0)
+        sol = gp.solve(initial={"x": 1.0})
+        assert sol.optimal
+        assert sol.objective == pytest.approx(1.0, rel=1e-6)
+
+    def test_no_rows(self):
+        gp = GeometricProgram(var("x") + 4.0 / var("x"))
+        gp.set_bounds("x", 0.1, 10.0)
+        sol = gp.solve()
+        assert sol.optimal
+        assert sol.objective == pytest.approx(4.0, rel=1e-6)
+
+    def test_iterations_count_phase1_and_main_newton_steps(self):
+        gp = GeometricProgram(var("x") + var("y"))
+        gp.add_upper_bound(4.0 / (var("x") * var("y")), 1.0, "prod")
+        gp.set_bounds("x", 0.1, 10.0)
+        gp.set_bounds("y", 0.1, 10.0)
+        with trace.tracing_scope() as tracer:
+            with tracer.span("gp_solve") as span:
+                sol = gp.solve(initial={"x": 0.2, "y": 0.2})  # violates prod
+        assert span.attrs["phase1_steps"] > 0
+        assert span.attrs["newton_steps"] > 0
+        assert 0.0 < span.attrs["duality_gap"] <= 1e-9
+        assert sol.iterations == (
+            span.attrs["phase1_steps"] + span.attrs["newton_steps"]
+        )

@@ -1,11 +1,14 @@
-"""Property-based GP solver tests: feasibility, optimality certificates."""
+"""Property-based GP solver tests: feasibility, optimality, infeasibility
+certificates, and agreement with the SLSQP oracle in ``reference_gp.py``."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.posy import Monomial, Posynomial, var
-from repro.sizing.gp import GeometricProgram
+from repro.sizing.gp import GeometricProgram, GPInfeasibleError
+
+from .reference_gp import reference_rows, reference_solve
 
 VARS = ("x", "y")
 
@@ -125,3 +128,99 @@ def test_tightening_constraint_raises_objective(limit):
     gp.set_bounds("y", 0.01, 1000.0)
     sol = gp.solve()
     assert sol.objective == pytest.approx(2.0 * limit ** 0.5, rel=1e-2)
+
+
+# -- the interior-point solver against the SLSQP oracle ---------------------
+
+
+@st.composite
+def random_verdict_gp(draw):
+    """A random GP over two variables that may be infeasible.
+
+    Next to the witness-feasible rows of :func:`random_gp`, "tight" rows are
+    scaled so the witness violates them by a drawn factor; they may or may
+    not leave a feasible point.  Programs whose verdict a grid cannot tell
+    apart from the boundary (worst-row minimum within 0.05 of zero in log
+    units) are discarded: both solvers only promise a verdict up to their
+    tolerances there.
+    """
+    gp, witness = draw(random_gp())
+    for i in range(draw(st.integers(min_value=0, max_value=3))):
+        expr = Posynomial.from_terms(
+            [
+                Monomial(
+                    draw(st.floats(min_value=0.1, max_value=2.0)),
+                    {name: draw(st.sampled_from([-1.0, 0.0, 1.0])) for name in VARS},
+                )
+                for _ in range(draw(st.integers(min_value=1, max_value=2)))
+            ]
+        )
+        if expr.is_constant():
+            continue
+        factor = draw(st.floats(min_value=0.2, max_value=0.9))
+        gp.add_inequality(expr / (factor * expr.evaluate(witness)), f"tight{i}")
+    axes = [np.geomspace(*gp.bounds(name), 401) for name in VARS]
+    grid = dict(zip(VARS, np.meshgrid(*axes, indexing="ij")))
+    worst = np.full(grid[VARS[0]].shape, -np.inf)
+    for constraint in gp.inequalities:
+        worst = np.maximum(worst, np.log(_on_grid(constraint.expr, grid)))
+    assume(abs(worst.min()) > 0.05)
+    return gp, witness, bool(worst.min() > 0)
+
+
+def _verdict(gp, initial):
+    """``(status, objective, error)`` of the interior-point solve."""
+    try:
+        sol = gp.solve(initial=initial)
+    except GPInfeasibleError as exc:
+        return "raise", None, exc
+    return sol.status, sol.objective, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_verdict_gp())
+def test_interior_point_matches_slsqp_oracle(problem):
+    """Same raise/no-raise verdict as the SLSQP oracle, and optimal
+    objectives within 1e-6 relative."""
+    gp, witness, infeasible = problem
+    status, objective, _ = _verdict(gp, witness)
+    ref_status, ref_objective = reference_solve(gp, witness)
+    assert (status == "raise") == (ref_status == "raise") == infeasible
+    if status == ref_status == "optimal":
+        assert objective == pytest.approx(ref_objective, rel=1e-6)
+
+
+def _recomputed_bound(gp, error):
+    """The tangent-plane bound of ``error``'s certificate, recomputed with
+    the dense per-row reference."""
+    names = gp.variables()
+    index = {name: i for i, name in enumerate(names)}
+    y = error.point
+    values, jacobian = reference_rows([c.expr for c in gp.inequalities], index, y)
+    w = error.weights
+    g = w @ jacobian
+    lower = np.log([gp.bounds(name)[0] for name in names])
+    upper = np.log([gp.bounds(name)[1] for name in names])
+    return float(w @ values + np.minimum(g * (lower - y), g * (upper - y)).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_verdict_gp())
+def test_every_raise_carries_a_checkable_certificate(problem):
+    gp, witness, _ = problem
+    status, _, error = _verdict(gp, witness)
+    if status != "raise":
+        return
+    assert (error.weights >= 0.0).all()
+    assert error.weights.sum() == pytest.approx(1.0)
+    assert error.bound > 0.0
+    assert _recomputed_bound(gp, error) > 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_gp())
+def test_witness_feasible_programs_never_raise(problem):
+    gp, witness = problem
+    for initial in (witness, None):
+        status, _, _ = _verdict(gp, initial)
+        assert status != "raise"

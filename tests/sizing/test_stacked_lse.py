@@ -1,8 +1,8 @@
 """The stacked log-sum-exp program pinned to the dense per-row reference.
 
 ``StackedLogSumExp`` evaluates every GP row from one CSR exponent matrix,
-a segmented log-sum-exp and one ``bincount`` Jacobian, sharing one exponent
-pass between ``values`` and ``jacobian`` at a point.  The oracle is
+a segmented log-sum-exp, one ``bincount`` Jacobian and one pair-``bincount``
+Hessian, sharing one exponent pass between them at a point.  The oracle is
 ``tests/sizing/reference_gp.py``: each row a dense matrix evaluated alone.
 """
 
@@ -16,7 +16,7 @@ from repro.netlist.sizing_vars import DEFAULT_BOUNDS
 from repro.posy import Monomial, Posynomial
 from repro.sizing.gp import GPError, StackedLogSumExp
 
-from .reference_gp import reference_rows
+from .reference_gp import reference_hessian, reference_rows
 
 NAMES = tuple(f"w{i}" for i in range(8))
 INDEX = {name: i for i, name in enumerate(NAMES)}
@@ -56,6 +56,50 @@ def test_stacked_rows_match_dense_reference(posynomials, y):
     assert_matches_reference(program, posynomials, y)
 
 
+multipliers = st.lists(
+    st.floats(min_value=0.0, max_value=10.0), min_size=40, max_size=40
+).map(np.array)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rows, max_size=40), points, multipliers, multipliers)
+def test_hessian_and_gradient_match_dense_reference(posynomials, y, lam, outer):
+    """``hessian(y, lam, outer)`` is ``sum lam_i grad2 F_i + J' diag(outer) J``
+    and ``gradient(y, lam)`` is ``lam' J``."""
+    program = StackedLogSumExp(posynomials, INDEX)
+    lam, outer = lam[:len(posynomials)], outer[:len(posynomials)]
+    _, jacobian = reference_rows(posynomials, INDEX, y)
+    expected = reference_hessian(posynomials, INDEX, y, lam)
+    expected += (jacobian.T * outer) @ jacobian
+    scale = 1.0 + np.abs(expected).max(initial=0.0)
+    np.testing.assert_allclose(
+        program.hessian(y, lam, outer=outer), expected, rtol=0, atol=1e-12 * scale
+    )
+    np.testing.assert_allclose(
+        program.gradient(y, lam), lam @ jacobian, rtol=0, atol=1e-12 * scale
+    )
+    assert program.passes == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(rows, max_size=20), points)
+def test_fixed_variables_fold_into_coefficients(posynomials, y):
+    """Columns named in ``fixed`` become constants: the folded program on
+    the free columns matches the dense reference over every column."""
+    free = NAMES[::2]
+    fixed = {name: float(y[INDEX[name]]) for name in NAMES[1::2]}
+    program = StackedLogSumExp(
+        posynomials, {name: i for i, name in enumerate(free)}, fixed
+    )
+    y_free = y[[INDEX[name] for name in free]]
+    values, jacobian = reference_rows(posynomials, INDEX, y)
+    np.testing.assert_allclose(program.values(y_free), values, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        program.jacobian(y_free), jacobian[:, [INDEX[n] for n in free]],
+        rtol=0, atol=1e-12,
+    )
+
+
 # -- pinned cases ----------------------------------------------------------
 
 POSYNOMIALS = [
@@ -80,9 +124,9 @@ def test_revisited_point_is_recomputed():
 
 
 def test_buffer_mutated_between_values_and_jacobian():
-    """SLSQP reuses its ``x`` buffer: an in-place change of ``y`` between
-    ``values`` and ``jacobian`` must trigger a fresh pass, never a stale
-    Jacobian from the array object seen before."""
+    """A caller may update its point array in place: a change of ``y``
+    between ``values`` and ``jacobian`` must trigger a fresh pass, never a
+    stale Jacobian from the array object seen before."""
     program = StackedLogSumExp(POSYNOMIALS, INDEX)
     y = Y1.copy()
     program.values(y)
@@ -97,6 +141,9 @@ def test_empty_constraint_set():
     assert program.values(Y1).shape == (0,)
     assert program.jacobian(Y1).shape == (0, len(NAMES))
     assert (program.rows, program.terms, program.nonzeros) == (0, 0, 0)
+    hessian = program.hessian(Y1, np.zeros(0), outer=np.zeros(0))
+    np.testing.assert_array_equal(hessian, np.zeros((len(NAMES), len(NAMES))))
+    assert hessian.dtype == float
 
 
 def test_results_are_read_only():
