@@ -9,9 +9,11 @@ check loop before reuse; near hits warm-start the GP solve.  See DESIGN.md
 
 from .fingerprint import (
     CacheKey,
+    check_negative_entry,
     circuit_fingerprint,
     context_fingerprint,
     make_entry,
+    make_negative_entry,
     sizing_cache_key,
     spec_fingerprint,
 )
@@ -26,9 +28,11 @@ __all__ = [
     "FORMAT",
     "JsonlArtifactStore",
     "SizingCache",
+    "check_negative_entry",
     "circuit_fingerprint",
     "context_fingerprint",
     "make_entry",
+    "make_negative_entry",
     "sizing_cache_key",
     "spec_fingerprint",
 ]

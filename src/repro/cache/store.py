@@ -18,7 +18,9 @@ The cache is an *accelerator*, never an oracle: every exact hit is either
 admitted on a verified solution certificate whose bindings are re-checked
 at lookup time (``SmartSizer._admit_certified``, DESIGN §13) or
 re-verified by the engine's own STA check loop before it is returned (see
-``SmartSizer._exact_hit`` and DESIGN.md's soundness argument).
+``SmartSizer._exact_hit`` and DESIGN.md's soundness argument).  A
+*negative* entry (an iteration-0 ``SizingError``) is re-raised only after
+:func:`repro.cache.fingerprint.check_negative_entry` admits it.
 """
 
 from __future__ import annotations
@@ -47,11 +49,14 @@ class CacheStats:
     certificate instead of a full STA re-run (it is a subset of
     ``exact_hits``: STA-verified admissions are ``exact_hits -
     cert_hits``), so the stats always record which verification path ran.
+    ``negative_hits`` counts admitted negative entries: lookups that
+    re-raised a stored iteration-0 ``SizingError`` without a GP.
     """
 
     exact_hits: int = 0
     cert_hits: int = 0
     warm_hits: int = 0
+    negative_hits: int = 0
     misses: int = 0
     stores: int = 0
     verify_failures: int = 0
@@ -59,7 +64,9 @@ class CacheStats:
 
     @property
     def lookups(self) -> int:
-        return self.exact_hits + self.warm_hits + self.misses
+        return (
+            self.exact_hits + self.warm_hits + self.negative_hits + self.misses
+        )
 
     @property
     def hit_rate(self) -> float:
@@ -71,6 +78,7 @@ class CacheStats:
             "exact_hits": self.exact_hits,
             "cert_hits": self.cert_hits,
             "warm_hits": self.warm_hits,
+            "negative_hits": self.negative_hits,
             "misses": self.misses,
             "stores": self.stores,
             "verify_failures": self.verify_failures,
@@ -83,6 +91,7 @@ class CacheStats:
         self.exact_hits += int(other.get("exact_hits", 0))
         self.cert_hits += int(other.get("cert_hits", 0))
         self.warm_hits += int(other.get("warm_hits", 0))
+        self.negative_hits += int(other.get("negative_hits", 0))
         self.misses += int(other.get("misses", 0))
         self.stores += int(other.get("stores", 0))
         self.verify_failures += int(other.get("verify_failures", 0))
@@ -169,13 +178,16 @@ class SizingCache:
         self, circuit_fp: str, context_fp: str, spec_data: float
     ) -> Optional[dict]:
         """Best warm-start candidate: same circuit + context, closest delay
-        target by log-ratio (sizing scales multiplicatively with budget)."""
+        target by log-ratio (sizing scales multiplicatively with budget).
+        Negative entries hold no widths and are never returned."""
         keys = self._by_context.get((circuit_fp, context_fp))
         if not keys or spec_data <= 0:
             return None
         best, best_dist = None, math.inf
         for key in keys:
             entry = self._entries[key]
+            if "negative" in entry:
+                continue
             cached = float(entry.get("spec_data", 0.0))
             if cached <= 0:
                 continue

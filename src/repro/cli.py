@@ -966,8 +966,7 @@ def _run_command(args: argparse.Namespace) -> int:
             emit(
                 "cache: "
                 + ", ".join(
-                    f"{k}={v}"
-                    for k, v in sorted(advisor.cache.stats.as_dict().items())
+                    f"{k}={v}" for k, v in sorted(advisor.cache_stats().items())
                 )
             )
         return 0 if report.best is not None else 1

@@ -19,6 +19,7 @@ import dataclasses
 import time
 from typing import Dict, Iterable, List, Optional
 
+from ..cache.fingerprint import library_payload
 from ..cache.store import SizingCache
 from ..macros.base import MacroDatabase, MacroGenerator, MacroSpec
 from ..macros.registry import default_database
@@ -76,8 +77,25 @@ class SmartAdvisor:
                 cache.certificates = SolutionCertificateStore()
         self.cache = cache
         self.certify = certify
-        #: Lazily created per-advisor incremental lint result cache.
+        #: Lazily created per-advisor incremental lint result cache; it also
+        #: replays the DFA303 interval screen (:meth:`_screen_gate`).
         self._lint_cache = None
+        #: Nominal-size delay estimates under their screen keys (see
+        #: :meth:`_screen_key`): a repeated request skips the point STA too.
+        self._estimates: Dict[str, float] = {}
+
+    def cache_stats(self) -> Dict[str, float]:
+        """The sizing cache's hit/miss stats (when the advisor has a cache)
+        plus ``screen_replays``, the DFA303 screens replayed from the lint
+        cache — the counts the run ledger and the CLI ``cache:`` line show."""
+        stats: Dict[str, float] = (
+            self.cache.stats.as_dict() if self.cache is not None else {}
+        )
+        stats["screen_replays"] = (
+            self._lint_cache.stats.screen_replays
+            if self._lint_cache is not None else 0
+        )
+        return stats
 
     # -- design-space pruning ---------------------------------------------------
 
@@ -212,9 +230,7 @@ class SmartAdvisor:
             spans=subtree,
             spec_fp=perf.payload_digest(dataclasses.asdict(spec)),
             context_fp=perf.payload_digest(dataclasses.asdict(constraints)),
-            cache=(
-                self.cache.stats.as_dict() if self.cache is not None else None
-            ),
+            cache=self.cache_stats(),
             parallel=perf.parallel_rollup(
                 [s for s in inner if s.name in ("topology", "advise")],
                 workers,
@@ -297,6 +313,12 @@ class SmartAdvisor:
         re-gating the same topology across widths/targets only pays for
         the rules an edit actually invalidated.
         """
+        return self._lint_failure(self._lint_report(circuit))
+
+    def _lint_report(self, circuit):
+        """The gate's :class:`~repro.lint.LintReport` (see
+        :meth:`_lint_gate`); its ``facets`` are the circuit's facet
+        fingerprints, which :meth:`_screen_gate` reuses."""
         from ..lint.runner import ALL_CIRCUIT_GROUPS, CIRCUIT_GROUPS, lint_circuit
 
         if self._lint_cache is None:
@@ -324,6 +346,10 @@ class SmartAdvisor:
                 circuit.name, len(report.warnings),
                 report.warnings[0].rule_id,
             )
+        return report
+
+    @staticmethod
+    def _lint_failure(report) -> Optional[str]:
         if report.ok:
             return None
         metrics.counter("advisor.topologies_lint_failed").inc()
@@ -333,7 +359,29 @@ class SmartAdvisor:
             f"lint failed: {first}" + (f" (+{more} more)" if more else "")
         )
 
-    def _screen_gate(self, circuit, constraints: DesignConstraints) -> Optional[str]:
+    def _screen_key(
+        self, facets: Dict[str, str], constraints: DesignConstraints
+    ) -> str:
+        """Content address of the pre-GP screens of one candidate: DFA303's
+        declared facets of the circuit (``topology``/``sizing``/``phases``,
+        as fingerprinted by the lint gate), the delay spec, the OTB window
+        and the library — everything :func:`screen_feasibility` and
+        :meth:`quick_delay_estimate` read."""
+        from ..lint.dataflow.interval import DFA303
+
+        return self._lint_cache.key(
+            DFA303,
+            facets,
+            {
+                "spec": dataclasses.asdict(constraints.to_delay_spec()),
+                "otb_borrow": constraints.otb_borrow,
+                "library": library_payload(self.library),
+            },
+        )
+
+    def _screen_gate(
+        self, circuit, constraints: DesignConstraints, key: str
+    ) -> Optional[str]:
         """Interval-STA gate: prove the budget unreachable over the whole
         size box *before* path extraction or GP solving.
 
@@ -341,22 +389,51 @@ class SmartAdvisor:
         fudge factor), this is a certificate — it only rejects topologies
         whose first GP round is mathematically infeasible, so no topology
         the sizer could have sized is ever lost here.
+
+        The DFA303 findings are stored in the advisor's lint cache under
+        ``key`` (:meth:`_screen_key`), so a repeated request replays them
+        instead of re-propagating intervals; the verdict is infeasible
+        exactly when there are any.
         """
-        from ..lint.dataflow.interval import screen_feasibility
+        from ..lint.dataflow.interval import (
+            DFA303,
+            IntervalScreenResult,
+            screen_feasibility,
+        )
+        from ..lint.diagnostics import LintReport
 
         with trace.span("interval_screen_gate", circuit=circuit.name) as sp:
-            screen = screen_feasibility(
-                circuit,
-                self.library,
-                constraints.to_delay_spec(),
-                otb_borrow=constraints.otb_borrow,
-            )
-            sp.set_attrs(verdict=screen.verdict)
-        if not screen.infeasible:
+            findings = self._lint_cache.lookup(key)
+            if findings is None:
+                t_start = time.perf_counter()
+                screen = screen_feasibility(
+                    circuit,
+                    self.library,
+                    constraints.to_delay_spec(),
+                    otb_borrow=constraints.otb_borrow,
+                )
+                wall = time.perf_counter() - t_start
+                findings = screen.report.diagnostics
+                self._lint_cache.note_executed(wall)
+                self._lint_cache.record(key, DFA303, findings, wall)
+                sp.set_attrs(verdict=screen.verdict)
+            else:
+                self._lint_cache.stats.screen_replays += 1
+                metrics.counter("advisor.screens_replayed").inc()
+                sp.set_attrs(replayed=True)
+        if not findings:
             return None
+        summary = IntervalScreenResult(
+            verdict="provably-infeasible",
+            report=LintReport(
+                subject=f"{circuit.name}:interval-sta",
+                diagnostics=list(findings),
+            ),
+            circuit_name=circuit.name,
+        ).summary()
         metrics.counter("advisor.topologies_screened_infeasible").inc()
-        log.debug("screened %s: %s", circuit.name, screen.summary())
-        return screen.summary()
+        log.debug("screened %s: %s", circuit.name, summary)
+        return summary
 
     def _electrical_options(
         self, constraints: DesignConstraints
@@ -485,7 +562,8 @@ class SmartAdvisor:
             )
         self._apply_pins(circuit, constraints)
 
-        lint_errors = self._lint_gate(circuit)
+        gate = self._lint_report(circuit)
+        lint_errors = self._lint_failure(gate)
         if lint_errors:
             return CandidateResult(
                 topology=generator.name,
@@ -494,7 +572,8 @@ class SmartAdvisor:
                 reason=lint_errors,
             )
 
-        screen_reason = self._screen_gate(circuit, constraints)
+        screen_key = self._screen_key(gate.facets, constraints)
+        screen_reason = self._screen_gate(circuit, constraints, screen_key)
         if screen_reason:
             return CandidateResult(
                 topology=generator.name,
@@ -515,7 +594,11 @@ class SmartAdvisor:
             )
 
         with trace.span("feasibility_screen"):
-            estimate = self.quick_delay_estimate(circuit, constraints)
+            estimate = self._estimates.get(screen_key)
+            if estimate is None:
+                estimate = self._estimates[screen_key] = (
+                    self.quick_delay_estimate(circuit, constraints)
+                )
         if estimate > PRUNE_FACTOR * constraints.delay:
             metrics.counter("advisor.topologies_pruned").inc()
             log.debug(

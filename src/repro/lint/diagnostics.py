@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 class Severity(enum.IntEnum):
@@ -100,6 +100,9 @@ class LintReport:
     #: incremental cache or a contract).  The raw material of the hit-rate
     #: accounting in CI's cold/warm hier-lint passes.
     executed: List[Tuple[str, float, str]] = field(default_factory=list)
+    #: Facet fingerprints an incremental run keyed its rules on (``None``
+    #: without a result cache); callers reuse them instead of re-hashing.
+    facets: Optional[Dict[str, str]] = None
 
     def add(self, diagnostic: Diagnostic) -> None:
         self.diagnostics.append(diagnostic)

@@ -89,6 +89,9 @@ class RuleCacheStats:
     executed: int = 0
     replayed: int = 0
     stores: int = 0
+    #: The subset of ``replayed`` that were DFA303 interval screens replayed
+    #: by the advisor's screen gate (``SmartAdvisor._screen_gate``).
+    screen_replays: int = 0
     #: Wall time actually spent running rules vs. recorded wall time of the
     #: executions that replay avoided.
     wall_executed_s: float = 0.0
@@ -108,6 +111,7 @@ class RuleCacheStats:
             "executed": self.executed,
             "replayed": self.replayed,
             "stores": self.stores,
+            "screen_replays": self.screen_replays,
             "wall_executed_s": round(self.wall_executed_s, 6),
             "wall_saved_s": round(self.wall_saved_s, 6),
             "hit_rate": round(self.hit_rate, 6),
@@ -117,6 +121,7 @@ class RuleCacheStats:
         self.executed += int(other.get("executed", 0))
         self.replayed += int(other.get("replayed", 0))
         self.stores += int(other.get("stores", 0))
+        self.screen_replays += int(other.get("screen_replays", 0))
         self.wall_executed_s += float(other.get("wall_executed_s", 0.0))
         self.wall_saved_s += float(other.get("wall_saved_s", 0.0))
 

@@ -130,7 +130,9 @@ def lint_circuit(
         )
     report = LintReport(subject=circuit.name)
     wanted = set(only) if only is not None else None
-    facets = facet_fingerprints(circuit) if cache is not None else None
+    facets = report.facets = (
+        facet_fingerprints(circuit) if cache is not None else None
+    )
     t_start = time.perf_counter()
     for rule_obj in rules_in_groups(groups):
         if rule_obj.check is None:

@@ -31,6 +31,7 @@ alternative; NAND-majority carry chain plus XOR sums.
 
 from __future__ import annotations
 
+from functools import lru_cache
 import random
 from typing import Dict, List, Sequence, Tuple
 
@@ -44,6 +45,7 @@ GROUP = 4          # bits per lookahead group
 SUPER = 4     # groups per supergroup
 
 
+@lru_cache(maxsize=None)
 def adder_golden_spec(width: int, has_cin: bool) -> FunctionalSpec:
     """``{sum, cout} = a + b (+ cin)`` — the golden adder function.  The CLA
     topology has no carry input (``has_cin=False``); both topologies carry

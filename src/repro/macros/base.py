@@ -98,7 +98,10 @@ class MacroGenerator:
         All topologies of one macro family must return specs with the same
         ``golden`` marker — the switch-level verifier (SVC401) proves each
         of them equivalent to that *single* reference function, which is
-        what makes the database's topology choices interchangeable.
+        what makes the database's topology choices interchangeable.  The
+        built-in generators return one shared (frozen) spec object per
+        golden-function arguments, so its memoized facet digest serves
+        every circuit built for the same request.
         """
         return None
 

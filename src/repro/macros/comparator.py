@@ -27,6 +27,7 @@ explore with SMART.
 
 from __future__ import annotations
 
+from functools import lru_cache
 import random
 from typing import Dict, List
 
@@ -37,6 +38,7 @@ from ..netlist.nets import Net, PinClass
 from .base import MacroBuilder, MacroGenerator, MacroSpec
 
 
+@lru_cache(maxsize=None)
 def comparator_golden_spec(width: int) -> FunctionalSpec:
     """``equal = (a == b)`` with a sampler biased toward (near-)equal
     operands: uniform sampling at width 32 would essentially never exercise

@@ -12,6 +12,7 @@ Three topologies:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from ..models.technology import Technology
@@ -21,6 +22,7 @@ from ..netlist.nets import Net, PinClass
 from .base import MacroBuilder, MacroGenerator, MacroSpec
 
 
+@lru_cache(maxsize=None)
 def decoder_golden_spec(n: int) -> FunctionalSpec:
     """``o_code = (a == code)`` — total over the full input space."""
 

@@ -15,6 +15,7 @@ Topologies:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List
 
 from ..models.technology import Technology
@@ -26,6 +27,7 @@ from .base import MacroBuilder, MacroGenerator, MacroSpec
 from .zero_detect import _chunk_sizes, _speeds
 
 
+@lru_cache(maxsize=None)
 def encoder_golden_spec(n: int) -> FunctionalSpec:
     """``o_b = OR of inputs whose index has bit b set``.
 

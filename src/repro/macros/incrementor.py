@@ -20,6 +20,7 @@ labeling-granularity ablation benchmark sweeps this knob.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List
 
 from ..models.technology import Technology
@@ -29,6 +30,7 @@ from ..netlist.nets import Net
 from .base import MacroBuilder, MacroGenerator, MacroSpec
 
 
+@lru_cache(maxsize=None)
 def increment_golden_spec(width: int, invert_inputs: bool) -> FunctionalSpec:
     """``{sum, cout} = a + cin`` — or, for the decrementor machine, the same
     ripple over the complemented input rank (borrow propagates where the bit

@@ -21,6 +21,7 @@ domino mux                            (shared when partitions are equal),
 
 from __future__ import annotations
 
+from functools import lru_cache
 import random
 from typing import Dict, Tuple
 
@@ -35,6 +36,7 @@ from .base import MacroBuilder, MacroGenerator, MacroSpec
 MERGE_WIRE_CAP_PER_INPUT = 0.6
 
 
+@lru_cache(maxsize=None)
 def mux_golden_spec(n: int, encoding: str = "onehot") -> FunctionalSpec:
     """The *single* golden mux function: ``out = in[selected index]``.
 

@@ -20,6 +20,7 @@ Topologies:
 
 from __future__ import annotations
 
+from functools import lru_cache
 
 from ..models.technology import Technology
 from ..netlist.circuit import Circuit
@@ -39,6 +40,7 @@ def _address_bits(registers: int) -> int:
     return max(1, bits)
 
 
+@lru_cache(maxsize=None)
 def register_file_golden_spec(bits: int, regs: int) -> FunctionalSpec:
     """``q_b = d[addr]_b`` — the read port returns the addressed word."""
     abits = _address_bits(regs)

@@ -19,6 +19,7 @@ regularity discipline.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List
 
 from ..models.technology import Technology
@@ -35,6 +36,7 @@ def _log2(n: int) -> int:
     return bits
 
 
+@lru_cache(maxsize=None)
 def shifter_golden_spec(n: int) -> FunctionalSpec:
     """``out_i = in_{(i + amount) mod n}`` with ``amount = Σ sh_s · 2^s`` —
     a right rotate by the binary shift amount, total over all inputs."""

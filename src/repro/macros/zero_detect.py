@@ -14,6 +14,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List
 
 from ..models.technology import Technology
@@ -27,6 +28,7 @@ from .base import MacroBuilder, MacroGenerator, MacroSpec
 TREE_ARITY = 4
 
 
+@lru_cache(maxsize=None)
 def zero_detect_golden_spec(width: int) -> FunctionalSpec:
     """``zero = NOR(a_0 .. a_{n-1})`` — total over the full input space."""
 

@@ -189,6 +189,11 @@ def funcspec_digest(circuit: Circuit) -> str:
     identically, while any behavioral edit — a changed output function, a
     widened/narrowed valid space, a renamed port — changes the digest.
     Returns ``"none"`` when no spec is attached.
+
+    The digest depends only on the spec and the sorted non-clock input
+    names, so it is memoized on the (frozen) spec object under that input
+    tuple: the circuits of one generator share one spec, and one truth
+    table serves them all.
     """
     spec = getattr(circuit, "functional_spec", None)
     if spec is None:
@@ -197,7 +202,19 @@ def funcspec_digest(circuit: Circuit) -> str:
     if not outputs:
         return "opaque:" + type(spec).__name__
     clocks = set(circuit.clock_nets())
-    inputs = sorted(n for n in circuit.primary_inputs if n not in clocks)
+    inputs = tuple(sorted(n for n in circuit.primary_inputs if n not in clocks))
+    memo = getattr(spec, "digests", None)
+    if not isinstance(memo, dict):
+        return _truth_table_digest(spec, inputs, outputs)
+    digest = memo.get(inputs)
+    if digest is None:
+        digest = memo[inputs] = _truth_table_digest(spec, inputs, outputs)
+    return digest
+
+
+def _truth_table_digest(spec, inputs, outputs) -> str:
+    """The digest :func:`funcspec_digest` memoizes: one row per sampled
+    input vector (input bits, valid flag, expected outputs when valid)."""
     envs: List[Dict[str, bool]] = []
     if len(inputs) <= _FUNCSPEC_EXACT_INPUTS:
         for bits in range(1 << len(inputs)):
@@ -234,7 +251,7 @@ def funcspec_digest(circuit: Circuit) -> str:
         rows.append(row)
     payload = {
         "golden": getattr(spec, "golden", ""),
-        "inputs": inputs,
+        "inputs": list(inputs),
         "outputs": outputs,
         "rows": rows,
     }

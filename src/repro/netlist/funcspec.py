@@ -21,16 +21,23 @@ the macro generators and the lint engine can import it without cycles.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 #: An input environment: primary-input net name -> boolean value.
 Env = Mapping[str, bool]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FunctionalSpec:
     """The golden function of one macro.
+
+    Frozen: macro generators hand one shared spec object to every circuit
+    of the same golden function and width, and
+    :func:`repro.netlist.fingerprint.funcspec_digest` memoizes its truth
+    table digest on that object, so no field may change after
+    construction.  An edited spec is a new object (``dataclasses.replace``)
+    with an empty memo.
 
     Attributes
     ----------
@@ -61,6 +68,11 @@ class FunctionalSpec:
     golden: str = ""
     #: Free-form notes rendered in diagnostics (e.g. "one-hot selects").
     notes: str = ""
+    #: Digest memo of :func:`repro.netlist.fingerprint.funcspec_digest`,
+    #: keyed by the sorted non-clock input tuple it was taken over.
+    digests: Dict[Tuple[str, ...], str] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.outputs:

@@ -26,12 +26,20 @@ Constraint kinds wired into the GP (Figure 4's constraint taxonomy):
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..cache.fingerprint import CacheKey, make_entry, sizing_cache_key
+from ..cache.fingerprint import (
+    CacheKey,
+    check_negative_entry,
+    make_entry,
+    make_negative_entry,
+    sizing_cache_key,
+)
 from ..cache.store import SizingCache
 from ..models.gates import ModelLibrary
 from ..netlist.circuit import Circuit
@@ -45,7 +53,7 @@ from .constraints import (
 )
 from .gp import GeometricProgram, GPInfeasibleError
 from .paths import PathExtractor
-from .pruning import PruneResult, prune_paths
+from .pruning import PruneResult, PruneStats, prune_paths
 
 log = get_logger(__name__)
 
@@ -55,7 +63,44 @@ ENUMERATION_THRESHOLD = 20_000
 
 
 class SizingError(Exception):
-    """Raised when no feasible sizing exists for the given constraints."""
+    """Raised when no feasible sizing exists for the given constraints.
+
+    ``certificate`` is phase 1's infeasibility record (see
+    :class:`~repro.sizing.gp.GPSolution`) when a certified GP infeasibility
+    caused the error, ``None`` otherwise.
+    """
+
+    def __init__(self, message: str, certificate: Optional[dict] = None):
+        super().__init__(message)
+        self.certificate = certificate
+
+    def __reduce__(self):
+        return (type(self), (str(self), self.certificate))
+
+
+#: The :class:`~repro.sizing.pruning.PruneStats` fields a cache entry stores.
+_PRUNE_FIELDS = tuple(f.name for f in dataclasses.fields(PruneStats))
+
+
+def _stored_prune_stats(raw: object) -> Optional[PruneStats]:
+    """The pruning counts a cache entry stored, or ``None`` when it has
+    none (an entry written before they were stored) or they are malformed."""
+    if not isinstance(raw, Mapping):
+        return None
+    try:
+        return PruneStats(**{name: int(raw[name]) for name in _PRUNE_FIELDS})
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+def _float_map(raw: object) -> Optional[Dict[str, float]]:
+    """A non-empty ``{name: float}`` copy of ``raw``, or ``None``."""
+    if not isinstance(raw, Mapping) or not raw:
+        return None
+    try:
+        return {str(name): float(value) for name, value in raw.items()}
+    except (TypeError, ValueError):
+        return None
 
 
 def nominal_delay(
@@ -285,10 +330,14 @@ class SmartSizer:
         size box.  Sound: the screen only rejects specs whose first GP
         round is mathematically infeasible.
     cache:
-        Optional :class:`repro.cache.SizingCache`.  Exact hits (same
-        circuit/context/spec fingerprints) are re-verified against the STA
-        before reuse; near hits (same circuit and context, different spec)
-        warm-start the GP.  Converged results are stored back.
+        Optional :class:`repro.cache.SizingCache`, looked up before path
+        extraction.  Exact hits (same circuit/context/spec fingerprints)
+        are admitted on a re-checked solution certificate or re-verified
+        against the STA before reuse; near hits (same circuit and context,
+        different spec) warm-start the GP.  Converged results are stored
+        back, and so is an iteration-0 refusal (GP2xx pre-solve lint, or a
+        certified phase-1 infeasibility) as a negative entry that a repeat
+        re-raises without a GP.
     """
 
     def __init__(
@@ -497,6 +546,9 @@ class SmartSizer:
             return
         key = self._cache_key or self.cache_key(spec, tolerance)
         if result.converged:
+            # A caller-issued result (the collapsed sizer's) pruned another
+            # circuit's paths, so only this engine's own counts are stored.
+            stats = result.prune_stats
             self.cache.put(
                 make_entry(
                     key,
@@ -508,6 +560,11 @@ class SmartSizer:
                     iterations=result.iterations,
                     area=result.area,
                     runtime_s=result.runtime_s,
+                    prune_stats=(
+                        dataclasses.asdict(stats)
+                        if certificate is None and isinstance(stats, PruneStats)
+                        else None
+                    ),
                 )
             )
             metrics.counter("cache.stores").inc()
@@ -647,6 +704,37 @@ class SmartSizer:
         report.subject = f"{self.circuit.name}:gp"
         return report
 
+    def _front_end(
+        self, spec: DelaySpec, prune: bool
+    ) -> Tuple[PruneResult, ConstraintSet]:
+        """Path extraction, pruning and constraint generation for ``spec``
+        (the Figure-4 front end); raises :class:`SizingError` when no
+        timing constraint comes out."""
+        prune_result = self._extract(prune)
+        stats = prune_result.stats
+        metrics.gauge("paths.initial").set(stats.initial)
+        metrics.gauge("paths.final").set(stats.final)
+        log.debug(
+            "%s: %d raw paths -> %d after pruning (%.0fx)",
+            self.circuit.name, stats.initial, stats.final,
+            stats.reduction_factor if stats.final else 0.0,
+        )
+        generator = ConstraintGenerator(
+            self.circuit, self.library, spec, otb_borrow=self.otb_borrow
+        )
+        with trace.span("constraint_generation") as gen_span:
+            constraints = generator.generate(prune_result.paths)
+            gen_span.set_attrs(
+                timing=len(constraints.timing),
+                slopes=len(constraints.slopes),
+                noise=len(constraints.noise),
+            )
+        if not constraints.timing:
+            raise SizingError(
+                f"{self.circuit.name}: no timing constraints were generated"
+            )
+        return prune_result, constraints
+
     def _size_traced(
         self,
         spec: DelaySpec,
@@ -663,45 +751,27 @@ class SmartSizer:
                     f"{self.circuit.name}: spec {spec.data:.1f} ps provably "
                     f"infeasible before GP — {screen.summary()}"
                 )
-        prune_result = self._extract(prune)
-        stats = prune_result.stats
-        metrics.gauge("paths.initial").set(stats.initial)
-        metrics.gauge("paths.final").set(stats.final)
-        log.debug(
-            "%s: %d raw paths -> %d after pruning (%.0fx)",
-            self.circuit.name, stats.initial, stats.final,
-            stats.reduction_factor if stats.final else 0.0,
-        )
 
-        generator = ConstraintGenerator(
-            self.circuit, self.library, spec, otb_borrow=self.otb_borrow
+        # The cache is consulted before the front end: an admitted negative
+        # entry or certificate-admitted exact hit needs no paths at all, so
+        # the front end runs (once) only for whatever asks for constraints.
+        front_end: Callable[[], Tuple[PruneResult, ConstraintSet]] = (
+            functools.lru_cache(maxsize=None)(
+                lambda: self._front_end(spec, prune)
+            )
         )
-        multipliers: Dict[str, float] = {}
-        env: Optional[Dict[str, float]] = dict(initial) if initial else None
-        history: List[IterationRecord] = []
-        with trace.span("constraint_generation") as gen_span:
-            constraints = generator.generate(prune_result.paths)
-            gen_span.set_attrs(
-                timing=len(constraints.timing),
-                slopes=len(constraints.slopes),
-                noise=len(constraints.noise),
-            )
-        if not constraints.timing:
-            raise SizingError(
-                f"{self.circuit.name}: no timing constraints were generated"
-            )
-
         cache_mode = ""
         self._cache_key = None
         self._cache_hit_runtime = 0.0
+        entry = None
         if self.cache is not None:
             self._cache_key = key = self.cache_key(spec, tolerance)
             entry = self.cache.get(key.key)
+            if entry is not None and "negative" in entry:
+                self._replay_negative(entry, key)
+                entry = None
             if entry is not None:
-                hit = self._exact_hit(
-                    entry, key, spec, tolerance, constraints,
-                    prune_result.stats,
-                )
+                hit = self._exact_hit(entry, key, spec, tolerance, front_end)
                 if hit is not None:
                     return hit
                 self.cache.stats.verify_failures += 1
@@ -711,6 +781,12 @@ class SmartSizer:
                     "re-solving from scratch",
                     self.circuit.name,
                 )
+        prune_result, constraints = front_end()
+
+        multipliers: Dict[str, float] = {}
+        env: Optional[Dict[str, float]] = dict(initial) if initial else None
+        history: List[IterationRecord] = []
+        if self.cache is not None:
             if env is None:
                 near = self.cache.nearest(
                     key.circuit_fp, key.context_fp, spec.data
@@ -752,8 +828,9 @@ class SmartSizer:
             more = len(gp_lint.errors) - 3
             if more > 0:
                 details += f" (+{more} more)"
-            raise SizingError(
-                f"{self.circuit.name}: GP pre-solve lint failed: {details}"
+            self._refuse(
+                spec, tolerance, "gp_lint",
+                f"GP pre-solve lint failed: {details}",
             )
 
         realized: Dict[str, float] = {}
@@ -793,10 +870,23 @@ class SmartSizer:
                         )
                 except GPInfeasibleError as exc:
                     if iteration == 0:
-                        raise SizingError(
-                            f"{self.circuit.name}: constraints infeasible at spec "
-                            f"{spec.data:.1f} ps ({exc})"
-                        ) from exc
+                        reason = (
+                            f"constraints infeasible at spec {spec.data:.1f} "
+                            f"ps ({exc})"
+                        )
+                        certificate = (
+                            exc.solution.certificate
+                            if exc.solution is not None else None
+                        )
+                        if certificate is None:
+                            raise SizingError(
+                                f"{self.circuit.name}: {reason}"
+                            ) from exc
+                        # Certified: no start point could have done better,
+                        # so the verdict is a function of the cache key.
+                        self._refuse(
+                            spec, tolerance, "phase1", reason, certificate
+                        )
                     # A retargeted budget over-tightened: halve the mismatch
                     # correction and try again.
                     gp_fallbacks += 1
@@ -897,14 +987,72 @@ class SmartSizer:
 
     # -- helpers -----------------------------------------------------------------
 
+    def _refuse(
+        self,
+        spec: DelaySpec,
+        tolerance: float,
+        kind: str,
+        reason: str,
+        certificate: Optional[dict] = None,
+    ) -> None:
+        """Raise the iteration-0 :class:`SizingError` ``reason``, first
+        storing it as a negative cache entry under this problem's key."""
+        if self.cache is not None:
+            from ..netlist.fingerprint import facet_fingerprints
+
+            self.cache.put(
+                make_negative_entry(
+                    self._cache_key,
+                    circuit_name=self.circuit.name,
+                    objective=self.objective,
+                    spec_data=spec.data,
+                    tolerance=tolerance,
+                    kind=kind,
+                    reason=reason,
+                    facets=facet_fingerprints(self.circuit),
+                    certificate=certificate,
+                )
+            )
+            metrics.counter("cache.negative_stores").inc()
+        raise SizingError(f"{self.circuit.name}: {reason}", certificate)
+
+    def _replay_negative(self, entry: Mapping[str, object], key: CacheKey) -> None:
+        """Re-raise the :class:`SizingError` a negative entry stored, when
+        :func:`~repro.cache.fingerprint.check_negative_entry` admits it
+        against this circuit's live facet fingerprints; return (a miss:
+        the caller re-solves) when it does not."""
+        from ..netlist.fingerprint import facet_fingerprints
+
+        ok, why = check_negative_entry(
+            entry, key=key.key, facets=facet_fingerprints(self.circuit)
+        )
+        if not ok:
+            metrics.counter("cache.negative_rejects").inc()
+            log.info(
+                "%s: negative cache entry rejected (%s); re-solving",
+                self.circuit.name, why,
+            )
+            return
+        negative = entry["negative"]
+        self.cache.stats.negative_hits += 1
+        metrics.counter("cache.negative_hits").inc()
+        trace.add_attrs(cache_hit="negative")
+        log.info(
+            "%s: negative cache entry admitted, re-raising without a GP",
+            self.circuit.name,
+        )
+        raise SizingError(
+            f"{self.circuit.name}: {negative['reason']}",
+            negative["certificate"],
+        )
+
     def _exact_hit(
         self,
         entry: Mapping[str, object],
         key: CacheKey,
         spec: DelaySpec,
         tolerance: float,
-        constraints: ConstraintSet,
-        prune_stats,
+        front_end: Callable[[], Tuple[PruneResult, ConstraintSet]],
     ) -> Optional[SizingResult]:
         """The sizing an exact cache hit stands for, or ``None`` when the
         entry cannot be admitted and the caller re-solves (the cache is an
@@ -915,7 +1063,10 @@ class SmartSizer:
         (:meth:`_admit_certified`, no STA) or, absent one, by the engine's
         own convergence criterion: every timing constraint's realized
         delay, measured with true slope propagation, within ``tolerance``
-        of its spec.
+        of its spec.  A certificate-admitted hit takes its specs from the
+        certificate and its pruning counts from the entry, so it calls
+        ``front_end`` (path extraction and constraint generation) only when
+        either record predates those fields.
         """
         raw = entry.get("env")
         if not isinstance(raw, Mapping):
@@ -941,6 +1092,12 @@ class SmartSizer:
                 for name, value in certificate.get("realized", {}).items()
             }
             worst = float(certificate.get("worst_residual_ps", 0.0))
+            specs = _float_map(certificate.get("specs"))
+            prune_stats = _stored_prune_stats(entry.get("prune_stats"))
+            if specs is None or prune_stats is None:
+                prune_result, constraints = front_end()
+                specs = {c.name: c.spec for c in constraints.timing}
+                prune_stats = prune_result.stats
             self.cache.stats.cert_hits += 1
             metrics.counter("cache.cert_hits").inc()
             log.info(
@@ -949,6 +1106,7 @@ class SmartSizer:
                 self.circuit.name, worst,
             )
         else:
+            prune_result, constraints = front_end()
             with trace.span("cache_verify", key=key.key[:12]):
                 measurement = measure_constraints(
                     self.analyzer, constraints.timing, env, spec.input_slope
@@ -958,6 +1116,8 @@ class SmartSizer:
             mode = "exact"
             realized = measurement.realized
             worst = measurement.worst_violation
+            specs = {c.name: c.spec for c in constraints.timing}
+            prune_stats = prune_result.stats
             metrics.counter("cache.exact_hits").inc()
             log.info(
                 "%s: cache hit verified (residual %.2f ps), skipping GP loop",
@@ -977,7 +1137,7 @@ class SmartSizer:
             clock_load=self.circuit.clock_load_width(resolved),
             worst_violation=max(0.0, worst),
             realized=realized,
-            specs={c.name: c.spec for c in constraints.timing},
+            specs=specs,
             history=[],
             prune_stats=prune_stats,
             cache_hit=mode,

@@ -18,7 +18,8 @@ point violates a row, phase 1 runs the same method on ``(y, s)``: minimize
 ``s`` subject to ``F_i(y) - s <= 0``.  It stops at the first ``s < 0``, a
 strictly feasible start for the main solve, or at the first tangent-plane
 bound that proves ``max_i F_i > 0`` over the whole box: that bound is the
-certificate :class:`GPInfeasibleError` carries.
+certificate :class:`GPInfeasibleError` carries, inside an ``infeasible``
+:class:`GPSolution`.
 
 Every log-sum-exp row is evaluated through one :class:`StackedLogSumExp`: all
 terms of all rows in one sparse exponent matrix, so a Newton step costs a
@@ -81,11 +82,15 @@ class GPInfeasibleError(GPError):
         weights: Optional[np.ndarray] = None,
         point: Optional[np.ndarray] = None,
         bound: Optional[float] = None,
+        solution: Optional["GPSolution"] = None,
     ):
         super().__init__(message)
         self.weights = weights
         self.point = point
         self.bound = bound
+        #: The ``infeasible`` :class:`GPSolution` of a solver raise, with the
+        #: certificate as a JSON-plain record (``None`` for a constant row).
+        self.solution = solution
 
 
 @dataclass
@@ -103,7 +108,17 @@ class GPConstraint:
 @dataclass
 class GPSolution:
     """Result of a GP solve.  ``iterations`` counts Newton steps, phase 1
-    included."""
+    included.
+
+    ``status`` is ``optimal``, ``inaccurate`` or ``infeasible``.  A
+    *certified* ``infeasible`` solution carries phase 1's certificate as
+    ``certificate``: ``{"variables", "weights", "point", "bound"}`` with
+    plain lists and floats (see :class:`GPInfeasibleError`);
+    :meth:`GeometricProgram.solve` raises it inside a
+    :class:`GPInfeasibleError` rather than returning it.  An uncertified
+    ``infeasible`` (a final point that violates a row by 0.5 % or more)
+    has ``certificate=None``.
+    """
 
     status: str
     env: Dict[str, float]
@@ -111,6 +126,7 @@ class GPSolution:
     iterations: int
     max_violation: float
     message: str = ""
+    certificate: Optional[dict] = None
 
     @property
     def optimal(self) -> bool:
@@ -226,6 +242,11 @@ class GeometricProgram:
             newton_steps=run.steps,
             duality_gap=run.gap,
         )
+        env = {name: float(math.exp(run.y[index[name]])) for name in free}
+        env.update((name, self.bounds(name)[0]) for name in fixed)
+        max_violation = float(np.expm1(rows.values(run.y)).max(initial=0.0))
+        iterations = run.phase1_steps + run.steps
+
         if run.certificate is not None:
             metrics.counter("gp.infeasible").inc()
             weights, bound = run.certificate
@@ -233,17 +254,30 @@ class GeometricProgram:
                 run.y[index[name]] if name in index else fixed[name]
                 for name in names
             ])
-            raise GPInfeasibleError(
+            message = (
                 f"phase 1 proved the rows infeasible over the box "
-                f"(tangent-plane bound {bound:.3g} > 0 on max log-violation)",
+                f"(tangent-plane bound {bound:.3g} > 0 on max log-violation)"
+            )
+            raise GPInfeasibleError(
+                message,
                 weights=weights,
                 point=point,
                 bound=bound,
+                solution=GPSolution(
+                    status="infeasible",
+                    env=env,
+                    objective=math.nan,
+                    iterations=iterations,
+                    max_violation=max_violation,
+                    message=message,
+                    certificate={
+                        "variables": names,
+                        "weights": [float(w) for w in weights],
+                        "point": [float(v) for v in point],
+                        "bound": float(bound),
+                    },
+                ),
             )
-
-        env = {name: float(math.exp(run.y[index[name]])) for name in free}
-        env.update((name, self.bounds(name)[0]) for name in fixed)
-        max_violation = float(np.expm1(rows.values(run.y)).max(initial=0.0))
 
         if max_violation >= 5e-3:
             status = "infeasible"
@@ -252,7 +286,6 @@ class GeometricProgram:
         else:
             status = "inaccurate"
 
-        iterations = run.phase1_steps + run.steps
         metrics.histogram("gp.solver_iterations").observe(iterations)
         metrics.counter(f"gp.status.{status}").inc()
 

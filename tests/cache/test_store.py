@@ -143,6 +143,14 @@ class TestWorkerProtocol:
         assert parent.stats.lookups == 6
         assert parent.stats.hit_rate == pytest.approx(0.5)
 
+    def test_negative_hits_are_lookups(self):
+        parent = SizingCache()
+        parent.stats.absorb({"exact_hits": 1, "negative_hits": 2, "misses": 1})
+        assert parent.stats.negative_hits == 2
+        assert parent.stats.lookups == 4
+        assert parent.stats.hit_rate == pytest.approx(0.25)
+        assert parent.stats.as_dict()["negative_hits"] == 2
+
 
 class TestJsonlArtifactStore:
     def _store(self, path=None):

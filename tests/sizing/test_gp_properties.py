@@ -217,6 +217,25 @@ def test_every_raise_carries_a_checkable_certificate(problem):
     assert _recomputed_bound(gp, error) > 0.0
 
 
+@settings(max_examples=30, deadline=None)
+@given(random_verdict_gp())
+def test_every_raise_carries_an_infeasible_solution(problem):
+    """The raise wraps an ``infeasible`` :class:`GPSolution` whose
+    JSON-plain certificate record is the exception's certificate."""
+    gp, witness, _ = problem
+    status, _, error = _verdict(gp, witness)
+    if status != "raise":
+        return
+    solution = error.solution
+    assert solution.status == "infeasible" and not solution.optimal
+    record = solution.certificate
+    assert record["variables"] == gp.variables()
+    assert record["weights"] == [float(w) for w in error.weights]
+    assert record["point"] == [float(v) for v in error.point]
+    assert record["bound"] == error.bound > 0.0
+    assert solution.message == str(error)
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_gp())
 def test_witness_feasible_programs_never_raise(problem):

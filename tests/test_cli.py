@@ -37,6 +37,25 @@ class TestCommands:
         assert code == 0
         assert "best:" in out
 
+    def test_advise_cache_line_counts_negative_hits_and_replays(
+        self, capsys, tmp_path
+    ):
+        cache = str(tmp_path / "cache.jsonl")
+        code = main([
+            "advise", "mux", "4", "--delay", "400", "--load", "30",
+            "--certify", "--cache", cache,
+        ])
+        assert code == 0
+        [line] = [
+            l for l in capsys.readouterr().out.splitlines()
+            if l.startswith("cache:")
+        ]
+        stats = dict(
+            kv.split("=") for kv in line[len("cache:"):].strip().split(", ")
+        )
+        assert stats["negative_hits"] == "0"
+        assert stats["screen_replays"] == "0"
+
     def test_advise_impossible_budget_nonzero_exit(self, capsys):
         code = main(["advise", "mux", "4", "--delay", "3"])
         assert code == 1
