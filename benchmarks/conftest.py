@@ -1,51 +1,23 @@
 """Shared fixtures and table rendering for the paper-reproduction benches.
 
 Every benchmark module regenerates one table or figure of the paper.  The
-convention: a module-scoped fixture computes the experiment once, the test
-functions assert the paper's *shape* (who wins, roughly by how much, where
-crossovers fall), and one ``test_bench_*`` function times the core kernel so
-``pytest benchmarks/ --benchmark-only`` doubles as a performance harness.
+convention: a module-scoped fixture computes the experiment once and the
+test functions assert the paper's *shape* (who wins, roughly by how much,
+where crossovers fall).  Speed is measured by ``benchmarks/perf/run.py``
+(repeated-round medians per layer), not here.
 """
 
 import json
 import os
-import time
 
 import pytest
 
 from repro.macros import default_database
 from repro.models import ModelLibrary, Technology
-from repro.obs import metrics as obs_metrics
 
 #: Machine-readable copies of every printed table land here (one JSON file
 #: per table), so downstream tooling can diff reproduction runs.
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-#: Session epoch for the wall-time stamp each result file carries.
-_SESSION_T0 = time.perf_counter()
-
-
-def _obs_stamp():
-    """Convergence-cost metadata stamped into every result JSON.
-
-    Pulled from the process-global metrics registry the engine/GP/STA
-    instrumentation feeds, so each result file records how much work (refinement iterations, GP solves, STA node visits) and
-    wall-time each reproduction table cost across PRs.  Counters are
-    cumulative across the session; per-table deltas are recoverable by
-    diffing consecutive stamps.
-    """
-    reg = obs_metrics.registry()
-    runtime = reg.histograms.get("engine.runtime_s")
-    return {
-        "wall_time_s": round(time.perf_counter() - _SESSION_T0, 3),
-        "engine_iterations": reg.counter("engine.iterations").value,
-        "gp_solves": reg.counter("gp.solves").value,
-        "gp_fallbacks": reg.counter("engine.gp_fallbacks").value,
-        "sta_analyses": reg.counter("sta.analyses").value,
-        "sta_node_visits": reg.counter("sta.node_visits").value,
-        "sizing_runs": runtime.count if runtime else 0,
-        "sizing_runtime_s": round(runtime.total, 3) if runtime else 0.0,
-    }
 
 
 @pytest.fixture(scope="session")
@@ -74,7 +46,7 @@ def _slugify(title: str) -> str:
 
 
 def render_table(title, headers, rows):
-    """Print a paper-style table into the pytest -s / benchmark output and
+    """Print a paper-style table into the pytest -s output and
     drop a JSON copy under ``benchmarks/results/``."""
     widths = [
         max(len(str(h)), max((len(str(r[i])) for r in rows), default=0))
@@ -92,7 +64,6 @@ def render_table(title, headers, rows):
         "title": title,
         "headers": list(headers),
         "rows": [[str(c) for c in row] for row in rows],
-        "obs": _obs_stamp(),
     }
     path = os.path.join(RESULTS_DIR, f"{_slugify(title)}.json")
     with open(path, "w") as fh:

@@ -83,18 +83,3 @@ def test_variable_count_tradeoff(sweep):
     fine = len(sweep[1][0].size_table.free_names())
     coarse = len(sweep[WIDTH][0].size_table.free_names())
     assert fine > 4 * coarse
-
-
-def test_bench_per_bit_sizing(benchmark, database, library):
-    circuit = database.generate(
-        "incrementor/ripple",
-        MacroSpec("incrementor", WIDTH, params=(("label_group", 1),)),
-        library.tech,
-    )
-    budget = 0.95 * nominal_delay(circuit, library)
-
-    def kernel():
-        return SmartSizer(circuit, library).size(DelaySpec(data=budget))
-
-    result = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert result.converged

@@ -9,10 +9,7 @@ O(1) in the datapath width — and the price of the proof (the
 certificate-check wall time), and prints both, with each sizer's
 end-to-end wall, in one table.
 
-The full 512-variable solve takes a few minutes; it runs once in the
-module fixture.  The ``test_bench_collapsed_sizing`` kernel times a
-16-bit per-bit collapse end-to-end instead, so ``--benchmark-only`` stays
-fast.
+The full 512-variable solve runs once in the module fixture.
 """
 
 import time
@@ -116,18 +113,3 @@ def test_objective_parity_with_full_solve(experiment):
     must not."""
     _c, _s, collapsed, full, _ct, _fw = experiment
     assert abs(collapsed.result.area - full.area) / full.area <= 0.01
-
-
-def test_bench_collapsed_sizing(benchmark, tech, library):
-    """Tracked kernel: 16-bit per-bit collapse, solve, replicate, certify."""
-    circuit = _per_bit_adder(tech, 16)
-    spec = DelaySpec(data=0.9 * nominal_delay(circuit, library))
-
-    def kernel():
-        return RegularityCollapsedSizer(
-            circuit, library, with_kkt=False
-        ).size(spec)
-
-    outcome = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert not outcome.fallback
-    assert outcome.certificate is not None and outcome.certificate.ok

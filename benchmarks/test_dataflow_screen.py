@@ -102,13 +102,3 @@ def test_screen_never_cries_wolf(database, library, tech):
         )
         screen = screen_feasibility(circuit, library, DelaySpec(data=budget))
         assert not screen.infeasible, (label, screen.verdict)
-
-
-def test_bench_screen(benchmark, database, library, tech):
-    circuit = database.generate(
-        "zero_detect/domino", MacroSpec("zero_detect", 8, output_load=30.0),
-        tech,
-    )
-    spec = DelaySpec(data=IMPOSSIBLE_PS)
-    result = benchmark(lambda: screen_feasibility(circuit, library, spec))
-    assert result.infeasible

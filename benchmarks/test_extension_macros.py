@@ -71,13 +71,3 @@ def test_domino_read_ports_save_clock(results):
         "8x8 RF read (domino)", "16x4 RF read (domino)", "16:4 encoder (domino)"
     ):
         assert results[label].clock_saving > 0.0, label
-
-
-def test_bench_extension_kernel(benchmark, database, library):
-    spec = MacroSpec("shifter", 8, output_load=20.0)
-
-    def kernel():
-        return macro_savings(database, "shifter/passgate_barrel", spec, library)
-
-    result = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert result.timing_met

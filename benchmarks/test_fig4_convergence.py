@@ -127,15 +127,3 @@ class TestModelAccuracyAblation:
         accurate = comparison["accurate GP models"].iterations
         worst = comparison["optimistic RC"].iterations
         assert worst > accurate
-
-
-def test_bench_refinement_loop(benchmark, database, library):
-    spec = MacroSpec("comparator", 32, output_load=20.0)
-    circuit = database.generate("comparator/xorsum2", spec, library.tech)
-    budget = 0.9 * nominal_delay(circuit, library)
-
-    def kernel():
-        return SmartSizer(circuit, library).size(DelaySpec(data=budget))
-
-    result = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert result.converged

@@ -65,13 +65,3 @@ def test_large_improvements_available(results):
     average saving is substantial."""
     average = sum(r.width_saving for r in results.values()) / len(results)
     assert average > 0.20
-
-
-def test_bench_sizing_kernel(benchmark, database, library):
-    spec = MacroSpec("incrementor", 13, output_load=20.0)
-
-    def kernel():
-        return macro_savings(database, "incrementor/ripple", spec, library)
-
-    result = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert result.timing_met

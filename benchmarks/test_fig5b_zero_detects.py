@@ -60,13 +60,3 @@ def test_all_save_width(results):
 def test_domino_instances_save_clock(results):
     for label in ("8bit#2", "16bit#2", "22bit", "32bit", "63bit"):
         assert results[label].clock_saving > 0.0, label
-
-
-def test_bench_zero_detect_kernel(benchmark, database, library):
-    spec = MacroSpec("zero_detect", 16, output_load=20.0)
-
-    def kernel():
-        return macro_savings(database, "zero_detect/static_tree", spec, library)
-
-    result = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert result.timing_met

@@ -80,15 +80,3 @@ def test_convex_shape(curve):
     for a, b in zip(points, points[1:]):
         slopes.append((a.area - b.area) / (b.spec_delay - a.spec_delay))
     assert slopes[0] >= slopes[-1] * 0.8  # tight-end slope at least comparable
-
-
-def test_bench_adder_sizing(benchmark, advisor, database, library):
-    spec = MacroSpec("adder", 64, output_load=20.0)
-    circuit = database.generate("adder/dual_rail_domino_cla", spec, advisor.tech)
-    constraints = DesignConstraints(delay=0.7 * nominal_delay(circuit, library))
-
-    def kernel():
-        return advisor.size_topology("adder/dual_rail_domino_cla", spec, constraints)
-
-    _, result = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert result.converged

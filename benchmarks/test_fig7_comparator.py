@@ -122,13 +122,3 @@ def test_original_topology_competitive(exploration):
     assert costs["comparator/xorsum2"] <= best * 1.5, costs
     if "comparator/xorsum1" in costs:
         assert costs["comparator/xorsum2"] < costs["comparator/xorsum1"], costs
-
-
-def test_bench_comparator_exploration(benchmark, database, library):
-    def kernel():
-        return macro_savings(
-            database, "comparator/xorsum2", SPEC, library, objective="area+clock"
-        )
-
-    result = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert result.timing_met

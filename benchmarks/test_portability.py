@@ -71,14 +71,3 @@ def test_savings_correlate_across_nodes(per_node):
     r130 = per_node[GENERIC_130.name]
     for label in r180:
         assert abs(r180[label].width_saving - r130[label].width_saving) < 0.25, label
-
-
-def test_bench_second_node(benchmark, database):
-    library = ModelLibrary(GENERIC_130)
-    spec = MacroSpec("zero_detect", 16, output_load=20.0)
-
-    def kernel():
-        return macro_savings(database, "zero_detect/static_tree", spec, library)
-
-    result = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert result.timing_met

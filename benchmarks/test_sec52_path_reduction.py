@@ -144,16 +144,6 @@ class TestPrecedenceAblation:
         assert with_precedence < without / 5
 
 
-def test_bench_counting(benchmark, adder64):
-    extractor = PathExtractor(adder64)
-
-    def kernel():
-        return extractor.count(), len(extractor.extract_representative())
-
-    raw, reduced = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert raw > 32_000 and reduced < 300
-
-
 class TestPruningCertificate:
     """The prune is sound, not just small: a ``certify=True`` run emits a
     per-path drop witness, and the linter's independent verifier confirms

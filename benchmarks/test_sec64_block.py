@@ -82,14 +82,3 @@ def test_block_level_savings_band(reduction):
 
 def test_no_performance_penalty(reduction):
     assert reduction.no_performance_penalty
-
-
-def test_bench_whole_block(benchmark, library):
-    def kernel():
-        blk = build_block(
-            "sec64_bench", MENU[:3], MACRO_WIDTH_FRACTION, library=library, seed=9
-        )
-        return reduce_block_power(blk)
-
-    result = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert result.power_saving > 0

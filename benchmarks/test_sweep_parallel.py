@@ -20,7 +20,7 @@ import os
 
 import pytest
 
-from conftest import RESULTS_DIR, _obs_stamp, render_table
+from conftest import RESULTS_DIR, render_table
 from repro.cache import SizingCache
 from repro.parallel import build_grid, run_sweep
 
@@ -63,7 +63,6 @@ def _record(sequential, cold, warm):
         "speedup": round(speedup, 4),
         "cold": cold.to_json(),
         "warm": warm.to_json(),
-        "obs": _obs_stamp(),
     }
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, "sweep_parallel.json"), "w") as fh:

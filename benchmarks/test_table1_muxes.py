@@ -117,15 +117,3 @@ def test_domino_rows_recover_most(averages):
     for row in ("Un-split Domino", "Split Domino"):
         width, clock = averages[row]
         assert width + clock > passgate_best, row
-
-
-def test_bench_table1_kernel(benchmark, database, library):
-    spec = MacroSpec("mux", 8, output_load=30.0)
-
-    def kernel():
-        return macro_savings(
-            database, "mux/unsplit_domino", spec, library, objective="area+clock"
-        )
-
-    result = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert result.timing_met

@@ -127,18 +127,3 @@ def test_ordering_matches_paper(reductions):
 def test_no_performance_penalty_anywhere(reductions):
     for name, (_block, result) in reductions.items():
         assert result.no_performance_penalty, name
-
-
-def test_bench_block_reduction(benchmark, library):
-    menu = [
-        MacroInstanceSpec(
-            "mux/unsplit_domino", MacroSpec("mux", 8, output_load=30.0), 2
-        ),
-    ]
-
-    def kernel():
-        block = build_block("bench", menu, 0.4, library=library, seed=3)
-        return reduce_block_power(block)
-
-    result = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert result.power_saving > 0

@@ -24,78 +24,36 @@ from .store import JsonlArtifactStore
 CONTRACT_STORE_FORMAT = "smart-contract-store/1"
 
 
-class ContractStore:
+class ContractStore(JsonlArtifactStore):
     """Content-addressed contract artifacts over a JSONL backing file.
 
     Same single-writer discipline as :class:`~repro.cache.store.SizingCache`;
     ``path=None`` keeps contracts purely in memory (one hier-lint run still
-    reuses a shared macro's contract across its instances).
+    reuses a shared macro's contract across its instances).  ``get`` takes
+    a circuit fingerprint and returns the contract derived from exactly
+    that netlist, or None.
     """
 
-    def __init__(self, path: Optional[str] = None, autosync: bool = True):
-        self._store = JsonlArtifactStore(
-            path, fmt=CONTRACT_STORE_FORMAT, autosync=autosync
-        )
+    def __init__(self, path: Optional[str] = None):
         self._by_identity: Dict[str, List[str]] = {}
-        for entry in self._store.entries():
-            self._index_identity(entry)
+        super().__init__(path, CONTRACT_STORE_FORMAT)
 
-    def _index_identity(self, entry: dict) -> None:
+    def _index(self, entry: dict) -> None:
+        super()._index(entry)
         identity = entry.get("identity")
         if identity:
             keys = self._by_identity.setdefault(identity, [])
             if entry["key"] not in keys:
                 keys.append(entry["key"])
 
-    # -- lookups -----------------------------------------------------------
-
-    def get(self, fingerprint: str) -> Optional[dict]:
-        """The contract derived from exactly this netlist, or None."""
-        return self._store.get(fingerprint)
-
     def for_identity(self, identity: str) -> List[dict]:
         """Every stored contract claiming this identity (any fingerprint) —
         the raw material of CTR504 stale-contract detection."""
-        return [
-            entry
-            for key in self._by_identity.get(identity, ())
-            for entry in [self._store.get(key)]
-            if entry is not None
-        ]
-
-    # -- writes ------------------------------------------------------------
+        return [self._entries[key] for key in self._by_identity.get(identity, ())]
 
     def put(self, contract: dict) -> dict:
         """Store a serialized contract under its circuit fingerprint."""
         fingerprint = contract.get("fingerprint")
         if not fingerprint:
             raise ValueError("contract has no 'fingerprint' field")
-        entry = self._store.put(fingerprint, contract)
-        self._index_identity(entry)
-        return entry
-
-    def flush(self) -> None:
-        self._store.flush()
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def path(self) -> Optional[str]:
-        return self._store.path
-
-    @property
-    def skipped_lines(self) -> int:
-        return self._store.skipped_lines
-
-    def entries(self) -> List[dict]:
-        return self._store.entries()
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self._store
-
-    def __repr__(self) -> str:
-        backing = self.path or "<memory>"
-        return f"ContractStore({backing!r}, contracts={len(self)})"
+        return super().put(fingerprint, contract)

@@ -24,14 +24,12 @@ iteration-0 :class:`~repro.sizing.engine.SizingError` a problem raised).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import math
 import time
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Tuple
 
-from ..netlist.fingerprint import circuit_fingerprint
+from ..netlist.fingerprint import canonical_digest, circuit_fingerprint
 
 __all__ = [
     "CacheKey",
@@ -44,13 +42,6 @@ __all__ = [
     "sizing_cache_key",
     "spec_fingerprint",
 ]
-
-
-def _digest(payload: Any) -> str:
-    blob = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def library_payload(library) -> Any:
@@ -86,12 +77,12 @@ def context_fingerprint(
         "objective": objective,
         "otb_borrow": otb_borrow,
     }
-    return _digest(payload)
+    return canonical_digest(payload)
 
 
 def spec_fingerprint(spec, tolerance: float) -> str:
     """Fingerprint of a :class:`DelaySpec` plus convergence tolerance."""
-    return _digest(
+    return canonical_digest(
         {"spec": dataclasses.asdict(spec), "tolerance": tolerance}
     )
 
@@ -106,7 +97,7 @@ class CacheKey:
 
     @property
     def key(self) -> str:
-        return _digest([self.circuit_fp, self.context_fp, self.spec_fp])
+        return canonical_digest([self.circuit_fp, self.context_fp, self.spec_fp])
 
 
 def sizing_cache_key(

@@ -7,12 +7,13 @@ the sizing problem; a secondary index over ``(circuit_fp, context_fp)``
 serves *near-hit* lookups — same circuit and context, different delay spec —
 whose envs warm-start a fresh GP solve.
 
-Concurrency model: the cache is **single-writer**.  Worker processes open
-the file read-only (``autosync=False``) and accumulate their new entries in
-memory; the parent collects them over the pool boundary and appends
-(:meth:`SizingCache.merge_entries`).  Loading is tolerant: corrupt or
-foreign lines are skipped and counted, and duplicate keys resolve
-last-write-wins, so a torn append can never poison the store.
+Concurrency model: the cache is **single-writer**.  Worker processes hold
+an in-memory cache (no path) seeded with the parent's entries and
+accumulate their new entries in memory; the parent collects them over the
+pool boundary and appends (:meth:`SizingCache.merge_entries`).  Loading is
+tolerant: corrupt or foreign lines are skipped and counted, and duplicate
+keys resolve last-write-wins, so a torn append can never poison the store.
+:class:`JsonlArtifactStore` below is the substrate every store shares.
 
 The cache is an *accelerator*, never an oracle: every exact hit is either
 admitted on a verified solution certificate whose bindings are re-checked
@@ -25,20 +26,13 @@ re-verified by the engine's own STA check loop before it is returned (see
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..obs.log import get_logger
-
-log = get_logger(__name__)
+from ..obs.jsonl import append_record, read_records
 
 FORMAT = "smart-sizing-cache/1"
-
-#: Minimal shape a line must have to be accepted into the index.
-_REQUIRED_FIELDS = ("key", "circuit_fp", "context_fp", "spec_fp", "env")
 
 
 @dataclass
@@ -98,19 +92,89 @@ class CacheStats:
         self.wall_saved_s += float(other.get("wall_saved_s", 0.0))
 
 
-class SizingCache:
+class JsonlArtifactStore:
+    """Content-addressed JSONL artifact store, the base of every store.
+
+    An in-memory index over one JSONL file, read by
+    :func:`repro.obs.jsonl.read_records` and appended by
+    :func:`repro.obs.jsonl.append_record`: single writer, corrupt and
+    foreign lines skipped and counted, duplicate keys last-write-wins, and
+    every write persisted at once.  A line is foreign when it lacks one of
+    :attr:`REQUIRED_FIELDS` or carries a ``format`` other than this
+    store's (another artifact kind, or an older incompatible schema).
+    ``path=None`` keeps the store purely in memory.
+
+    The typed stores (:class:`SizingCache`,
+    :class:`~repro.cache.contracts.ContractStore`,
+    :class:`~repro.lint.incremental.RuleResultCache`,
+    :class:`~repro.lint.solution.SolutionCertificateStore`) subclass it and
+    keep only their own part: required fields, a secondary index (an
+    override of :meth:`_index`), a typed ``put`` and stats.
+    """
+
+    #: Minimal shape a line must have to be accepted.
+    REQUIRED_FIELDS: Tuple[str, ...] = ("key", "format")
+
+    def __init__(self, path: Optional[str] = None, fmt: str = "smart-artifact/1"):
+        self.path = path
+        self.format = fmt
+        self._entries: Dict[str, dict] = {}
+        records, self.skipped_lines = read_records(path, self._accepts)
+        for entry in records:
+            self._index(entry)
+
+    def _accepts(self, entry: dict) -> bool:
+        # A store whose REQUIRED_FIELDS omit ``format`` (the sizing cache,
+        # whose entries never carried one) accepts lines without it.
+        return (
+            all(f in entry for f in self.REQUIRED_FIELDS)
+            and entry.get("format", self.format) == self.format
+        )
+
+    def _index(self, entry: dict) -> None:
+        self._entries[entry["key"]] = entry
+
+    def _write(self, entry: dict) -> bool:
+        """Index ``entry`` and append it to the file; False (and nothing
+        written) when an identical entry is already stored."""
+        if self._entries.get(entry["key"]) == entry:
+            return False
+        self._index(entry)
+        if self.path:
+            append_record(self.path, entry)
+        return True
+
+    def get(self, key: str) -> Optional[dict]:
+        return self._entries.get(key)
+
+    def put(self, key: str, payload: dict) -> dict:
+        """Store ``payload`` under ``key`` (idempotent).  Returns the full
+        entry as indexed."""
+        entry = dict(payload, key=key, format=self.format)
+        self._write(entry)
+        return entry
+
+    def entries(self) -> List[dict]:
+        """Every entry currently indexed."""
+        return list(self._entries.values())
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._entries
+
+
+class SizingCache(JsonlArtifactStore):
     """Content-addressed sizing-result cache with optional JSONL persistence.
 
     Parameters
     ----------
     path:
-        JSONL file backing the cache.  ``None`` keeps the cache purely
-        in-memory (still useful: an advisor run sizes the same circuit
-        fingerprint across delay scales and baselines).
-    autosync:
-        When True (the default) every :meth:`put` appends to ``path``
-        immediately.  Workers use ``autosync=False`` so only the parent
-        process ever writes the file.
+        JSONL file backing the cache; every new entry is appended at once.
+        ``None`` keeps the cache purely in-memory (still useful: an advisor
+        run sizes the same circuit fingerprint across delay scales and
+        baselines; pool workers use it so only the parent writes the file).
     certificates:
         Optional solution-certificate store (duck-typed to
         :class:`repro.lint.solution.SolutionCertificateStore`; held as a
@@ -121,52 +185,25 @@ class SizingCache:
         the certificate is absent, stale, or fails any binding.
     """
 
+    REQUIRED_FIELDS = ("key", "circuit_fp", "context_fp", "spec_fp", "env")
+
     def __init__(
         self,
         path: Optional[str] = None,
-        autosync: bool = True,
         certificates: Optional[object] = None,
     ):
-        self.path = path
-        self.autosync = autosync
         self.certificates = certificates
         self.stats = CacheStats()
-        self._entries: Dict[str, dict] = {}
         self._by_context: Dict[Tuple[str, str], List[str]] = {}
         self._new: List[dict] = []
-        self.skipped_lines = 0
-        if path and os.path.exists(path):
-            self._load(path)
-
-    # -- loading -----------------------------------------------------------
-
-    def _load(self, path: str) -> None:
-        with open(path) as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    self.skipped_lines += 1
-                    log.warning("%s:%d: skipping corrupt cache line", path, line_no)
-                    continue
-                if not isinstance(entry, dict) or any(
-                    f not in entry for f in _REQUIRED_FIELDS
-                ):
-                    self.skipped_lines += 1
-                    log.warning("%s:%d: skipping foreign cache line", path, line_no)
-                    continue
-                self._index(entry)
+        super().__init__(path, FORMAT)
 
     def _index(self, entry: dict) -> None:
-        key = entry["key"]
-        if key not in self._entries:
+        if entry["key"] not in self._entries:
             self._by_context.setdefault(
                 (entry["circuit_fp"], entry["context_fp"]), []
-            ).append(key)
-        self._entries[key] = entry
+            ).append(entry["key"])
+        super()._index(entry)
 
     # -- lookups -----------------------------------------------------------
 
@@ -199,52 +236,30 @@ class SizingCache:
     # -- writes ------------------------------------------------------------
 
     def put(self, entry: dict) -> None:
-        """Insert an entry (idempotent per key) and persist when autosyncing."""
-        if any(f not in entry for f in _REQUIRED_FIELDS):
+        """Insert an entry (idempotent per key) and persist it."""
+        if not self._accepts(entry):
             raise ValueError(
-                f"cache entry missing required fields {_REQUIRED_FIELDS}"
+                f"cache entry missing required fields {self.REQUIRED_FIELDS}"
             )
-        known = self._entries.get(entry["key"])
-        self._index(entry)
         self.stats.stores += 1
-        if known == entry:
-            return
-        self._new.append(entry)
-        if self.autosync and self.path:
-            self._append(entry)
+        if self._write(entry):
+            self._new.append(entry)
 
     def merge_entries(self, entries: Iterable[dict]) -> int:
         """Fold entries produced elsewhere (worker processes) into this
         cache; returns how many were new."""
         merged = 0
         for entry in entries:
-            if self._entries.get(entry["key"]) == entry:
-                continue
-            self._index(entry)
-            self._new.append(entry)
-            merged += 1
-            if self.autosync and self.path:
-                self._append(entry)
+            if self._write(entry):
+                self._new.append(entry)
+                merged += 1
         return merged
-
-    def _append(self, entry: dict) -> None:
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        with open(self.path, "a") as fh:
-            fh.write(
-                json.dumps(
-                    entry, sort_keys=True, separators=(",", ":"), default=str
-                )
-                + "\n"
-            )
 
     def seed(self, entries: Iterable[dict]) -> None:
         """Index entries without marking them new or persisting — how a
         parent cache's snapshot is shipped into a worker process."""
         for entry in entries:
-            if isinstance(entry, dict) and all(
-                f in entry for f in _REQUIRED_FIELDS
-            ):
+            if isinstance(entry, dict) and self._accepts(entry):
                 self._index(entry)
 
     def drain_new(self) -> List[dict]:
@@ -252,142 +267,3 @@ class SizingCache:
         goes back to the parent after each task)."""
         new, self._new = self._new, []
         return new
-
-    def flush(self) -> None:
-        """Append all not-yet-persisted entries (for ``autosync=False``)."""
-        if not self.path:
-            return
-        for entry in self._new:
-            self._append(entry)
-        self._new = []
-
-    # -- introspection -----------------------------------------------------
-
-    def new_entries(self) -> List[dict]:
-        """Entries added this session (what a worker ships to the parent)."""
-        return list(self._new)
-
-    def entries_snapshot(self) -> List[dict]:
-        """Every entry currently indexed (used to seed worker caches when
-        the parent cache has no backing file)."""
-        return list(self._entries.values())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def __repr__(self) -> str:
-        backing = self.path or "<memory>"
-        return f"SizingCache({backing!r}, entries={len(self._entries)})"
-
-
-class JsonlArtifactStore:
-    """Generic content-addressed JSONL artifact store.
-
-    The persistence substrate shared by the interface-contract store
-    (:mod:`repro.cache.contracts`) and the incremental lint result cache
-    (:mod:`repro.lint.incremental`).  Same concurrency model and tolerance
-    properties as :class:`SizingCache`: single writer, corrupt/foreign lines
-    skipped and counted, duplicate keys last-write-wins.  Entries are plain
-    dicts carrying at least ``key`` and ``format``; a line whose ``format``
-    disagrees with this store's is foreign (a different artifact kind, or a
-    prior incompatible schema) and is ignored rather than aliased.
-    """
-
-    #: Minimal shape a line must have to be accepted.
-    REQUIRED_FIELDS = ("key", "format")
-
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        fmt: str = "smart-artifact/1",
-        autosync: bool = True,
-    ):
-        self.path = path
-        self.format = fmt
-        self.autosync = autosync
-        self._entries: Dict[str, dict] = {}
-        self._new: List[dict] = []
-        self.skipped_lines = 0
-        if path and os.path.exists(path):
-            self._load(path)
-
-    def _load(self, path: str) -> None:
-        with open(path) as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    self.skipped_lines += 1
-                    log.warning(
-                        "%s:%d: skipping corrupt artifact line", path, line_no
-                    )
-                    continue
-                if (
-                    not isinstance(entry, dict)
-                    or any(f not in entry for f in self.REQUIRED_FIELDS)
-                    or entry["format"] != self.format
-                ):
-                    self.skipped_lines += 1
-                    log.warning(
-                        "%s:%d: skipping foreign artifact line", path, line_no
-                    )
-                    continue
-                self._entries[entry["key"]] = entry
-
-    def get(self, key: str) -> Optional[dict]:
-        return self._entries.get(key)
-
-    def put(self, key: str, payload: dict) -> dict:
-        """Store ``payload`` under ``key`` (idempotent; persists when
-        autosyncing).  Returns the full entry as indexed."""
-        entry = dict(payload)
-        entry["key"] = key
-        entry["format"] = self.format
-        if self._entries.get(key) == entry:
-            return entry
-        self._entries[key] = entry
-        self._new.append(entry)
-        if self.autosync and self.path:
-            self._append(entry)
-        return entry
-
-    def _append(self, entry: dict) -> None:
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        with open(self.path, "a") as fh:
-            fh.write(
-                json.dumps(
-                    entry, sort_keys=True, separators=(",", ":"), default=str
-                )
-                + "\n"
-            )
-
-    def flush(self) -> None:
-        """Append all not-yet-persisted entries (for ``autosync=False``)."""
-        if not self.path:
-            return
-        for entry in self._new:
-            self._append(entry)
-        self._new = []
-
-    def entries(self) -> List[dict]:
-        return list(self._entries.values())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def __repr__(self) -> str:
-        backing = self.path or "<memory>"
-        return (
-            f"JsonlArtifactStore({backing!r}, format={self.format!r}, "
-            f"entries={len(self._entries)})"
-        )

@@ -461,7 +461,7 @@ def _run_perf(args: argparse.Namespace) -> int:
                 dump = obs_trace.load_jsonl(args.target)
                 emit(obs_perf.render_attribution_report(dump.spans))
             else:
-                ledger = obs_perf.RunLedger.load(args.target)
+                ledger = obs_perf.RunLedger(args.target)
                 emit(obs_perf.render_ledger_summary(ledger.records))
         except (OSError, ValueError) as exc:
             emit(f"error: {exc}")
@@ -828,8 +828,6 @@ def _run_lint(args: argparse.Namespace, advisor: SmartAdvisor) -> int:
                 f"rule cache: {stats.replayed}/{stats.invocations} replayed "
                 f"({stats.hit_rate:.0%}), {stats.wall_saved_s:.3f}s saved"
             )
-    if rule_cache is not None:
-        rule_cache.flush()
     return _lint_exit(reports, args.fail_on)
 
 
@@ -860,9 +858,6 @@ def _run_lint_hier(args: argparse.Namespace, advisor: SmartAdvisor, waivers) -> 
         rule_cache=rule_cache,
         options=default_contract_options(),
     )
-    store.flush()
-    if rule_cache is not None:
-        rule_cache.flush()
 
     if args.sarif:
         from .lint import render_sarif

@@ -310,7 +310,6 @@ def build_registry_contracts(
         )
         store.put(contract)
         derived += 1
-    store.flush()
     return {
         "derived": derived,
         "reused": reused,

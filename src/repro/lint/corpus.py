@@ -251,7 +251,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
 
     if cache is not None:
-        cache.flush()
         stats = cache.stats
         print(
             f"rule cache: {stats.replayed}/{stats.invocations} replayed "

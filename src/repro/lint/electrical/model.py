@@ -510,17 +510,12 @@ class CouplingCert:
 
 
 def _slope_intervals(circuit: Circuit, library: ModelLibrary, input_slope: float):
-    """Best-effort DFA303 slope intervals per net; empty on model gaps."""
+    """DFA303 slope intervals per net."""
     from ..dataflow.framework import solve_forward
     from ..dataflow.interval import IntervalAnalysis
 
-    try:
-        analysis = IntervalAnalysis(
-            circuit, library, input_slope, box_bounds(circuit)
-        )
-        return solve_forward(circuit, analysis).values
-    except Exception:
-        return {}
+    analysis = IntervalAnalysis(circuit, library, input_slope, box_bounds(circuit))
+    return solve_forward(circuit, analysis).values
 
 
 def coupling_certificates(

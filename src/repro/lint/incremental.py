@@ -126,7 +126,7 @@ class RuleCacheStats:
         self.wall_saved_s += float(other.get("wall_saved_s", 0.0))
 
 
-class RuleResultCache:
+class RuleResultCache(JsonlArtifactStore):
     """Per-(rule, facet fingerprints, options) diagnostic cache.
 
     ``path=None`` keeps it in-memory — how the advisor gate deduplicates
@@ -136,10 +136,8 @@ class RuleResultCache:
     other store in :mod:`repro.cache`.
     """
 
-    def __init__(self, path: Optional[str] = None, autosync: bool = True):
-        self._store = JsonlArtifactStore(
-            path, fmt=RULE_CACHE_FORMAT, autosync=autosync
-        )
+    def __init__(self, path: Optional[str] = None):
+        super().__init__(path, RULE_CACHE_FORMAT)
         self.stats = RuleCacheStats()
 
     # -- keys --------------------------------------------------------------
@@ -174,7 +172,7 @@ class RuleResultCache:
         A hit updates the replayed/wall-saved stats; the runner adds the
         returned findings to its report verbatim.
         """
-        entry = self._store.get(key)
+        entry = self.get(key)
         if entry is None:
             return None
         try:
@@ -193,7 +191,7 @@ class RuleResultCache:
         wall_s: float,
     ) -> None:
         """Store one rule execution's findings under its content address."""
-        self._store.put(
+        self.put(
             key,
             {
                 "rule": rule_obj.id,
@@ -206,25 +204,6 @@ class RuleResultCache:
     def note_executed(self, wall_s: float) -> None:
         self.stats.executed += 1
         self.stats.wall_executed_s += wall_s
-
-    def flush(self) -> None:
-        self._store.flush()
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def path(self) -> Optional[str]:
-        return self._store.path
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._store
-
-    def __repr__(self) -> str:
-        backing = self.path or "<memory>"
-        return f"RuleResultCache({backing!r}, entries={len(self)})"
 
 
 def replay_findings(

@@ -179,18 +179,12 @@ def check_charge_sharing(ctx) -> None:
         groups.setdefault(key, []).append(stage)
     if not groups:
         return
-    certs: Dict[str, object] = {}
-    try:
-        from .electrical.model import charge_share_certificates
+    from .electrical.model import charge_share_certificates
 
-        certs = {
-            cert.stage: cert
-            for cert in charge_share_certificates(
-                ctx.circuit, options=ctx.options
-            )
-        }
-    except Exception:  # pragma: no cover - stay a pure topology heuristic
-        pass
+    certs = {
+        cert.stage: cert
+        for cert in charge_share_certificates(ctx.circuit, options=ctx.options)
+    }
     for (_, depth, _), members in sorted(groups.items()):
         example = min(members, key=lambda s: s.name)
         count = (

@@ -118,7 +118,7 @@ class SolutionCertificate:
         )
 
 
-class SolutionCertificateStore:
+class SolutionCertificateStore(JsonlArtifactStore):
     """Certificates over the shared tolerant-JSONL substrate.
 
     Same concurrency/tolerance model as every other store in
@@ -128,37 +128,18 @@ class SolutionCertificateStore:
     enable the engine's certificate-backed exact-hit fast path.
     """
 
-    def __init__(self, path: Optional[str] = None, autosync: bool = True):
-        self._store = JsonlArtifactStore(
-            path, fmt=CERTIFICATE_FORMAT, autosync=autosync
-        )
+    def __init__(self, path: Optional[str] = None):
+        super().__init__(path, CERTIFICATE_FORMAT)
 
+    # Defined on this class, not inherited: the per-layer benchmark
+    # (benchmarks/perf/layers.py) wraps each store class's own get/put.
     def get(self, key: str) -> Optional[dict]:
-        return self._store.get(key)
+        """The certificate issued for the problem under ``key``, or None."""
+        return self._entries.get(key)
 
     def put(self, certificate: "SolutionCertificate") -> dict:
         payload = certificate.to_payload()
-        return self._store.put(payload["key"], payload)
-
-    def flush(self) -> None:
-        self._store.flush()
-
-    def entries(self) -> List[dict]:
-        return self._store.entries()
-
-    @property
-    def path(self) -> Optional[str]:
-        return self._store.path
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._store
-
-    def __repr__(self) -> str:
-        backing = self.path or "<memory>"
-        return f"SolutionCertificateStore({backing!r}, entries={len(self)})"
+        return super().put(payload["key"], payload)
 
 
 def check_certificate(

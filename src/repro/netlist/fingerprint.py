@@ -96,84 +96,49 @@ def _canonical_param(value: Any) -> Any:
     return repr(value)
 
 
+def canonical_digest(payload: Any) -> str:
+    """SHA-256 hex digest of ``payload``'s canonical JSON (sorted keys,
+    compact separators, no NaN) — the hash behind every fingerprint."""
+    blob = json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), allow_nan=False
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def circuit_payload(circuit: Circuit) -> Dict[str, Any]:
-    """The canonical (JSON-ready) form the fingerprint hashes.
+    """The canonical (JSON-ready) form the fingerprint hashes: the
+    topology, sizing and phases facets of :func:`facet_payloads` joined
+    back into one record (per-stage size vars beside each stage, one row
+    per net).  The funcspec facet is left out: sizing does not read it.
 
     Exposed separately so tests and debugging tools can diff two payloads
     when fingerprints unexpectedly disagree.
     """
-    canon = canonical_net_names(circuit)
-    stages: List[Dict[str, Any]] = []
-    for stage in sorted(circuit.stages, key=lambda s: s.name):
-        stages.append(
-            {
-                "name": stage.name,
-                "kind": stage.kind.value,
-                "inputs": [
-                    [
-                        pin.name,
-                        canon[pin.net.name],
-                        pin.pin_class.value,
-                        pin.speed.value if pin.speed is not None else None,
-                        bool(pin.inverted),
-                    ]
-                    for pin in stage.inputs
-                ],
-                "output": canon[stage.output.name],
-                "size_vars": {
-                    role: stage.size_vars[role]
-                    for role in sorted(stage.size_vars)
-                },
-                "params": {
-                    key: _canonical_param(stage.params[key])
-                    for key in sorted(stage.params)
-                },
-            }
-        )
-    nets = sorted(
-        [
-            canon[net.name],
-            net.kind.value,
-            net.wire_cap,
-            net.external_load,
-            net.wire_res,
-        ]
-        for net in circuit.nets.values()
-    )
-    size_vars = [
-        [
-            var.name,
-            var.lower,
-            var.upper,
-            var.pinned,
-            list(var.ratio_of) if var.ratio_of is not None else None,
-        ]
-        for var in sorted(circuit.size_table, key=lambda v: v.name)
-    ]
+    facets = _structure_payloads(circuit)
+    topology, sizing = facets["topology"], facets["sizing"]
+    # Both facets list stages in name order and nets in canonical-name
+    # order (canonical names are unique), so the rows pair up by position.
     return {
         "version": FINGERPRINT_VERSION,
-        "stages": stages,
-        "nets": nets,
-        "size_vars": size_vars,
-        "primary_inputs": sorted(circuit.primary_inputs),
-        "primary_outputs": sorted(circuit.primary_outputs),
-        "input_phases": {
-            net: circuit.input_phases[net]
-            for net in sorted(circuit.input_phases)
-        },
-        "clock": circuit.clock,
+        "stages": [
+            dict(stage, size_vars=size_vars)
+            for stage, (_, size_vars) in zip(topology["stages"], sizing["stages"])
+        ],
+        "nets": [
+            wiring + electrical[1:]
+            for wiring, electrical in zip(topology["nets"], sizing["nets"])
+        ],
+        "size_vars": sizing["size_vars"],
+        "primary_inputs": topology["primary_inputs"],
+        "primary_outputs": topology["primary_outputs"],
+        "input_phases": facets["phases"]["input_phases"],
+        "clock": topology["clock"],
     }
 
 
 def circuit_fingerprint(circuit: Circuit) -> str:
     """Stable, order-independent SHA-256 hex digest of a circuit."""
-    blob = json.dumps(
-        circuit_payload(circuit),
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return canonical_digest(circuit_payload(circuit))
 
 
 # -- facet fingerprints (incremental lint) ---------------------------------
@@ -255,18 +220,30 @@ def _truth_table_digest(spec, inputs, outputs) -> str:
         "outputs": outputs,
         "rows": rows,
     }
-    return _facet_digest(payload)
+    return canonical_digest(payload)
 
 
 def facet_payloads(circuit: Circuit) -> Dict[str, Dict[str, Any]]:
     """The four facet payloads (JSON-ready) behind :func:`facet_fingerprints`.
 
-    Facets partition :func:`circuit_payload` (plus the funcspec, which the
-    sizing fingerprint deliberately ignores) so that an edit invalidates
-    only the facets it actually touches: resizing a transistor changes
-    ``sizing`` but not ``topology``; redeclaring an input phase changes only
-    ``phases``; editing the golden function changes only ``funcspec``.
+    Facets partition the circuit's serialized form (the sizing fingerprint
+    is the join of the first three; see :func:`circuit_payload`) so that an
+    edit invalidates only the facets it actually touches: resizing a
+    transistor changes ``sizing`` but not ``topology``; redeclaring an
+    input phase changes only ``phases``; editing the golden function
+    changes only ``funcspec``.
     """
+    payloads = _structure_payloads(circuit)
+    payloads["funcspec"] = {
+        "version": [FINGERPRINT_VERSION, FACET_VERSION],
+        "digest": funcspec_digest(circuit),
+    }
+    return payloads
+
+
+def _structure_payloads(circuit: Circuit) -> Dict[str, Dict[str, Any]]:
+    """The ``topology``, ``sizing`` and ``phases`` facet payloads: the one
+    walk over the circuit's stages, nets and size variables."""
     canon = canonical_net_names(circuit)
     topo_stages: List[Dict[str, Any]] = []
     sizing_stages: List[List[Any]] = []
@@ -337,24 +314,13 @@ def facet_payloads(circuit: Circuit) -> Dict[str, Dict[str, Any]]:
             },
             "clock": circuit.clock,
         },
-        "funcspec": {
-            "version": version,
-            "digest": funcspec_digest(circuit),
-        },
     }
-
-
-def _facet_digest(payload: Any) -> str:
-    blob = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def facet_fingerprints(circuit: Circuit) -> Dict[str, str]:
     """SHA-256 digest per facet — the invalidation keys of the incremental
     lint engine (:mod:`repro.lint.incremental`)."""
     return {
-        name: _facet_digest(payload)
+        name: canonical_digest(payload)
         for name, payload in facet_payloads(circuit).items()
     }

@@ -18,6 +18,8 @@ Three cooperating pieces:
 * :mod:`repro.obs.perf` — the performance observatory: append-only run
   ledger, span-tree attribution (self-time rollups, kernel hot-spots,
   critical path) and Chrome/speedscope flame-graph exports.
+* :mod:`repro.obs.jsonl` — the one tolerant JSONL reader and the one
+  appender behind the run ledger and every store in :mod:`repro.cache`.
 
 Typical instrumented call-site::
 

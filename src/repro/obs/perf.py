@@ -38,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -52,10 +51,8 @@ from typing import (
     Union,
 )
 
-from .log import get_logger
+from .jsonl import append_record, read_records
 from .trace import SpanRecord, json_sanitize
-
-log = get_logger(__name__)
 
 LEDGER_FORMAT = "smart-perf-ledger/1"
 
@@ -443,77 +440,32 @@ def to_speedscope(
 class RunLedger:
     """Append-only JSONL store of run records.
 
-    Mirrors :class:`repro.cache.SizingCache`'s file discipline: one JSON
-    object per line, tolerant loading (corrupt/foreign lines are skipped and
-    counted), append-on-write.  ``path=None`` keeps records in memory only
-    (tests, ephemeral gating).
+    Read by :func:`repro.obs.jsonl.read_records` (corrupt/foreign lines
+    are skipped and counted) and appended by
+    :func:`repro.obs.jsonl.append_record`, like every store in
+    :mod:`repro.cache`.  ``path=None`` keeps records in memory only (tests,
+    ephemeral gating).
     """
 
-    def __init__(self, path: Optional[str] = None, autosync: bool = True):
+    def __init__(self, path: Optional[str] = None):
         self.path = path
-        self.autosync = autosync
-        self.records: List[dict] = []
-        self.skipped_lines = 0
-        if path and os.path.exists(path):
-            self.records = self._load(path)
-
-    def _load(self, path: str) -> List[dict]:
-        records: List[dict] = []
-        with open(path) as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    self.skipped_lines += 1
-                    log.warning(
-                        "%s:%d: skipping corrupt ledger line", path, line_no
-                    )
-                    continue
-                if not isinstance(record, dict) or any(
-                    f not in record for f in _REQUIRED_FIELDS
-                ):
-                    self.skipped_lines += 1
-                    log.warning(
-                        "%s:%d: skipping foreign ledger line", path, line_no
-                    )
-                    continue
-                records.append(record)
-        return records
-
-    @classmethod
-    def load(cls, path: str) -> "RunLedger":
-        """Open an existing ledger read-only-ish (no autosync surprises)."""
-        return cls(path=path, autosync=False)
+        self.records, self.skipped_lines = read_records(path, _is_record)
 
     def append(self, record: dict) -> None:
-        if any(f not in record for f in _REQUIRED_FIELDS):
+        if not _is_record(record):
             raise ValueError(
                 f"ledger record missing required fields {_REQUIRED_FIELDS}"
             )
         self.records.append(record)
-        if self.autosync and self.path:
-            directory = os.path.dirname(os.path.abspath(self.path))
-            os.makedirs(directory, exist_ok=True)
-            with open(self.path, "a") as fh:
-                fh.write(
-                    json.dumps(
-                        json_sanitize(record),
-                        sort_keys=True,
-                        separators=(",", ":"),
-                        default=str,
-                    )
-                    + "\n"
-                )
+        if self.path:
+            append_record(self.path, json_sanitize(record))
 
     def __len__(self) -> int:
         return len(self.records)
 
-    def __repr__(self) -> str:
-        backing = self.path or "<memory>"
-        return f"RunLedger({backing!r}, records={len(self.records)})"
+
+def _is_record(record: Mapping[str, Any]) -> bool:
+    return all(f in record for f in _REQUIRED_FIELDS)
 
 
 _active_ledger: Optional[RunLedger] = None

@@ -10,9 +10,9 @@ parent reassembles everything deterministically:
 * **traces** — each worker records its spans/events into a private tracer
   whose records ship back over the pool and are grafted into the parent's
   trace (:meth:`repro.obs.trace.Tracer.graft`);
-* **cache** — workers get the parent cache's snapshot read-only
-  (``autosync=False``), with an in-memory copy of its solution-certificate
-  store when it has one; new entries, the certificates the sized results
+* **cache** — workers get the parent cache's snapshot as an in-memory
+  cache, with an in-memory copy of its solution-certificate store when it
+  has one; new entries, the certificates the sized results
   carry and hit/miss stats return with each outcome, and the parent (the
   single writer) merges and persists them.
 
@@ -92,7 +92,7 @@ def _init_worker(
 
     cache = None
     if cache_seed is not None:
-        cache = SizingCache(path=None, autosync=False)
+        cache = SizingCache()
         cache.seed(cache_seed)
         if certificate_seed is not None:
             cache.certificates = SolutionCertificateStore()
@@ -156,7 +156,7 @@ def run_candidates(
         log.warning("pool unavailable: inputs not picklable (%s)", exc)
         return None
 
-    seed = cache.entries_snapshot() if cache is not None else None
+    seed = cache.entries() if cache is not None else None
     certificates = getattr(cache, "certificates", None)
     certificate_seed = (
         certificates.entries() if certificates is not None else None

@@ -405,7 +405,7 @@ def _run_pool(
     except Exception as exc:
         log.warning("sweep pool unavailable: not picklable (%s)", exc)
         return None
-    seed = cache.entries_snapshot() if cache is not None else None
+    seed = cache.entries() if cache is not None else None
     outcomes: List[_PointOutcome] = []
     try:
         with concurrent.futures.ProcessPoolExecutor(

@@ -1,10 +1,19 @@
-"""SizingCache store tests: persistence, lookups, tolerance to bad lines."""
+"""Store tests: persistence, lookups, tolerance to bad lines.
+
+The JSONL behavior every store shares (one line per key, tolerant reload)
+is parametrized over all of them: the sizing cache, the solution
+certificate, lint rule and contract stores, and the run ledger.
+"""
 
 import json
+import os
 
 import pytest
 
-from repro.cache import CacheKey, SizingCache, make_entry
+from repro.cache import CacheKey, ContractStore, SizingCache, make_entry
+from repro.lint.incremental import RuleResultCache
+from repro.lint.solution import SolutionCertificate, SolutionCertificateStore
+from repro.obs.perf import LEDGER_FORMAT, RunLedger
 
 
 def _entry(spec_data=300.0, circuit_fp="c1", context_fp="x1", env=None):
@@ -27,6 +36,43 @@ def _entry(spec_data=300.0, circuit_fp="c1", context_fp="x1", env=None):
     )
 
 
+def _certificate(key="k1"):
+    return SolutionCertificate(
+        key=key,
+        circuit="mux4",
+        widths_digest="w",
+        facets={},
+        ok=True,
+        worst_residual_ps=0.0,
+        tolerance=2.0,
+    )
+
+
+#: Per store: how to write one record, and the key that record lands under.
+STORES = {
+    SizingCache: (lambda store: store.put(_entry()), _entry()["key"]),
+    SolutionCertificateStore: (lambda store: store.put(_certificate()), "k1"),
+    RuleResultCache: (
+        lambda store: store.put("k1", {"rule": "ERC001", "diags": []}), "k1"
+    ),
+    ContractStore: (
+        lambda store: store.put({"fingerprint": "k1", "identity": "mux|w4"}),
+        "k1",
+    ),
+}
+
+_LEDGER_RECORD = {
+    "format": LEDGER_FORMAT, "kind": "size", "name": "mux4", "wall_s": 0.1,
+}
+
+
+def _write_one(store_cls, store):
+    if store_cls is RunLedger:
+        store.append(dict(_LEDGER_RECORD))
+    else:
+        STORES[store_cls][0](store)
+
+
 class TestPutGet:
     def test_roundtrip_in_memory(self):
         cache = SizingCache()
@@ -40,12 +86,16 @@ class TestPutGet:
         with pytest.raises(ValueError):
             SizingCache().put({"key": "k"})
 
-    def test_idempotent_put(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cache = SizingCache(str(path))
-        cache.put(_entry())
-        cache.put(_entry())
+    @pytest.mark.parametrize("store_cls", list(STORES), ids=lambda c: c.__name__)
+    def test_idempotent_put(self, tmp_path, store_cls):
+        path = tmp_path / "store.jsonl"
+        write, key = STORES[store_cls]
+        store = store_cls(str(path))
+        write(store)
+        write(store)
         assert len(path.read_text().strip().splitlines()) == 1
+        reloaded = store_cls(str(path))
+        assert len(reloaded) == 1 and key in reloaded
 
 
 class TestPersistence:
@@ -58,16 +108,18 @@ class TestPersistence:
         reader = SizingCache(str(path))
         assert reader.get(entry["key"]) == entry
 
-    def test_corrupt_and_foreign_lines_skipped(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        entry = _entry()
+    @pytest.mark.parametrize(
+        "store_cls", [*STORES, RunLedger], ids=lambda c: c.__name__
+    )
+    def test_corrupt_and_foreign_lines_skipped(self, tmp_path, store_cls):
+        path = tmp_path / "store.jsonl"
         with open(path, "w") as fh:
             fh.write("{not json\n")
             fh.write(json.dumps({"something": "else"}) + "\n")
-            fh.write(json.dumps(entry) + "\n")
-        cache = SizingCache(str(path))
-        assert cache.skipped_lines == 2
-        assert cache.get(entry["key"]) == entry
+        _write_one(store_cls, store_cls(str(path)))
+        store = store_cls(str(path))
+        assert store.skipped_lines == 2
+        assert len(store) == 1
 
     def test_last_write_wins(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -77,14 +129,6 @@ class TestPersistence:
             fh.write(json.dumps(old) + "\n")
             fh.write(json.dumps(new) + "\n")
         assert SizingCache(str(path)).get(old["key"])["area"] == 99.0
-
-    def test_flush_persists_deferred_entries(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        worker = SizingCache(str(path), autosync=False)
-        worker.put(_entry())
-        assert not path.exists()
-        worker.flush()
-        assert SizingCache(str(path)).get(_entry()["key"]) is not None
 
 
 class TestNearest:
@@ -110,13 +154,13 @@ class TestNearest:
 
 class TestWorkerProtocol:
     def test_seed_does_not_mark_new(self):
-        worker = SizingCache(autosync=False)
+        worker = SizingCache()
         worker.seed([_entry()])
         assert len(worker) == 1
-        assert worker.new_entries() == []
+        assert worker.drain_new() == []
 
     def test_drain_new_ships_only_fresh_entries(self):
-        worker = SizingCache(autosync=False)
+        worker = SizingCache()
         worker.seed([_entry(spec_data=100.0)])
         fresh = _entry(spec_data=200.0)
         worker.put(fresh)
@@ -191,3 +235,66 @@ class TestJsonlArtifactStore:
         reloaded = self._store(str(path))
         assert len(reloaded) == 1
         assert reloaded.skipped_lines == 2
+
+
+#: Lines written by the format-1 stores before they shared one reader and
+#: one writer, all for the 4:1 strongly-mutexed mux (``small_mux``): a
+#: sizing entry at 0.9x its nominal delay and a negative entry at 0.6x, the
+#: certificate of the former, one rule-cache entry (DFA301, default
+#: options), its contract and two run-ledger records.
+STORES_V1 = os.path.join(os.path.dirname(__file__), "fixtures", "stores_v1")
+V1_FILES = {
+    SizingCache: "sizing.jsonl",
+    SolutionCertificateStore: "certs.jsonl",
+    RuleResultCache: "rules.jsonl",
+    ContractStore: "contracts.jsonl",
+    RunLedger: "ledger.jsonl",
+}
+
+
+class TestStoresV1Fixture:
+    @pytest.mark.parametrize("store_cls", list(V1_FILES), ids=lambda c: c.__name__)
+    def test_reloads_without_skipping(self, store_cls):
+        path = os.path.join(STORES_V1, V1_FILES[store_cls])
+        store = store_cls(path)
+        assert store.skipped_lines == 0
+        with open(path) as fh:
+            assert len(store) == sum(1 for line in fh if line.strip())
+
+    def test_sizing_hits_still_hit(self, small_mux, library, tmp_path):
+        import shutil
+
+        from repro.sizing import DelaySpec, SmartSizer
+        from repro.sizing.engine import SizingError, nominal_delay
+
+        for name in ("sizing.jsonl", "certs.jsonl"):
+            shutil.copy(os.path.join(STORES_V1, name), tmp_path / name)
+        cache = SizingCache(
+            str(tmp_path / "sizing.jsonl"),
+            certificates=SolutionCertificateStore(str(tmp_path / "certs.jsonl")),
+        )
+        nominal = nominal_delay(small_mux, library)
+        SmartSizer(small_mux, library, cache=cache).size(
+            DelaySpec(data=0.9 * nominal)
+        )
+        assert cache.stats.exact_hits == cache.stats.cert_hits == 1
+        with pytest.raises(SizingError):
+            SmartSizer(small_mux, library, cache=cache).size(
+                DelaySpec(data=0.6 * nominal)
+            )
+        assert cache.stats.negative_hits == 1
+        assert cache.stats.misses == 0
+
+    def test_lint_and_contract_keys_still_hit(self, small_mux):
+        from repro.lint.registry import get_rule
+        from repro.netlist.fingerprint import (
+            circuit_fingerprint,
+            facet_fingerprints,
+        )
+
+        rules = RuleResultCache(os.path.join(STORES_V1, "rules.jsonl"))
+        key = RuleResultCache.key(get_rule("DFA301"), facet_fingerprints(small_mux))
+        assert rules.lookup(key) == []
+        contracts = ContractStore(os.path.join(STORES_V1, "contracts.jsonl"))
+        assert contracts.get(circuit_fingerprint(small_mux)) is not None
+        assert contracts.for_identity("mux/strong_mutex_passgate|w4")

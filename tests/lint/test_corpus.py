@@ -40,7 +40,6 @@ def passes(request, tmp_path_factory):
     for _ in range(2):
         cache = RuleResultCache(path)
         record, _ = corpus.run_family(family, cache)
-        cache.flush()
         runs.append((record, cache.stats))
     return family, runs[0], runs[1]
 

@@ -354,7 +354,7 @@ class TestHierFromBlock:
         ledger_path = str(tmp_path / "ledger.jsonl")
         with perf.ledger_scope(ledger_path):
             lint_hier(block, LIBRARY)
-        records = perf.RunLedger.load(ledger_path).records
+        records = perf.RunLedger(ledger_path).records
         kinds = {r["kind"] for r in records}
         assert "hier_lint" in kinds
         assert "rule" in kinds

@@ -180,7 +180,6 @@ class TestRuleResultCache:
         circuit = _inv_chain()
         cache = RuleResultCache(path)
         cold = lint_circuit(circuit, cache=cache)
-        cache.flush()
         reloaded = RuleResultCache(path)
         warm = lint_circuit(circuit, cache=reloaded)
         assert all(s == "replayed" for _, _, s in warm.executed)
@@ -191,7 +190,6 @@ class TestRuleResultCache:
         circuit = _inv_chain()
         cache = RuleResultCache(str(path))
         lint_circuit(circuit, cache=cache)
-        cache.flush()
         content = path.read_text()
         path.write_text("not json\n" + content + '{"key": "dangling"}\n')
         reloaded = RuleResultCache(str(path))

@@ -131,7 +131,6 @@ def test_certificate_store_roundtrip(tmp_path, base):
     path = str(tmp_path / "certs.jsonl")
     store = SolutionCertificateStore(path)
     store.put(SolutionCertificate.from_payload(base.certificate))
-    store.flush()
 
     reloaded = SolutionCertificateStore(path)
     assert len(reloaded) == 1

@@ -187,7 +187,7 @@ class TestRunLedger:
         ledger = RunLedger(path)
         ledger.append(self._record())
         ledger.append(self._record(name="adder16", wall=2.0))
-        reloaded = RunLedger.load(path)
+        reloaded = RunLedger(path)
         assert len(reloaded) == 2
         assert reloaded.records[1]["name"] == "adder16"
 
@@ -195,7 +195,7 @@ class TestRunLedger:
         path = tmp_path / "ledger.jsonl"
         good = json.dumps(self._record())
         path.write_text(f"{good}\nnot json\n{{\"foreign\": 1}}\n{good}\n")
-        ledger = RunLedger.load(str(path))
+        ledger = RunLedger(str(path))
         assert len(ledger) == 2
         assert ledger.skipped_lines == 2
 
@@ -225,7 +225,7 @@ class TestRunLedger:
         with ledger_scope(path) as ledger:
             record_run("size", "mux8", wall_s=1.0)
         assert ledger.path == path
-        assert len(RunLedger.load(path)) == 1
+        assert len(RunLedger(path)) == 1
 
 
 class TestBuildRunRecord:
@@ -427,6 +427,6 @@ class TestRuleRollup:
             "--ledger", ledger,
             "lint", "mux", "4", "--topology", "mux/strong_mutex_passgate",
         ]) == 0
-        text = render_ledger_summary(RunLedger.load(ledger).records)
+        text = render_ledger_summary(RunLedger(ledger).records)
         assert "slowest lint rules" in text
         assert "ERC" in text or "DFA" in text

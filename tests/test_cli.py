@@ -356,6 +356,23 @@ class TestLintHierCommand:
         assert payload[-1]["hier"]["contracts_derived"] == 4
         assert payload[0]["schema_version"] >= 1
 
+    def test_cache_files_hold_one_line_per_key(self, tmp_path, capsys):
+        import json
+
+        flat, hier, contracts = (
+            str(tmp_path / name)
+            for name in ("flat.jsonl", "hier.jsonl", "contracts.jsonl")
+        )
+        main(["lint", "mux", "4", "--rule-cache", flat])
+        assert main([
+            "lint", "--hier", "--contracts", contracts, "--rule-cache", hier,
+        ]) == 0
+        capsys.readouterr()
+        for path in (flat, hier, contracts):
+            with open(path) as fh:
+                keys = [json.loads(line)["key"] for line in fh]
+            assert keys and len(keys) == len(set(keys)), path
+
     def test_changed_only_flat_requires_rule_cache(self, capsys):
         assert main(["lint", "mux", "4", "--changed-only"]) == 2
 
