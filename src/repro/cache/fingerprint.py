@@ -46,16 +46,13 @@ __all__ = [
 
 def library_payload(library) -> Any:
     """Canonical form of a :class:`~repro.models.gates.ModelLibrary`:
-    the technology constants plus which model class serves each stage kind
+    its :meth:`~repro.models.gates.ModelLibrary.content_key`, the
+    technology constants plus which model class serves each stage kind
     (a registered custom model must change the fingerprint)."""
+    tech, models = library.content_key()
     return {
-        "tech": dataclasses.asdict(library.tech),
-        "models": {
-            kind.value: type(model).__name__
-            for kind, model in sorted(
-                library.registered_models().items(), key=lambda kv: kv[0].value
-            )
-        },
+        "tech": dataclasses.asdict(tech),
+        "models": {kind: model.__name__ for kind, model in models},
     }
 
 

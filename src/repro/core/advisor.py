@@ -25,6 +25,7 @@ from ..macros.base import MacroDatabase, MacroGenerator, MacroSpec
 from ..macros.registry import default_database
 from ..models.gates import ModelLibrary
 from ..models.technology import Technology
+from ..netlist.fingerprint import canonical_digest
 from ..obs import metrics, perf, trace
 from ..obs.log import get_logger
 from ..sim.timing import StaticTimingAnalyzer
@@ -86,15 +87,15 @@ class SmartAdvisor:
 
     def cache_stats(self) -> Dict[str, float]:
         """The sizing cache's hit/miss stats (when the advisor has a cache)
-        plus ``screen_replays``, the DFA303 screens replayed from the lint
-        cache — the counts the run ledger and the CLI ``cache:`` line show."""
+        plus ``screen_replays`` and ``margin_replays``, the DFA303 screens
+        and noise margins replayed from the lint cache — the counts the run
+        ledger and the CLI ``cache:`` line show."""
         stats: Dict[str, float] = (
             self.cache.stats.as_dict() if self.cache is not None else {}
         )
-        stats["screen_replays"] = (
-            self._lint_cache.stats.screen_replays
-            if self._lint_cache is not None else 0
-        )
+        lint = self._lint_cache.stats if self._lint_cache is not None else None
+        stats["screen_replays"] = lint.screen_replays if lint else 0
+        stats["margin_replays"] = lint.margin_replays if lint else 0
         return stats
 
     # -- design-space pruning ---------------------------------------------------
@@ -289,18 +290,12 @@ class SmartAdvisor:
             return None
         return absorb_outcomes(outcomes, cache=self.cache)
 
-    #: Symbolic-gate enumeration budgets: small enough that the switch-level
-    #: check stays a few percent of one GP solve, large enough to catch the
-    #: systematic wiring errors SVC401/SVC402 exist for.
-    _SYMBOLIC_GATE_OPTIONS = {
-        "symbolic_exact_budget": 8,
-        "symbolic_samples": 12,
-    }
-
     def _lint_gate(self, circuit) -> Optional[str]:
         """Pre-sizing lint gate: structural + family ERC rules, plus the
-        switch-level SVC4xx group when the generator attached a golden
-        functional spec.
+        switch-level SVC4xx group (at the lint's default enumeration
+        budgets) and the NSA6xx group when the generator attached a golden
+        functional spec; the NSA6xx rules evaluate against the advisor's
+        library.
 
         Returns a one-line failure reason when the circuit has lint errors
         (fail fast — an electrically broken candidate would only waste GP
@@ -332,8 +327,8 @@ class SmartAdvisor:
         )
         with trace.span("lint_gate", circuit=circuit.name) as sp:
             report = lint_circuit(
-                circuit, groups=groups, options=self._SYMBOLIC_GATE_OPTIONS,
-                cache=self._lint_cache,
+                circuit, groups=groups, cache=self._lint_cache,
+                library=self.library,
             )
             sp.set_attrs(
                 errors=len(report.errors), warnings=len(report.warnings)
@@ -476,24 +471,40 @@ class SmartAdvisor:
         return screen.summary()
 
     def _noise_margin(
-        self, circuit, constraints: DesignConstraints, sizing
+        self, circuit, constraints: DesignConstraints, sizing, screen_key: str
     ) -> Optional[float]:
-        """Worst NSA6xx margin at the solved widths (for the report)."""
-        from ..lint.electrical import worst_noise_margin
+        """Worst NSA6xx margin at the solved widths (for the report).
 
+        Stored in the advisor's lint cache beside the DFA303 findings, under
+        the screen key plus the electrical options and the widths' digest
+        (everything :func:`worst_noise_margin` reads), so a repeated
+        request replays it.  A failed computation is logged, not stored.
+        """
+        from ..lint.electrical import worst_noise_margin
+        from ..lint.solution.certificate import widths_digest
+
+        options = self._electrical_options(constraints)
+        key = canonical_digest({
+            "noise_margin": screen_key,
+            "electrical": options,
+            "widths": widths_digest(sizing.resolved),
+        })
+        entry = self._lint_cache.get(key)
+        if entry is not None:
+            self._lint_cache.stats.margin_replays += 1
+            metrics.counter("advisor.noise_margins_replayed").inc()
+            return entry["noise_margin"]
         t_start = time.perf_counter()
         try:
             margin = worst_noise_margin(
-                circuit,
-                self.library,
-                options=self._electrical_options(constraints),
-                env=sizing.resolved,
+                circuit, self.library, options=options, env=sizing.resolved
             )
         except Exception as exc:  # never fail a sized candidate on this
             log.warning(
                 "noise margin for %s skipped (%s)", circuit.name, exc
             )
             return None
+        self._lint_cache.put(key, {"noise_margin": margin})
         perf.record_run(
             "electrical",
             circuit.name,
@@ -653,6 +664,8 @@ class SmartAdvisor:
             feasible=True,
             sizing=sizing,
             cost=cost,
-            noise_margin=self._noise_margin(circuit, constraints, sizing),
+            noise_margin=self._noise_margin(
+                circuit, constraints, sizing, screen_key
+            ),
             certificate=certificate,
         )

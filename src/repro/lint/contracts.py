@@ -39,8 +39,8 @@ from ..netlist.circuit import Circuit
 from ..netlist.fingerprint import circuit_fingerprint, facet_fingerprints
 from ..obs import trace
 from ..obs.log import get_logger
-from .dataflow.framework import solve_forward
-from .dataflow.interval import IntervalAnalysis, box_bounds
+from ..sim.timing import StaticTimingAnalyzer
+from .dataflow.interval import box_bounds, box_intervals
 from .dataflow.monotone import solve_monotonicity
 from .dataflow.phase import solve_phases
 from .electrical.model import option as electrical_option
@@ -155,11 +155,8 @@ def derive_contract(
         analyzer = None
         timing = {}
         try:
-            analysis = IntervalAnalysis(
-                circuit, library, input_slope, box_bounds(circuit)
-            )
-            analyzer = analysis.analyzer
-            timing = solve_forward(circuit, analysis).values
+            timing = box_intervals(circuit, library, input_slope).values
+            analyzer = StaticTimingAnalyzer(circuit, library)
         except Exception as exc:  # timing models absent for exotic stages
             log.warning(
                 "contract %s: interval characterization skipped (%s)",

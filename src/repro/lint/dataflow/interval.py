@@ -40,10 +40,12 @@ slope (halved on clock nets) entering the first hop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Dict, List, Tuple
 
 from ...models.gates import SLOPE_LEAK, ModelLibrary
 from ...netlist.circuit import Circuit
+from ...netlist.memo import circuit_memo
 from ...netlist.nets import NetKind, PinClass
 from ...netlist.sizing_vars import DEFAULT_BOUNDS
 from ...netlist.stages import Stage, StageKind
@@ -52,7 +54,7 @@ from ...sim.timing import StaticTimingAnalyzer, stage_arcs
 from ...sizing.constraints import ConstraintGenerator
 from ..diagnostics import Diagnostic, LintReport, Location, Severity
 from ..registry import Rule, register
-from .framework import ForwardAnalysis, solve_forward
+from .framework import ForwardAnalysis, SolveResult, solve_forward
 
 DFA303 = register(Rule(
     "DFA303", "interval-STA infeasibility", "dataflow", Severity.ERROR,
@@ -118,6 +120,44 @@ def box_bounds(circuit: Circuit) -> Callable[[str], Tuple[float, float]]:
         return DEFAULT_BOUNDS
 
     return bounds
+
+
+def box_intervals(
+    circuit: Circuit, library: ModelLibrary, input_slope: float
+) -> SolveResult:
+    """The interval propagation of ``circuit`` over its whole sizing box
+    (:func:`box_bounds`) at ``input_slope``, computed once per circuit.
+
+    Every box reader shares it: the DFA303 screen, NSA604's aggressor
+    slopes (so also :func:`~repro.lint.electrical.worst_noise_margin`) and
+    the contract derivation.  The result lives in the circuit's memo
+    (:func:`~repro.netlist.memo.circuit_memo`) under the library content,
+    the size-table state, the box bounds and the input slope — everything
+    the propagation reads besides the circuit's structure, whose in-place
+    edits :func:`~repro.netlist.memo.forget` the memo.  Its ``values`` are
+    read-only.
+    """
+    table = circuit.size_table
+    key = (
+        "box_intervals",
+        library.content_key(),
+        table.state(),
+        tuple((var.lower, var.upper) for var in table),
+        input_slope,
+    )
+    memo = circuit_memo(circuit)
+    result = memo.get(key)
+    if result is not None:
+        metrics.counter("lint.dataflow.interval.reused").inc()
+        trace.add_attrs(interval_reused=True)
+        return result
+    result = solve_forward(
+        circuit,
+        IntervalAnalysis(circuit, library, input_slope, box_bounds(circuit)),
+    )
+    result.values = MappingProxyType(result.values)
+    memo[key] = result
+    return result
 
 
 class IntervalAnalysis(ForwardAnalysis):
@@ -360,13 +400,7 @@ def screen_feasibility(
 
     with trace.span("interval_screen", circuit=circuit.name) as span:
         generator = ConstraintGenerator(circuit, library, spec)
-        analysis = IntervalAnalysis(
-            circuit, library, spec.input_slope, bounds
-        )
-        # One hop-model memo serves the box pass, the slope/noise screen
-        # and the point pass.
-        analysis.analyzer = generator.analyzer
-        result = solve_forward(circuit, analysis)
+        result = box_intervals(circuit, library, spec.input_slope)
         widened = bool(result.widened)
 
         sink_values = {

@@ -40,8 +40,8 @@ from ...netlist.nets import PinClass
 from ...netlist.stages import VDD, VSS, Stage, StageKind
 from ...posy import as_posynomial, posy_sum
 from ...sim.timing import StaticTimingAnalyzer
-from ..dataflow.interval import box_bounds
-from ..symbolic.switchlevel import ChannelGraph, Switch
+from ..dataflow.interval import box_bounds, box_intervals
+from ..symbolic.switchlevel import ChannelGraph, Switch, channel_graph
 
 _EPS = 1e-9
 
@@ -226,7 +226,7 @@ def charge_share_certificates(
     library = library or ModelLibrary()
     tech = library.tech
     ratio = option(options, "electrical_charge_ratio")
-    graph = graph or ChannelGraph(circuit)
+    graph = graph or channel_graph(circuit)
     table = circuit.size_table
     unit = {label: 1.0 for label in table.names()}
     devices = {d.name: d for d in circuit.expand_transistors(unit)}
@@ -509,15 +509,6 @@ class CouplingCert:
         return self.dip_lo > self.allowed + _EPS
 
 
-def _slope_intervals(circuit: Circuit, library: ModelLibrary, input_slope: float):
-    """DFA303 slope intervals per net."""
-    from ..dataflow.framework import solve_forward
-    from ..dataflow.interval import IntervalAnalysis
-
-    analysis = IntervalAnalysis(circuit, library, input_slope, box_bounds(circuit))
-    return solve_forward(circuit, analysis).values
-
-
 def coupling_certificates(
     circuit: Circuit,
     library: Optional[ModelLibrary] = None,
@@ -556,9 +547,9 @@ def coupling_certificates(
     if not victims:
         return []
 
-    timing = _slope_intervals(
+    timing = box_intervals(
         circuit, library, option(options, "electrical_input_slope")
-    )
+    ).values
     analyzer = StaticTimingAnalyzer(circuit, library)
     clocks = set(circuit.clock_nets())
     point = point_environment(circuit, env)

@@ -51,7 +51,9 @@ def nsa601_charge_share(ctx) -> None:
     DC path to ground turns ON, exposing discharged internal diffusion to
     the dynamic node.  Flags nodes whose dip exceeds the (keeper-credited)
     budget; ERROR when the dip exceeds it everywhere in the sizing box."""
-    certs = charge_share_certificates(ctx.circuit, options=ctx.options)
+    certs = charge_share_certificates(
+        ctx.circuit, ctx.library, options=ctx.options
+    )
     flagged = [c for c in certs if c.violated]
     groups: Dict[tuple, List[ChargeShareCert]] = {}
     for cert in flagged:
@@ -99,7 +101,9 @@ def nsa602_keeper_fight(ctx) -> None:
     the node against the worst-case leakage attack (restore margin) without
     fighting the evaluate pull-down hard enough to stall it (contention).
     ERROR when the violation holds everywhere in the sizing box."""
-    for cert in keeper_certificates(ctx.circuit, options=ctx.options):
+    for cert in keeper_certificates(
+        ctx.circuit, ctx.library, options=ctx.options
+    ):
         if cert.restore_violated:
             ctx.emit(
                 f"keeper restore margin {cert.restore:.2f}x below required "
@@ -139,7 +143,9 @@ def nsa603_pass_chain(ctx) -> None:
     delay grows quadratically with chain length, so long runs degrade the
     restored level past its noise budget.  ERROR when the budget is blown
     at the optimistic end of the sizing box."""
-    for cert in pass_chain_certificates(ctx.circuit, options=ctx.options):
+    for cert in pass_chain_certificates(
+        ctx.circuit, ctx.library, options=ctx.options
+    ):
         if not cert.violated:
             continue
         ctx.emit(
@@ -165,7 +171,9 @@ def nsa604_coupling(ctx) -> None:
     fastest adjacent aggressor (slope from the DFA303 interval propagation;
     unknown slopes assume a full-strength attack).  Victims of the same
     SVC405 isomorphism class collapse to one finding."""
-    certs = coupling_certificates(ctx.circuit, options=ctx.options)
+    certs = coupling_certificates(
+        ctx.circuit, ctx.library, options=ctx.options
+    )
     flagged = [c for c in certs if c.violated]
     if not flagged:
         return

@@ -92,6 +92,10 @@ class RuleCacheStats:
     #: The subset of ``replayed`` that were DFA303 interval screens replayed
     #: by the advisor's screen gate (``SmartAdvisor._screen_gate``).
     screen_replays: int = 0
+    #: Noise margins at solved widths replayed by the advisor
+    #: (``SmartAdvisor._noise_margin``); stored beside the screens, not
+    #: rule executions, so not part of ``replayed``.
+    margin_replays: int = 0
     #: Wall time actually spent running rules vs. recorded wall time of the
     #: executions that replay avoided.
     wall_executed_s: float = 0.0
@@ -112,6 +116,7 @@ class RuleCacheStats:
             "replayed": self.replayed,
             "stores": self.stores,
             "screen_replays": self.screen_replays,
+            "margin_replays": self.margin_replays,
             "wall_executed_s": round(self.wall_executed_s, 6),
             "wall_saved_s": round(self.wall_saved_s, 6),
             "hit_rate": round(self.hit_rate, 6),
@@ -122,6 +127,7 @@ class RuleCacheStats:
         self.replayed += int(other.get("replayed", 0))
         self.stores += int(other.get("stores", 0))
         self.screen_replays += int(other.get("screen_replays", 0))
+        self.margin_replays += int(other.get("margin_replays", 0))
         self.wall_executed_s += float(other.get("wall_executed_s", 0.0))
         self.wall_saved_s += float(other.get("wall_saved_s", 0.0))
 

@@ -183,7 +183,9 @@ def check_charge_sharing(ctx) -> None:
 
     certs = {
         cert.stage: cert
-        for cert in charge_share_certificates(ctx.circuit, options=ctx.options)
+        for cert in charge_share_certificates(
+            ctx.circuit, ctx.library, options=ctx.options
+        )
     }
     for (_, depth, _), members in sorted(groups.items()):
         example = min(members, key=lambda s: s.name)

@@ -15,6 +15,8 @@ from __future__ import annotations
 import time
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
+from ..cache.fingerprint import library_payload
+from ..models.gates import ModelLibrary
 from ..netlist.circuit import Circuit
 from ..netlist.fingerprint import facet_fingerprints
 from ..obs import metrics, perf, trace
@@ -48,12 +50,16 @@ class LintContext:
         rule_obj: Rule,
         report: LintReport,
         options: Optional[Mapping[str, object]] = None,
+        library: Optional[ModelLibrary] = None,
     ):
         self.circuit = circuit
         self.rule = rule_obj
         #: Free-form per-run tuning knobs (e.g. the symbolic group's
         #: enumeration budgets); rules read them with ``.get`` + defaults.
         self.options: Mapping[str, object] = options or {}
+        #: The model library the electrical rules evaluate against (None:
+        #: a default-technology library).
+        self.library = library
         self._report = report
 
     def emit(
@@ -100,6 +106,7 @@ def lint_circuit(
     options: Optional[Mapping[str, object]] = None,
     cache: Optional[RuleResultCache] = None,
     replay: bool = True,
+    library: Optional[ModelLibrary] = None,
 ) -> LintReport:
     """Run the circuit rule groups over ``circuit``.
 
@@ -122,6 +129,12 @@ def lint_circuit(
     replay:
         Set False to force every rule to execute while still refreshing
         the cache — the cold/refresh pass of a cold/warm CI pair.
+    library:
+        The model library the NSA6xx rules evaluate against
+        (:attr:`LintContext.library`); ``None`` means a default-technology
+        library.  A given library's :func:`library_payload` joins the
+        options in every cache key, so results never replay across
+        technologies.
     """
     bad = set(groups) - set(ALL_CIRCUIT_GROUPS)
     if bad:
@@ -133,6 +146,9 @@ def lint_circuit(
     facets = report.facets = (
         facet_fingerprints(circuit) if cache is not None else None
     )
+    key_options = options
+    if cache is not None and library is not None:
+        key_options = dict(options or {}, library=library_payload(library))
     t_start = time.perf_counter()
     for rule_obj in rules_in_groups(groups):
         if rule_obj.check is None:
@@ -141,7 +157,7 @@ def lint_circuit(
             continue
         key = None
         if cache is not None:
-            key = cache.key(rule_obj, facets, options)
+            key = cache.key(rule_obj, facets, key_options)
             if replay:
                 hit = cache.lookup(key)
                 if hit is not None:
@@ -154,7 +170,9 @@ def lint_circuit(
         before = len(report.diagnostics)
         t_rule = time.perf_counter()
         with trace.span("lint_rule", rule=rule_obj.id, circuit=circuit.name):
-            rule_obj.check(LintContext(circuit, rule_obj, report, options))
+            rule_obj.check(
+                LintContext(circuit, rule_obj, report, options, library)
+            )
         wall = time.perf_counter() - t_rule
         report.executed.append((rule_obj.id, wall, "executed"))
         metrics.counter("lint.rules_executed").inc()

@@ -4,7 +4,8 @@ Layers, bottom up:
 
 * :mod:`~repro.lint.symbolic.switchlevel` — Bryant-style steady-state
   solver over the flat transistor netlist (conducting paths, charge
-  retention, two-phase domino protocol);
+  retention, two-phase domino protocol), bit-parallel over a whole set of
+  input assignments;
 * :mod:`~repro.lint.symbolic.extract` — input-space enumeration and
   boolean-behavior extraction (exact cofactors up to a budget, seeded
   sampling beyond, ``proved`` vs ``tested`` verdicts);

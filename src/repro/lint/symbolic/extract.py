@@ -1,7 +1,7 @@
 """Boolean-behavior extraction over the switch-level solver.
 
-Enumerates input assignments, solves each through
-:mod:`repro.lint.symbolic.switchlevel`, and collects the per-output truth
+Enumerates input assignments, solves them all in one bit-parallel pass
+through :mod:`repro.lint.symbolic.switchlevel`, and collects the per-output truth
 table plus every electrical anomaly (conflicts, floating nets) seen along
 the way.  Exact cofactor enumeration is used up to a configurable input
 budget; beyond it a seeded random sample is drawn and the verdict is
@@ -24,7 +24,8 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from ...netlist.circuit import Circuit
 from ...netlist.funcspec import FunctionalSpec
 from ...netlist.memo import circuit_memo
-from .switchlevel import ChannelGraph, Conflict, evaluate_assignment
+from ...obs import trace
+from .switchlevel import Conflict, channel_graph, input_masks, solve_assignments
 
 #: Exact enumeration up to this many primary inputs (2^budget assignments).
 DEFAULT_EXACT_BUDGET = 10
@@ -148,6 +149,26 @@ def _one_sample(
     return None
 
 
+def _first_bits(masks, names, wanted) -> List[Tuple[int, int, str]]:
+    """``(first set bit, position, name)`` of every wanted net whose mask is
+    non-zero, sorted: the order a scan of the assignments one by one, nets
+    in ``names`` order within each, first meets them."""
+    found = []
+    for pos, (name, mask) in enumerate(zip(names, masks)):
+        if mask and name in wanted:
+            found.append(((mask & -mask).bit_length() - 1, pos, name))
+    found.sort()
+    return found
+
+
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def extract(
     circuit: Circuit,
     spec: Optional[FunctionalSpec] = None,
@@ -161,11 +182,17 @@ def extract(
     the macro's valid input space and enables the SVC401 comparison; with
     no spec the full space is swept and only electrical anomalies are
     recorded.
+
+    Every assignment is solved in one bit-parallel pass
+    (:func:`~repro.lint.symbolic.switchlevel.solve_assignments`).  The
+    record is the one an assignment-by-assignment scan builds: the first
+    assignment showing each conflict or floating net is its witness, and
+    ``mismatches``/``undefined`` run assignment-major, outputs in
+    ``primary_outputs`` order.
     """
-    graph = ChannelGraph(circuit)
+    graph = channel_graph(circuit)
     inputs = tuple(circuit.primary_inputs)
     envs, verdict = _enumerate_envs(inputs, spec, exact_budget, samples, seed)
-    observable = observable_nets(circuit)
     result = Extraction(
         circuit_name=circuit.name,
         n_inputs=len(inputs),
@@ -173,32 +200,64 @@ def extract(
         verdict=verdict,
         spec_checked=spec is not None,
     )
-    for env in envs:
-        outcome = evaluate_assignment(graph, env)
-        env_key = tuple(sorted(env.items()))
-        for net, conflict in outcome.evaluate.conflicts.items():
-            if net in observable and net not in result.conflicts:
-                result.conflicts[net] = (conflict, env_key)
-        for net in outcome.evaluate.floating:
+    if not envs:
+        return result
+    width = len(envs)
+    with trace.span("symbolic_extract", circuit=circuit.name) as span:
+        masks = input_masks(inputs, envs)
+        precharge, solved = solve_assignments(graph, width, masks)
+        span.set_attrs(
+            symbolic_assignments=width,
+            symbolic_phase_solves=1 if precharge is None else 2,
+        )
+
+    def env_key(bit: int) -> Tuple[Tuple[str, bool], ...]:
+        return tuple(sorted(envs[bit].items()))
+
+    observable = observable_nets(circuit)
+    order = graph.net_order
+    for bit, _pos, net in _first_bits(solved.conflict, order, observable):
+        result.conflicts[net] = (solved.witness(net, bit), env_key(bit))
+    floating = _first_bits(solved.floating, order, observable)
+    for bit in sorted({bit for bit, _pos, _net in floating}):
+        # One assignment's floating set, iterated as the set it is.
+        for net in frozenset(
+            {name for i, name in enumerate(order) if solved.floating[i] >> bit & 1}
+        ):
             if net in observable and net not in result.floating:
-                result.floating[net] = FloatingNet(net=net, env=env_key)
-        if spec is None:
+                result.floating[net] = FloatingNet(net=net, env=env_key(bit))
+    if spec is None:
+        return result
+    full = (1 << width) - 1
+    expected = spec.expected_masks(
+        (inputs, width, tuple(masks[name] for name in inputs)), envs
+    )
+    undefined: List[Tuple[int, int, Mismatch]] = []
+    mismatches: List[Tuple[int, int, Mismatch]] = []
+    for rank, out_name in enumerate(circuit.primary_outputs):
+        if out_name not in spec.outputs:
             continue
-        for out_name in circuit.primary_outputs:
-            if out_name not in spec.outputs:
-                continue
-            actual = outcome.output(out_name)
-            expected = spec.expected(out_name, env)
-            if actual is None:
-                # X/Z at the output: the conflict / floating finding above
-                # owns the diagnosis; record for completeness.
-                result.undefined.append(
-                    Mismatch(out_name, expected, False, env_key)
-                )
-            elif actual != expected:
-                result.mismatches.append(
-                    Mismatch(out_name, expected, actual, env_key)
-                )
+        pos = graph.index[out_name]
+        one, zero = solved.one[pos], solved.zero[pos]
+        want = expected[out_name]
+        # X/Z at the output: the conflict / floating finding above owns the
+        # diagnosis; record for completeness.
+        for bit in _bits(full & ~(one | zero)):
+            undefined.append((bit, rank, Mismatch(
+                out_name, bool(want >> bit & 1), False, env_key(bit)
+            )))
+        for bit in _bits((one & ~want) | (zero & want)):
+            actual = bool(one >> bit & 1)
+            mismatches.append((bit, rank, Mismatch(
+                out_name, not actual, actual, env_key(bit)
+            )))
+    # Assignment-major, then output rank.
+    result.undefined = [
+        row[2] for row in sorted(undefined, key=lambda r: r[:2])
+    ]
+    result.mismatches = [
+        row[2] for row in sorted(mismatches, key=lambda r: r[:2])
+    ]
     return result
 
 

@@ -330,13 +330,27 @@ class ModelLibrary:
         self._models[StageKind.PASSGATE] = PassGateModel(self.tech)
         self._models[StageKind.TRISTATE] = TriStateModel(self.tech)
         self._models[StageKind.DOMINO] = DominoModel(self.tech)
+        self._content_key: Optional[Tuple] = None
 
     def register(self, kind: StageKind, model: StageModel) -> None:
         self._models[kind] = model
+        self._content_key = None
 
-    def registered_models(self) -> Dict[StageKind, StageModel]:
-        """Stage-kind -> model mapping (read-only view for fingerprinting)."""
-        return dict(self._models)
+    def content_key(self) -> Tuple:
+        """What the library is, as a hashable value: the technology plus
+        ``(stage kind, model class)`` per registered kind, sorted — the
+        content :func:`repro.cache.fingerprint.library_payload`
+        fingerprints.  Libraries with equal keys compile the same arcs, so
+        per-circuit memos key on this, not on the library object."""
+        if self._content_key is None:
+            self._content_key = (
+                self.tech,
+                tuple(sorted(
+                    (kind.value, type(model))
+                    for kind, model in self._models.items()
+                )),
+            )
+        return self._content_key
 
     def model(self, stage: Stage) -> StageModel:
         try:

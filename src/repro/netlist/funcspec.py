@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 #: An input environment: primary-input net name -> boolean value.
 Env = Mapping[str, bool]
@@ -73,6 +73,11 @@ class FunctionalSpec:
     digests: Dict[Tuple[str, ...], str] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    #: Expected-output masks of :meth:`expected_masks`, keyed by the
+    #: enumerated assignment set they were taken over.
+    masks: Dict[Hashable, Dict[str, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.outputs:
@@ -84,3 +89,20 @@ class FunctionalSpec:
     def expected(self, output: str, env: Env) -> bool:
         """Reference value of ``output`` under ``env``."""
         return bool(self.outputs[output](env))
+
+    def expected_masks(
+        self, key: Hashable, envs: Sequence[Env]
+    ) -> Dict[str, int]:
+        """Per output, the mask of the assignments (bit ``k`` = ``envs[k]``)
+        under which it must be 1.  Memoized under ``key``, which must
+        identify ``envs`` (the switch-level extractor passes the input
+        names, the assignment count and each input's value mask)."""
+        masks = self.masks.get(key)
+        if masks is None:
+            masks = self.masks[key] = {
+                output: sum(
+                    1 << bit for bit, env in enumerate(envs) if fn(env)
+                )
+                for output, fn in self.outputs.items()
+            }
+        return masks

@@ -1,18 +1,32 @@
 """Per-circuit memos: data derived from a built circuit, kept with it.
 
-Analyses that are pure functions of a circuit's structure (the switch-level
-extraction of :mod:`repro.lint.symbolic.extract`, the timing arc tables of
-:mod:`repro.sim.timing`, the stage-key tables of :mod:`repro.sizing.pruning`)
-keep their results in one dict per circuit.  The store is weakly keyed, so
-a memo lives exactly as long as its circuit; a memo value must therefore
-never hold the circuit itself.
+Analyses that are pure functions of a circuit keep their results in one
+dict per circuit, each under a key naming what else it read:
+
+* the timing arc table (:class:`repro.sim.timing.ArcTable`): library
+  content and size-table state;
+* the pruning stage-key table (:func:`repro.sizing.pruning.stage_keys`):
+  size-table state;
+* the DFA303 box-interval solution
+  (:func:`repro.lint.dataflow.interval.box_intervals`): library content,
+  size-table state, box bounds and input slope;
+* the switch-level channel graph
+  (:func:`repro.lint.symbolic.switchlevel.channel_graph`): input-phase
+  declarations;
+* the switch-level extraction
+  (:func:`repro.lint.symbolic.extract.extract_cached`): functional spec
+  object, enumeration budgets and seed.
+
+The store is weakly keyed, so a memo lives exactly as long as its circuit;
+a memo value must therefore never hold the circuit itself.
 
 Circuits are treated as immutable once built.  Every function that edits a
 built circuit in place (:mod:`repro.core.editing`, the wiring mutants of
 :mod:`repro.lint.symbolic.mutate`) calls :func:`forget` so no memo outlives
 the structure it was derived from.  Size-table changes (designer pins,
-regularity ties) need no call: the timing arc tables and the pruning
-stage-key tables key on the table's state (:meth:`SizeTable.state`).
+regularity ties, bound edits) need no call: every memo that reads the
+table keys on its state (:meth:`SizeTable.state`), and the box-interval
+solution on the bounds too.
 """
 
 from __future__ import annotations

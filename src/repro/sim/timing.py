@@ -160,11 +160,14 @@ class ArcTable:
     of the latest width point, so an ``analyze`` followed by any number of
     ``path_delay`` calls at the same widths evaluates each arc once.
 
-    One table per circuit, library and size-table state lives in the
-    circuit's memo (:func:`~repro.netlist.memo.circuit_memo`): every
-    analyzer over that circuit shares it, it dies with the circuit, and an
-    in-place edit drops it (:func:`~repro.netlist.memo.forget`).  A table
-    holds names, posynomials and floats only — never the circuit.
+    One table per circuit, library content
+    (:meth:`~repro.models.gates.ModelLibrary.content_key`) and size-table
+    state lives in the circuit's memo
+    (:func:`~repro.netlist.memo.circuit_memo`): every analyzer over that
+    circuit shares it, whichever library object it was given; it dies
+    with the circuit, and an in-place edit drops it
+    (:func:`~repro.netlist.memo.forget`).  A table holds names,
+    posynomials and floats only — never the circuit.
     """
 
     __slots__ = ("arcs", "loads", "far_caps", "schedule", "point")
@@ -210,7 +213,11 @@ class StaticTimingAnalyzer:
         bound = self._bound
         if bound is not None and bound[0] is memo and bound[1] == snapshot:
             return bound[2], False
-        key = (ArcTable, self.library, self.circuit.size_table.state())
+        key = (
+            ArcTable,
+            self.library.content_key(),
+            self.circuit.size_table.state(),
+        )
         table = memo.get(key)
         built = table is None
         if built:

@@ -220,3 +220,48 @@ def test_edit_forces_fresh_screen_and_miss(edit, budget, database, library):
         )
         advisor._lint_cache = shared._lint_cache
     assert _screen_and_size(advisor, circuit, constraints) == (False, False)
+
+
+# -- the noise margin replays beside the screen -------------------------------
+
+
+def test_warm_call_replays_noise_margins(database, library):
+    spec, constraints = _request(database, library, *REQUESTS[1])
+    advisor = SmartAdvisor(database=database, library=library, certify=True)
+    cold = advisor.advise(spec, constraints)
+    sized = [c for c in cold.candidates if c.feasible]
+    assert sized and advisor.cache_stats()["margin_replays"] == 0
+    with trace.tracing_scope() as tracer:
+        warm = advisor.advise(spec, constraints)
+    assert advisor.cache_stats()["margin_replays"] == len(sized)
+    assert "dataflow:interval" not in {s.name for s in tracer.spans}
+    assert [c.noise_margin for c in warm.candidates] == [
+        c.noise_margin for c in cold.candidates
+    ]
+
+
+def test_noise_margin_replay_keys_on_the_widths(database, library):
+    from types import SimpleNamespace
+
+    from repro.lint.electrical import worst_noise_margin
+
+    advisor = SmartAdvisor(database=database, library=library)
+    circuit = database.generate("mux/unsplit_domino", MUX4, library.tech)
+    constraints = DesignConstraints(
+        delay=nominal_delay(circuit, library), charge_sharing_ratio=0.3
+    )
+    key = advisor._screen_key(advisor._lint_report(circuit).facets, constraints)
+    nominal = SimpleNamespace(resolved=circuit.size_table.default_env())
+    wide = SimpleNamespace(
+        resolved={k: 1.5 * v for k, v in nominal.resolved.items()}
+    )
+    first = advisor._noise_margin(circuit, constraints, nominal, key)
+    assert advisor._noise_margin(circuit, constraints, nominal, key) == first
+    assert advisor.cache_stats()["margin_replays"] == 1
+    margin = advisor._noise_margin(circuit, constraints, wide, key)
+    assert advisor.cache_stats()["margin_replays"] == 1
+    assert margin == worst_noise_margin(
+        circuit, library, options=advisor._electrical_options(constraints),
+        env=wide.resolved,
+    )
+    assert margin != first

@@ -15,9 +15,19 @@ import math
 
 import pytest
 
-from repro.lint.dataflow.interval import screen_feasibility
+from repro.core.editing import pin_sizes, retarget_load
+from repro.lint.dataflow.framework import solve_forward
+from repro.lint.dataflow.interval import (
+    IntervalAnalysis,
+    box_bounds,
+    box_intervals,
+    screen_feasibility,
+)
 from repro.macros import MacroSpec
 from repro.macros.base import MacroBuilder
+from repro.models import ModelLibrary
+from repro.netlist.sizing_vars import SizeVar
+from repro.obs import metrics
 from repro.posy import Monomial, Posynomial
 from repro.sim.timing import stage_arcs
 from repro.sizing import (
@@ -320,3 +330,71 @@ class TestWideningGoesUnknown:
         screen = screen_feasibility(circuit, library, DelaySpec(data=1.0))
         assert screen.widened
         assert screen.verdict == "unknown"
+
+
+class TestSharedBoxSolution:
+    """``box_intervals``: one memoized box propagation per circuit state,
+    always equal to a fresh one."""
+
+    @staticmethod
+    def _circuit(database, tech):
+        return database.generate(
+            "mux/unsplit_domino", MacroSpec("mux", 8, output_load=30.0), tech
+        )
+
+    @staticmethod
+    def _fresh(circuit, library, slope=30.0):
+        analysis = IntervalAnalysis(circuit, library, slope, box_bounds(circuit))
+        return solve_forward(circuit, analysis).values
+
+    def _check(self, circuit, library, before=None):
+        shared = box_intervals(circuit, library, 30.0)
+        assert dict(shared.values) == self._fresh(circuit, library)
+        if before is not None:
+            assert shared is not before
+            assert dict(shared.values) != dict(before.values)
+        return shared
+
+    def test_readers_share_one_read_only_solution(self, database, tech, library):
+        circuit = self._circuit(database, tech)
+        with metrics.metrics_scope() as reg:
+            first = box_intervals(circuit, library, 30.0)
+            # Equal library content, another object: the same solution.
+            assert box_intervals(circuit, ModelLibrary(tech), 30.0) is first
+            assert reg.counter("lint.dataflow.interval.runs").value == 1
+            assert reg.counter("lint.dataflow.interval.reused").value == 1
+        assert dict(first.values) == self._fresh(circuit, library)
+        with pytest.raises(TypeError):
+            first.values["out"] = None
+        assert box_intervals(circuit, library, 45.0) is not first
+
+    def test_designer_pin(self, database, tech, library):
+        circuit = self._circuit(database, tech)
+        before = self._check(circuit, library)
+        label = circuit.size_table.names()[0]
+        pin_sizes(circuit, {label: circuit.size_table[label].upper})
+        self._check(circuit, library, before)
+
+    def test_regularity_tie(self, database, tech, library):
+        circuit = self._circuit(database, tech)
+        before = self._check(circuit, library)
+        table = circuit.size_table
+        rep, member = table.names()[:2]
+        original = table[member]
+        table._vars[member] = SizeVar(
+            member, original.lower, original.upper, ratio_of=(rep, 4.0)
+        )
+        self._check(circuit, library, before)
+
+    def test_bound_change(self, database, tech, library):
+        circuit = self._circuit(database, tech)
+        before = self._check(circuit, library)
+        for var in circuit.size_table:
+            var.lower *= 2.0
+        self._check(circuit, library, before)
+
+    def test_in_place_edit_forgets(self, database, tech, library):
+        circuit = self._circuit(database, tech)
+        before = self._check(circuit, library)
+        retarget_load(circuit, circuit.primary_outputs[0], 90.0)
+        self._check(circuit, library, before)

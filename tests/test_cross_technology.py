@@ -62,3 +62,70 @@ class TestScaling:
         )
         assert result.timing_met
         assert result.width_saving > 0.05
+
+
+NSA_CERTIFICATES = (
+    "charge_share_certificates",
+    "keeper_certificates",
+    "pass_chain_certificates",
+    "coupling_certificates",
+)
+
+
+class TestLintGateTechnology:
+    """The advisor's lint gate evaluates the NSA6xx noise certificates at
+    the advisor's own technology, and never replays them across one."""
+
+    @staticmethod
+    def _domino(database, tech):
+        return database.generate(
+            "mux/unsplit_domino", MacroSpec("mux", 8, output_load=30.0), tech
+        )
+
+    def test_gate_certificates_come_from_the_advisors_library(
+        self, database, lib130, monkeypatch
+    ):
+        from repro.lint.electrical import rules as nsa
+
+        seen = []
+        for name in NSA_CERTIFICATES:
+            def spy(circuit, library=None, *, _real=getattr(nsa, name),
+                    _name=name, **options):
+                seen.append((_name, library))
+                return _real(circuit, library, **options)
+
+            monkeypatch.setattr(nsa, name, spy)
+        advisor = SmartAdvisor(database=database, library=lib130)
+        advisor._lint_report(self._domino(database, GENERIC_130))
+        assert {name for name, _ in seen} == set(NSA_CERTIFICATES)
+        assert all(library is lib130 for _, library in seen), seen
+
+    def test_gate_findings_match_a_lint_at_that_technology(
+        self, database, lib130
+    ):
+        from repro.lint import lint_circuit
+
+        circuit = self._domino(database, GENERIC_130)
+        gate = SmartAdvisor(database=database, library=lib130)._lint_report(
+            circuit
+        )
+        direct = lint_circuit(circuit, groups=("electrical",), library=lib130)
+        assert [
+            d.format() for d in gate.diagnostics if d.rule_id.startswith("NSA")
+        ] == [d.format() for d in direct.diagnostics]
+
+    def test_rule_cache_key_carries_the_library(self, database, lib130, lib180):
+        from repro.lint import lint_circuit
+        from repro.lint.incremental import RuleResultCache
+
+        circuit = self._domino(database, GENERIC_130)
+        cache = RuleResultCache()
+        lint_circuit(circuit, groups=("electrical",), cache=cache, library=lib130)
+        again = lint_circuit(
+            circuit, groups=("electrical",), cache=cache, library=lib130
+        )
+        other = lint_circuit(
+            circuit, groups=("electrical",), cache=cache, library=lib180
+        )
+        assert {status for _, _, status in again.executed} == {"replayed"}
+        assert {status for _, _, status in other.executed} == {"executed"}
