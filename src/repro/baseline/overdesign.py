@@ -153,11 +153,12 @@ class OverdesignSizer:
         resolved = table.resolve(label_width)
         report = self.analyzer.analyze(label_width, input_slope=input_slope)
         realized = report.worst(self.circuit.primary_outputs)
+        area, clock_load = self.circuit.width_totals(resolved)
         return BaselineResult(
             widths=dict(label_width),
             resolved=resolved,
-            area=self.circuit.total_width(resolved),
-            clock_load=self.circuit.clock_load_width(resolved),
+            area=area,
+            clock_load=clock_load,
             realized_delay=realized,
         )
 

@@ -50,8 +50,7 @@ def evaluate_cost(
     resolved = circuit.size_table.resolve(widths) if not all(
         n in widths for n in circuit.size_table.names()
     ) else dict(widths)
-    area = circuit.total_width(resolved)
-    clock_load = circuit.clock_load_width(resolved)
+    area, clock_load = circuit.width_totals(resolved)
     power = PowerEstimator(circuit, library).estimate(resolved).total
     if metric == "area":
         scalar = area

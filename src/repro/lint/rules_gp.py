@@ -4,7 +4,11 @@ The sizer hands the solver a geometric program built from generated
 constraints; a malformed or trivially-hopeless program wastes a solve (or
 worse, "succeeds" on garbage).  :func:`lint_gp` screens a
 :class:`~repro.sizing.gp.GeometricProgram` — optionally against the size
-table that defines the legal variables — before any iteration runs.
+table that defines the legal variables — before any iteration runs.  It
+reads the program's compiled arrays
+(:meth:`~repro.sizing.gp.GeometricProgram.compile`, the same compilation the
+solver then stacks) and runs each rule as one array pass; findings still
+name the constraint they concern.
 
 These rules have no circuit to walk, so they are registered without a
 checker and driven here; the registry still owns their IDs, severities and
@@ -13,8 +17,9 @@ docs for ``--list-rules``.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
+from ..posy.rows import enclose_rows
 from .diagnostics import Diagnostic, LintReport, Location, Severity
 from .registry import Rule, register
 
@@ -63,6 +68,8 @@ def lint_gp(gp, size_table=None) -> LintReport:
     feasibility screening run.
     """
     report = LintReport(subject="gp")
+    program = gp.compile()
+    names = program.names
 
     def emit(rule_obj, message, constraint=None):
         report.add(Diagnostic(
@@ -72,33 +79,41 @@ def lint_gp(gp, size_table=None) -> LintReport:
             location=Location(constraint=constraint),
         ))
 
-    # GP201 — well-formedness of every posynomial in the program.
-    labelled = [("objective", gp.objective)]
-    labelled += [(c.name, c.expr) for c in gp.inequalities]
-    for name, expr in labelled:
-        for mono in expr:
-            coeff = mono.coefficient
-            if not (coeff > 0 and math.isfinite(coeff)):
+    # GP201 — well-formedness of every term, in row then term order.
+    coeffs, exponents = program.coeffs, program.exponents
+    bad_coeff = ~((coeffs > 0) & np.isfinite(coeffs))
+    bad_exp = ~np.isfinite(exponents)
+    if bad_coeff.any() or bad_exp.any():
+        term_row = program.term_rows()
+        term_of = np.repeat(np.arange(program.terms), np.diff(program.indptr))
+        flagged = np.union1d(np.flatnonzero(bad_coeff), term_of[bad_exp])
+        for term in flagged.tolist():
+            where = program.row_names[term_row[term]]
+            if bad_coeff[term]:
                 emit(
                     GP201,
-                    f"monomial coefficient {coeff!r} is not positive finite",
-                    constraint=name,
+                    f"monomial coefficient {float(coeffs[term])!r} is not "
+                    "positive finite",
+                    constraint=where,
                 )
-            for var, exp in mono.exponents.items():
-                if not math.isfinite(exp):
+            for k in range(program.indptr[term], program.indptr[term + 1]):
+                if bad_exp[k]:
                     emit(
                         GP201,
-                        f"exponent of {var} is not finite ({exp!r})",
-                        constraint=name,
+                        f"exponent of {names[program.columns[k]]} is not "
+                        f"finite ({float(exponents[k])!r})",
+                        constraint=where,
                     )
 
     # GP202/GP203 — variable discipline.
-    constrained = set()
-    for constraint in gp.inequalities:
-        constrained |= constraint.expr.variables()
+    objective_terms = int(program.counts[0])
+    objective_nnz = program.indptr[objective_terms]
+    columns = program.columns
+    in_objective = {names[i] for i in np.unique(columns[:objective_nnz]).tolist()}
+    constrained = {names[i] for i in np.unique(columns[objective_nnz:]).tolist()}
     if size_table is not None:
         declared = {v.name for v in size_table}
-        for var in gp.variables():
+        for var in names:
             if var not in declared:
                 emit(
                     GP202,
@@ -107,28 +122,39 @@ def lint_gp(gp, size_table=None) -> LintReport:
         for var in size_table.free_names():
             if var in constrained:
                 continue
-            if var in gp.objective.variables() or var in gp._bounds:
+            if var in in_objective or var in gp._bounds:
                 emit(
                     GP203,
                     f"size variable {var} appears in no constraint; the "
                     "optimizer will park it at a box bound",
                 )
     else:
-        for var in sorted(gp.objective.variables() - constrained):
+        for var in sorted(in_objective - constrained):
             emit(
                 GP203,
                 f"variable {var} appears only in the objective",
             )
 
-    # GP204 — sound infeasibility screen over the variable box.
-    for constraint in gp.inequalities:
-        lower = constraint.expr.enclose(gp.bounds)[0]
-        if lower > 1.0 + 1e-9:
+    # GP204 — sound infeasibility screen over the variable box: every
+    # constraint row enclosed at once.
+    if len(program.counts) > 1:
+        # A malformed term (GP201) may make a bound NaN: it is never > 1.
+        with np.errstate(invalid="ignore", over="ignore"):
+            lower, _upper = enclose_rows(
+                coeffs[objective_terms:],
+                program.indptr[objective_terms:] - objective_nnz,
+                program.columns[objective_nnz:],
+                exponents[objective_nnz:],
+                program.counts[1:],
+                program.lower,
+                program.upper,
+            )
+        for row in np.flatnonzero(lower > 1.0 + 1e-9).tolist():
             emit(
                 GP204,
-                f"lower bound {lower:.3f} over the size box already exceeds "
-                "the limit; no sizing can satisfy this constraint",
-                constraint=constraint.name,
+                f"lower bound {lower[row]:.3f} over the size box already "
+                "exceeds the limit; no sizing can satisfy this constraint",
+                constraint=program.row_names[row + 1],
             )
 
     return report

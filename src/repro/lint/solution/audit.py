@@ -44,6 +44,7 @@ from ...obs.log import get_logger
 from ...sizing.constraints import ConstraintGenerator, ConstraintSet, DelaySpec
 from ...sizing.engine import SmartSizer, measure_constraints
 from ...sizing.gp import StackedLogSumExp
+from ...sizing.pruning import PruneResult
 from .certificate import SolutionCertificate, widths_digest
 
 log = get_logger(__name__)
@@ -77,7 +78,12 @@ class SolutionAudit:
         otb_borrow: float = 0.0,
         objective: str = "area",
         analysis_library: Optional[ModelLibrary] = None,
+        front_end: Optional[Tuple[PruneResult, ConstraintSet]] = None,
     ):
+        """``front_end`` is a sizer's ``(prune result, constraint set)``
+        for this very circuit state, library, spec and OTB window (see
+        :meth:`SmartSizer._latest_front_end`); the audit then reads it
+        instead of extracting and generating again."""
         self.circuit = circuit
         self.library = library
         self.spec = spec
@@ -94,6 +100,9 @@ class SolutionAudit:
         )
         self._paths: Optional[list] = None
         self._frozen_constraints: Optional[ConstraintSet] = None
+        if front_end is not None:
+            self._paths = front_end[0].paths
+            self._frozen_constraints = front_end[1]
         self._measure_memo: Dict[str, tuple] = {}
         self._gen: Optional[ConstraintGenerator] = None
 

@@ -272,8 +272,13 @@ def extract_cached(
     seed: int = DEFAULT_SEED,
 ) -> Extraction:
     """Per-circuit memoized :func:`extract` (shared by the SVC rules; kept
-    in :func:`~repro.netlist.memo.circuit_memo`)."""
-    key = (Extraction, id(spec), exact_budget, samples, seed)
+    in :func:`~repro.netlist.memo.circuit_memo`).  The key carries the
+    circuit's input-phase declarations, which set the precharge-phase
+    inputs, as the channel-graph memo's does."""
+    key = (
+        Extraction, id(spec), exact_budget, samples, seed,
+        tuple(sorted(circuit.input_phases.items())),
+    )
     memo = circuit_memo(circuit)
     if key not in memo:
         memo[key] = extract(

@@ -52,6 +52,11 @@ class Transition(enum.Enum):
     RISE = "rise"
     FALL = "fall"
 
+    #: Members are singletons compared by identity, so the identity hash
+    #: serves; ``Enum``'s own is a Python-level call, paid on every hash of
+    #: a hop tuple (arc table, STA arc values, constraint dedupe).
+    __hash__ = object.__hash__
+
     @property
     def opposite(self) -> "Transition":
         return Transition.FALL if self is Transition.RISE else Transition.RISE

@@ -230,9 +230,21 @@ class Circuit:
             return dict(widths)
         return self.size_table.resolve(widths)
 
+    def width_totals(self, widths: Mapping[str, float]) -> Tuple[float, float]:
+        """``(total transistor width, gate width on clock nets)``, µm, from
+        one expansion: the paper's area proxy and the clock load."""
+        clock_nets = set(self.clock_nets())
+        area: List[float] = []
+        clock: List[float] = []
+        for t in self.expand_transistors(widths):
+            area.append(t.width)
+            if t.gate in clock_nets:
+                clock.append(t.width)
+        return sum(area), sum(clock)
+
     def total_width(self, widths: Mapping[str, float]) -> float:
         """Total transistor width, µm — the paper's area proxy."""
-        return sum(t.width for t in self.expand_transistors(widths))
+        return self.width_totals(widths)[0]
 
     def transistor_count(self) -> int:
         return sum(stage.transistor_count() for stage in self.stages)
@@ -260,12 +272,8 @@ class Circuit:
         return posy_sum(terms)
 
     def clock_load_width(self, widths: Mapping[str, float]) -> float:
-        clock_nets = set(self.clock_nets())
-        return sum(
-            t.width
-            for t in self.expand_transistors(widths)
-            if t.gate in clock_nets
-        )
+        """Gate width on clock nets, µm."""
+        return self.width_totals(widths)[1]
 
     # -- composition ---------------------------------------------------------
 

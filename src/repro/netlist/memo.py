@@ -15,7 +15,7 @@ dict per circuit, each under a key naming what else it read:
   declarations;
 * the switch-level extraction
   (:func:`repro.lint.symbolic.extract.extract_cached`): functional spec
-  object, enumeration budgets and seed.
+  object, enumeration budgets, seed and input-phase declarations.
 
 The store is weakly keyed, so a memo lives exactly as long as its circuit;
 a memo value must therefore never hold the circuit itself.

@@ -353,6 +353,11 @@ class Posynomial:
     def __iter__(self) -> Iterator[Monomial]:
         return iter(self.terms)
 
+    def items(self) -> Iterable[Tuple[Signature, float]]:
+        """``(signature, coefficient)`` pairs in insertion order, the order
+        :meth:`evaluate` and :meth:`weighted_sum` visit them in."""
+        return self._terms.items()
+
     def __len__(self) -> int:
         return len(self._terms)
 

@@ -19,13 +19,16 @@ Timing graph nodes are ``(net, transition)`` pairs.  Stage arcs:
 Each circuit's arcs are compiled once into an :class:`ArcTable` of
 posynomials that every analyzer, the constraint generator and the interval
 screen share; a measurement evaluates each arc once per sizing and then
-walks the graph with float arithmetic.
+walks the graph with float arithmetic.  The constraint generator reads the
+same arcs as arrays (:class:`ArcProgram`), built once per table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..models.gates import LN2, SLOPE_LEAK, ModelLibrary, Transition
 from ..netlist.circuit import Circuit
@@ -34,6 +37,7 @@ from ..netlist.nets import NetKind, Pin, PinClass
 from ..netlist.stages import Stage, StageKind
 from ..obs import metrics, trace
 from ..posy import Posynomial, posy_sum
+from ..posy.rows import MonomialIndex
 
 #: A hop along a timing path: (stage name, input pin name, output transition).
 Hop = Tuple[str, str, Transition]
@@ -147,6 +151,56 @@ def stage_arcs(stage: Stage, pin: Pin) -> List[Tuple[Transition, Transition]]:
     ]
 
 
+class ArcProgram:
+    """Every arc of an :class:`ArcTable` as term segments over one
+    :class:`~repro.posy.rows.MonomialIndex`.
+
+    ``arc_ids`` numbers the arcs in schedule order.  Arc ``a``'s delay
+    terms are ``term_ids`` / ``term_coeffs`` over
+    ``delay_start[a] : delay_start[a] + delay_len[a]`` in the delay
+    posynomial's insertion order, and likewise its slope terms;
+    ``constant_slot`` is one extra entry, the constant monomial with
+    coefficient 1.
+    """
+
+    __slots__ = (
+        "index", "arc_ids", "term_ids", "term_coeffs", "delay_start",
+        "delay_len", "slope_start", "slope_len", "constant_slot",
+    )
+
+    def __init__(
+        self,
+        hops: Sequence[Hop],
+        arcs: Sequence[Tuple[Posynomial, Posynomial]],
+    ):
+        self.index = MonomialIndex(
+            sig for pair in arcs for posy in pair for sig, _ in posy.items()
+        )
+        ids = self.index.ids
+        self.arc_ids = {hop: a for a, hop in enumerate(hops)}
+        term_ids: List[int] = []
+        term_coeffs: List[float] = []
+        bounds: List[int] = []
+        for pair in arcs:
+            for posy in pair:
+                bounds.append(len(term_ids))
+                for sig, coeff in posy.items():
+                    term_ids.append(ids[sig])
+                    term_coeffs.append(coeff)
+        bounds.append(len(term_ids))
+        self.constant_slot = len(term_ids)
+        term_ids.append(ids[()])
+        term_coeffs.append(1.0)
+        self.term_ids = np.array(term_ids, dtype=np.intp)
+        self.term_coeffs = np.array(term_coeffs)
+        edges = np.array(bounds, dtype=np.intp)
+        lengths = np.diff(edges)
+        self.delay_start = edges[:-1:2]
+        self.delay_len = lengths[::2]
+        self.slope_start = edges[1:-1:2]
+        self.slope_len = lengths[1::2]
+
+
 class ArcTable:
     """The compiled hop model of one circuit under one size-table state.
 
@@ -167,10 +221,12 @@ class ArcTable:
     circuit shares it, whichever library object it was given; it dies
     with the circuit, and an in-place edit drops it
     (:func:`~repro.netlist.memo.forget`).  A table holds names,
-    posynomials and floats only — never the circuit.
+    posynomials and floats only — never the circuit.  ``program``, the
+    array form of every arc, is built on first use by
+    :meth:`StaticTimingAnalyzer.arc_program`.
     """
 
-    __slots__ = ("arcs", "loads", "far_caps", "schedule", "point")
+    __slots__ = ("arcs", "loads", "far_caps", "schedule", "point", "program")
 
     def __init__(self) -> None:
         #: hop -> (delay, slope, (input net, input transition))
@@ -184,6 +240,7 @@ class ArcTable:
         #: The latest evaluation: (widths as given, resolved widths,
         #: {hop: (delay, slope, source node)}).
         self.point: Optional[Point] = None
+        self.program: Optional[ArcProgram] = None
 
 
 class StaticTimingAnalyzer:
@@ -345,6 +402,17 @@ class StaticTimingAnalyzer:
         """:meth:`arc_posynomials` of every hop of a path."""
         table = self._lookup()[0]
         return [self._arc(table, hop)[:2] for hop in hops]
+
+    def arc_program(self) -> ArcProgram:
+        """The shared table's :class:`ArcProgram`, every arc of the circuit
+        compiled on the first call."""
+        table = self._lookup()[0]
+        if table.program is None:
+            hops = [hop for hop, _source, _node in self._schedule(table)]
+            table.program = ArcProgram(
+                hops, [self._arc(table, hop)[:2] for hop in hops]
+            )
+        return table.program
 
     def net_load(self, net_name: str, widths: Mapping[str, float]) -> float:
         """:meth:`load_posynomial` at concrete widths, fF."""

@@ -260,14 +260,15 @@ class RegularityCollapsedSizer:
 
         _constraints, realized, worst, _name = audit.measure(replicated)
         resolved = self.circuit.size_table.resolve(replicated)
+        area, clock_load = self.circuit.width_totals(resolved)
         result = SizingResult(
             circuit_name=self.circuit.name,
             widths=replicated,
             resolved=resolved,
             converged=True,
             iterations=collapsed.iterations,
-            area=self.circuit.total_width(resolved),
-            clock_load=self.circuit.clock_load_width(resolved),
+            area=area,
+            clock_load=clock_load,
             worst_violation=max(0.0, worst),
             realized=realized,
             specs=dict(certificate.specs),

@@ -19,19 +19,27 @@ limits.  Every constraint is built from one hop model,
 :meth:`StaticTimingAnalyzer.arc_posynomials`: slopes chain posynomially along
 a path from the designer's input slope (halved on clock nets), and each slope
 constraint sees the designer's input slope on the stage input.
+
+A path constraint's delay is compiled straight from the arc table's arrays
+(:meth:`ConstraintGenerator.path_row`) into a
+:class:`~repro.posy.rows.PosyRow`, the form the GP compiles; its posynomial
+(:attr:`TimingConstraint.delay`) is built from that row only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..models.gates import SLOPE_LEAK, ModelLibrary, Transition
 from ..netlist.circuit import Circuit
 from ..netlist.nets import NetKind, PinClass
 from ..netlist.stages import StageKind
-from ..posy import Posynomial, as_posynomial
-from ..sim.timing import StaticTimingAnalyzer, stage_arcs
+from ..posy import Posynomial
+from ..posy.rows import PosyRow, gather_positions
+from ..sim.timing import ArcProgram, StaticTimingAnalyzer, stage_arcs
 from .paths import StructuralPath
 
 Hop = Tuple[str, str, Transition]
@@ -83,15 +91,54 @@ class DelaySpec:
         )
 
 
-@dataclass
 class TimingConstraint:
-    """One posynomial path constraint ``delay <= spec``."""
+    """One posynomial path constraint ``delay <= spec``.
 
-    name: str
-    delay: Posynomial
-    spec: float
-    kind: str           # data / control / evaluate / precharge / segment
-    hops: Tuple[Hop, ...]
+    A generated constraint carries its path's compiled delay as
+    :attr:`row`; :attr:`delay`, the posynomial, is built from the row on
+    first read.  A constraint made with an explicit ``delay`` has no row.
+    """
+
+    __slots__ = ("name", "spec", "kind", "hops", "_delay", "_generator", "_row")
+
+    def __init__(
+        self,
+        name: str,
+        delay: Optional[Posynomial] = None,
+        spec: float = 0.0,
+        kind: str = "data",       # data / control / evaluate / precharge / segment
+        hops: Tuple[Hop, ...] = (),
+        generator: Optional["ConstraintGenerator"] = None,
+    ):
+        if delay is None and generator is None:
+            raise ValueError(f"timing constraint {name!r} needs a delay or a generator")
+        self.name = name
+        self.spec = spec
+        self.kind = kind
+        self.hops = hops
+        self._delay = delay
+        self._generator = generator
+        self._row: Optional[PosyRow] = None
+
+    @property
+    def row(self) -> Optional[PosyRow]:
+        """The compiled path delay (``None`` for an explicit ``delay``)."""
+        if self._row is None and self._generator is not None:
+            self._row = self._generator.path_row(self.hops)
+        return self._row
+
+    @property
+    def delay(self) -> Posynomial:
+        """Path delay posynomial (ps), built from :attr:`row` on first read."""
+        if self._delay is None:
+            self._delay = self.row.posynomial()
+        return self._delay
+
+    def __repr__(self) -> str:
+        return (
+            f"TimingConstraint({self.name!r}, spec={self.spec!r}, "
+            f"kind={self.kind!r}, hops={len(self.hops)})"
+        )
 
 
 @dataclass
@@ -141,57 +188,118 @@ class ConstraintGenerator:
         #: how far an evaluate segment may overrun its phase boundary.
         self.otb_borrow = otb_borrow
         self.analyzer = StaticTimingAnalyzer(circuit, library)
+        #: (stage, pin) -> [(input transition, hop, output transition)]
+        self._step_arcs: Dict[Tuple[str, str], list] = {}
+        #: Hop weights ``w_0 = 0``, ``w_{k+1} = sens + LEAK·w_k`` (see
+        #: :meth:`path_row`), grown on demand.
+        self._weights: List[float] = [0.0]
+        self._program: Optional[ArcProgram] = None
+        #: (stage, pin) -> :meth:`_pin_flags`
+        self._flags: Dict[Tuple[str, str], Tuple[bool, bool, bool, bool]] = {}
 
     # -- transition expansion ----------------------------------------------------
 
+    def _arcs_of(self, stage_name: str, pin_name: str) -> list:
+        arcs = self._step_arcs.get((stage_name, pin_name))
+        if arcs is None:
+            stage = self.circuit.stage(stage_name)
+            pin = stage.pin(pin_name)
+            arcs = self._step_arcs[(stage_name, pin_name)] = [
+                (in_trans, (stage.name, pin.name, out_trans), out_trans)
+                for in_trans, out_trans in stage_arcs(stage, pin)
+            ]
+        return arcs
+
     def transition_paths(self, path: StructuralPath) -> List[Tuple[Hop, ...]]:
-        """Expand a structural path into chained transition paths."""
-        start_net = self.circuit.net(path.start_net)
+        """Expand a structural path into chained transition paths, rising
+        start first, each step's arcs in :func:`stage_arcs` order.
+
+        Walks the steps once, extending every live partial path; a partial
+        path is a ``(hop, parent)`` chain, so each result is materialized
+        once instead of being re-copied at every step.
+        """
+        live = [(Transition.RISE, None), (Transition.FALL, None)]
+        for step in path.steps:
+            arcs = self._arcs_of(step.stage_name, step.pin_name)
+            live = [
+                (out_trans, (hop, chain))
+                for incoming, chain in live
+                for in_trans, hop, out_trans in arcs
+                if in_trans is incoming
+            ]
         results: List[Tuple[Hop, ...]] = []
-
-        def extend(
-            i: int, incoming: Transition, hops: Tuple[Hop, ...]
-        ) -> None:
-            if i == len(path.steps):
-                results.append(hops)
-                return
-            step = path.steps[i]
-            stage = self.circuit.stage(step.stage_name)
-            pin = stage.pin(step.pin_name)
-            for in_trans, out_trans in stage_arcs(stage, pin):
-                if in_trans is incoming:
-                    extend(i + 1, out_trans, hops + ((stage.name, pin.name, out_trans),))
-
-        for start in (Transition.RISE, Transition.FALL):
-            extend(0, start, ())
+        for _trans, chain in live:
+            hops: List[Hop] = []
+            while chain is not None:
+                hop, chain = chain
+                hops.append(hop)
+            hops.reverse()
+            results.append(tuple(hops))
         return results
 
     # -- classification -----------------------------------------------------------
 
-    def classify(self, path: StructuralPath, hops: Tuple[Hop, ...]) -> str:
-        circuit = self.circuit
-        first_stage = circuit.stage(hops[0][0])
-        first_pin = first_stage.pin(hops[0][1])
-        starts_at_clock = circuit.net(path.start_net).kind is NetKind.CLOCK
-        if starts_at_clock and first_pin.pin_class is PinClass.CLOCK:
+    def _pin_flags(
+        self, stage_name: str, pin_name: str
+    ) -> Tuple[bool, bool, bool, bool]:
+        """``(control, domino, clocked domino, clock pin)`` of one step."""
+        flags = self._flags.get((stage_name, pin_name))
+        if flags is None:
+            stage = self.circuit.stage(stage_name)
+            pin = stage.pin(pin_name)
+            domino = stage.kind is StageKind.DOMINO
+            flags = self._flags[(stage_name, pin_name)] = (
+                # Select pins of pass/tri-state stages make a *control*
+                # path (Section 5.3's "constraints through the control
+                # port").  Domino select inputs are ordinary evaluate legs.
+                pin.pin_class is PinClass.SELECT
+                and stage.kind in (StageKind.PASSGATE, StageKind.TRISTATE),
+                domino,
+                domino and stage.clocked,
+                pin.pin_class is PinClass.CLOCK,
+            )
+        return flags
+
+    def _shape(self, steps: Sequence[Tuple[str, str]]) -> Tuple[bool, bool, list]:
+        """What classification and phase segmentation read of a path's
+        steps, which every transition path of it shares: whether a control
+        pin or a domino stage is on it, and the ``(start, end)`` step
+        ranges of its phase segments (see :meth:`phase_segments`)."""
+        flags = [self._pin_flags(stage, pin) for stage, pin in steps]
+        ranges = []
+        start = 0
+        for i, (_control, _domino, clocked, _clock) in enumerate(flags):
+            if clocked:
+                ranges.append((start, i + 1))
+                start = i + 1
+        if start < len(flags):
+            ranges.append((start, len(flags)))
+        # Merge a trailing segment with no dynamic stage into its phase.
+        while len(ranges) > 1 and not any(
+            flags[i][1] for i in range(*ranges[-1])
+        ):
+            _tail_start, tail_end = ranges.pop()
+            ranges[-1] = (ranges[-1][0], tail_end)
+        return (
+            any(f[0] for f in flags), any(f[1] for f in flags), ranges,
+        )
+
+    def _kind(
+        self, path: StructuralPath, hops: Tuple[Hop, ...], control: bool, domino: bool
+    ) -> str:
+        """The constraint class of one transition path of ``path``, given
+        :meth:`_shape`'s ``control`` and ``domino`` flags."""
+        if (
+            self.circuit.net(path.start_net).kind is NetKind.CLOCK
+            and self._pin_flags(hops[0][0], hops[0][1])[3]
+        ):
             # The first domino arc tells precharge from evaluate.
             if hops[0][2] is Transition.RISE:
                 return "precharge"
             return "evaluate"
-        for stage_name, pin_name, _ in hops:
-            stage = circuit.stage(stage_name)
-            pin = stage.pin(pin_name)
-            # Select pins of pass/tri-state stages make a *control* path
-            # (Section 5.3's "constraints through the control port").  Domino
-            # select inputs are ordinary evaluate legs.
-            if pin.pin_class is PinClass.SELECT and stage.kind in (
-                StageKind.PASSGATE,
-                StageKind.TRISTATE,
-            ):
-                return "control"
-        if any(
-            circuit.stage(s).kind is StageKind.DOMINO for s, _, _ in hops
-        ):
+        if control:
+            return "control"
+        if domino:
             return "evaluate"
         return "data"
 
@@ -205,29 +313,27 @@ class ConstraintGenerator:
         single-phase macro (one domino level plus its static buffer) is one
         evaluate path, not two phases.
         """
-        segments: List[Tuple[Hop, ...]] = []
-        current: List[Hop] = []
-        for hop in hops:
-            current.append(hop)
-            stage = self.circuit.stage(hop[0])
-            if stage.kind is StageKind.DOMINO and stage.clocked:
-                segments.append(tuple(current))
-                current = []
-        if current:
-            segments.append(tuple(current))
-        # Merge a trailing segment with no dynamic stage into its phase.
-        while len(segments) > 1 and not any(
-            self.circuit.stage(h[0]).kind is StageKind.DOMINO
-            for h in segments[-1]
-        ):
-            tail = segments.pop()
-            segments[-1] = segments[-1] + tail
-        return segments
+        _control, _domino, ranges = self._shape([hop[:2] for hop in hops])
+        return [hops[start:end] for start, end in ranges]
 
     # -- delay assembly ----------------------------------------------------------------
 
     def path_delay_posynomial(self, hops: Sequence[Hop]) -> Posynomial:
-        """Path delay with *posynomial slope chaining*.
+        """Path delay with posynomial slope chaining: the dict form of
+        :meth:`path_row`."""
+        return self.path_row(hops).posynomial()
+
+    def _hop_weights(self, n: int) -> List[float]:
+        weights = self._weights
+        if len(weights) <= n:
+            sens = self.library.tech.slope_sensitivity
+            while len(weights) <= n:
+                weights.append(sens + SLOPE_LEAK * weights[-1])
+        return weights
+
+    def path_row(self, hops: Sequence[Hop]) -> PosyRow:
+        """Path delay with *posynomial slope chaining*, compiled from the
+        arc table's arrays (:meth:`StaticTimingAnalyzer.arc_program`).
 
         The input slope of each stage along the path is the previous stage's
         output slope — itself a posynomial of upstream widths — so the GP
@@ -240,25 +346,52 @@ class ConstraintGenerator:
         LEAK^(k-1-j)·s_j`` (``s_j`` the arc slopes), so the chained sum is
         ``Σ d_k + Σ_j w_j·s_j + w_start·start`` with ``w_j = sens·Σ_{m <
         n-1-j} LEAK^m``.  The weights run back to front (``w_{n-1} = 0``,
-        ``w_j = sens + LEAK·w_{j+1}``, ``w_start`` one step past ``w_0``)
-        and :meth:`Posynomial.weighted_sum` adds every term once, linear in
-        the path length.
+        ``w_j = sens + LEAK·w_{j+1}``, ``w_start`` one step past ``w_0``).
+
+        The row gathers, last hop first, each hop's delay segment and its
+        weighted slope segment, then the weighted start slope, and merges
+        like terms with one ``bincount``: every coefficient is summed in
+        the order :meth:`Posynomial.weighted_sum` over the same
+        ``(weight, posynomial)`` pairs sums it, so the coefficients and the
+        insertion order are bit for bit that sum's.
         """
-        sens = self.library.tech.slope_sensitivity
+        program = self._program
+        if program is None:
+            program = self._program = self.analyzer.arc_program()
+        n = len(hops)
+        if n == 0:
+            empty = np.zeros(0, dtype=np.intp)
+            return PosyRow(program.index, empty, np.zeros(0))
         start = self.spec.input_slope
-        if hops:
-            first_pin = self.circuit.stage(hops[0][0]).pin(hops[0][1])
-            if first_pin.net.kind is NetKind.CLOCK:
-                start *= 0.5
-        pairs = []
-        weight = 0.0
-        for delay, slope in reversed(self.analyzer.path_arcs(hops)):
-            pairs.append((1.0, delay))
-            pairs.append((weight, slope))
-            weight = sens + SLOPE_LEAK * weight
-        if hops:
-            pairs.append((weight * start, as_posynomial(1.0)))
-        return Posynomial.weighted_sum(pairs)
+        first_pin = self.circuit.stage(hops[0][0]).pin(hops[0][1])
+        if first_pin.net.kind is NetKind.CLOCK:
+            start *= 0.5
+        weights = self._hop_weights(n)
+        arc_ids = program.arc_ids
+        arcs = np.array([arc_ids[hop] for hop in reversed(hops)], dtype=np.intp)
+        seg_start = np.empty(2 * n + 1, dtype=np.intp)
+        seg_len = np.empty(2 * n + 1, dtype=np.intp)
+        seg_weight = np.empty(2 * n + 1)
+        seg_start[0:2 * n:2] = program.delay_start[arcs]
+        seg_len[0:2 * n:2] = program.delay_len[arcs]
+        seg_weight[0:2 * n:2] = 1.0
+        seg_start[1:2 * n:2] = program.slope_start[arcs]
+        seg_len[1:2 * n:2] = program.slope_len[arcs]
+        seg_weight[1:2 * n:2] = weights[:n]
+        seg_start[2 * n] = program.constant_slot
+        seg_len[2 * n] = 1
+        seg_weight[2 * n] = weights[n] * start
+        # weighted_sum skips zero weights: the last hop's slope always.
+        keep = seg_weight != 0.0
+        seg_start = seg_start[keep]
+        seg_len = seg_len[keep]
+        seg_weight = seg_weight[keep]
+        positions = gather_positions(seg_start, seg_len)
+        ids = program.term_ids[positions]
+        values = program.term_coeffs[positions] * np.repeat(seg_weight, seg_len)
+        merged = np.bincount(ids, weights=values, minlength=len(program.index))
+        unique, first = np.unique(ids, return_index=True)
+        return PosyRow(program.index, unique, merged[unique], np.argsort(first))
 
     # -- top level -------------------------------------------------------------------
 
@@ -266,17 +399,19 @@ class ConstraintGenerator:
         constraints = ConstraintSet()
         seen: set = set()
         for p_index, path in enumerate(paths):
+            control, domino, ranges = self._shape(
+                [(step.stage_name, step.pin_name) for step in path.steps]
+            )
             for t_index, hops in enumerate(self.transition_paths(path)):
                 if not hops:
                     continue
-                kind = self.classify(path, hops)
-                if kind in ("data", "evaluate", "control"):
-                    segments = self.phase_segments(hops)
-                    if len(segments) > 1:
-                        self._add_phase_constraints(
-                            constraints, p_index, t_index, kind, hops, segments, seen
-                        )
-                        continue
+                kind = self._kind(path, hops, control, domino)
+                if kind in ("data", "evaluate", "control") and len(ranges) > 1:
+                    segments = [hops[start:end] for start, end in ranges]
+                    self._add_phase_constraints(
+                        constraints, p_index, t_index, kind, hops, segments, seen
+                    )
+                    continue
                 self._add_constraint(
                     constraints,
                     f"p{p_index}.t{t_index}.{kind}",
@@ -411,10 +546,11 @@ class ConstraintGenerator:
         if key in seen:
             return
         seen.add(key)
-        delay = self.path_delay_posynomial(hops)
-        if len(delay) == 0:
-            return
+        # Every hop's delay has terms (the driver's own load), so no path
+        # delay is empty.
         constraints.timing.append(
-            TimingConstraint(name=name, delay=delay, spec=spec, kind=kind, hops=hops)
+            TimingConstraint(
+                name=name, spec=spec, kind=kind, hops=hops, generator=self
+            )
         )
 

@@ -43,9 +43,11 @@ from ..cache.fingerprint import (
 from ..cache.store import SizingCache
 from ..models.gates import ModelLibrary
 from ..netlist.circuit import Circuit
+from ..netlist.memo import circuit_memo
 from ..obs import metrics, perf, trace
 from ..obs.log import get_logger
 from ..posy import Posynomial, posy_sum
+from ..posy.rows import evaluate_rows
 from ..sim.power import PowerEstimator
 from ..sim.timing import StaticTimingAnalyzer, TimingReport
 from .constraints import (
@@ -363,6 +365,9 @@ class SmartSizer:
         self._analysis_library = analysis_library
         self._cache_key: Optional[CacheKey] = None
         self._cache_hit_runtime = 0.0
+        #: (circuit memo, state key, prune result, constraints) of the
+        #: latest front end; see :meth:`_latest_front_end`.
+        self._front: Optional[tuple] = None
 
     def cache_key(self, spec: DelaySpec, tolerance: float = 2.0) -> CacheKey:
         """Content address of the :meth:`size` problem this sizer would solve
@@ -613,6 +618,7 @@ class SmartSizer:
                     otb_borrow=self.otb_borrow,
                     objective=self.objective,
                     analysis_library=self._analysis_library,
+                    front_end=self._latest_front_end(spec, prune=True),
                 ).certify(result.widths, cache_key=key, with_kkt=False)
             result.certificate = cert_store.put(certificate)
         except Exception as exc:  # pragma: no cover - defensive
@@ -680,7 +686,7 @@ class SmartSizer:
             self.circuit, self.library, spec, otb_borrow=self.otb_borrow
         )
         constraints = generator.generate(prune_result.paths)
-        return self._lint_gp(constraints)
+        return self._lint_gp(self._build_gp(constraints, {}))
 
     def _interval_screen(self, spec: DelaySpec):
         """Interval-STA verdict for ``spec``, or ``None`` if the screen
@@ -695,14 +701,38 @@ class SmartSizer:
         except ImportError:  # pragma: no cover - partial-init bootstrap
             return None
 
-    def _lint_gp(self, constraints: ConstraintSet):
+    def _lint_gp(self, gp: GeometricProgram):
+        """The ``GP2xx`` screen of ``gp``, over the compilation its solve
+        then reuses."""
         from ..lint.rules_gp import lint_gp
 
-        report = lint_gp(
-            self._build_gp(constraints, {}), self.circuit.size_table
-        )
+        report = lint_gp(gp, self.circuit.size_table)
         report.subject = f"{self.circuit.name}:gp"
         return report
+
+    def _front_state(self, spec: DelaySpec, prune: bool) -> tuple:
+        """What a front end's output depends on besides the circuit's
+        structure: size-table state, library content, spec, OTB window and
+        pruning."""
+        return (
+            self.circuit.size_table.state(), self.library.content_key(),
+            spec, self.otb_borrow, prune,
+        )
+
+    def _latest_front_end(
+        self, spec: DelaySpec, prune: bool
+    ) -> Optional[Tuple[PruneResult, ConstraintSet]]:
+        """The latest :meth:`_front_end` output when it still holds for
+        ``spec`` and ``prune``: same circuit memo (an in-place edit drops
+        it) and same :meth:`_front_state`; ``None`` otherwise."""
+        front = self._front
+        if (
+            front is None
+            or front[0] is not circuit_memo(self.circuit)
+            or front[1] != self._front_state(spec, prune)
+        ):
+            return None
+        return front[2], front[3]
 
     def _front_end(
         self, spec: DelaySpec, prune: bool
@@ -733,6 +763,10 @@ class SmartSizer:
             raise SizingError(
                 f"{self.circuit.name}: no timing constraints were generated"
             )
+        self._front = (
+            circuit_memo(self.circuit), self._front_state(spec, prune),
+            prune_result, constraints,
+        )
         return prune_result, constraints
 
     def _size_traced(
@@ -818,8 +852,11 @@ class SmartSizer:
                 metrics.counter("cache.misses").inc()
 
         # GP pre-solve gate: fail fast on malformed or trivially-infeasible
-        # programs instead of burning solver iterations on them.
-        gp_lint = self._lint_gp(constraints)
+        # programs instead of burning solver iterations on them.  Iteration
+        # 0 solves the program the gate linted.
+        objective = self.objective_posynomial()
+        gp = self._build_gp(constraints, {}, objective)
+        gp_lint = self._lint_gp(gp)
         for diag in gp_lint.warnings:
             log.debug("gp lint %s: %s", self.circuit.name, diag.format())
         if not gp_lint.ok:
@@ -858,7 +895,8 @@ class SmartSizer:
 
         for iteration in range(max_outer_iterations):
             with trace.span("iteration", iteration=iteration) as iter_span:
-                gp = self._build_gp(constraints, multipliers)
+                if iteration:
+                    gp = self._build_gp(constraints, multipliers, objective)
                 try:
                     with trace.span("gp_solve") as gs:
                         solution = gp.solve(
@@ -968,14 +1006,15 @@ class SmartSizer:
                 )
 
         resolved = self.circuit.size_table.resolve(env)
+        area, clock_load = self.circuit.width_totals(resolved)
         return SizingResult(
             circuit_name=self.circuit.name,
             widths=dict(env),
             resolved=resolved,
             converged=converged,
             iterations=len(history),
-            area=self.circuit.total_width(resolved),
-            clock_load=self.circuit.clock_load_width(resolved),
+            area=area,
+            clock_load=clock_load,
             worst_violation=max(0.0, worst_violation),
             realized=realized,
             specs={c.name: c.spec for c in constraints.timing},
@@ -1127,14 +1166,15 @@ class SmartSizer:
         self._cache_hit_runtime = float(entry.get("runtime_s", 0.0))
         trace.add_attrs(cache_hit=mode)
         resolved = self.circuit.size_table.resolve(env)
+        area, clock_load = self.circuit.width_totals(resolved)
         return SizingResult(
             circuit_name=self.circuit.name,
             widths=env,
             resolved=resolved,
             converged=True,
             iterations=0,
-            area=self.circuit.total_width(resolved),
-            clock_load=self.circuit.clock_load_width(resolved),
+            area=area,
+            clock_load=clock_load,
             worst_violation=max(0.0, worst),
             realized=realized,
             specs=specs,
@@ -1191,12 +1231,21 @@ class SmartSizer:
         return cert
 
     def _build_gp(
-        self, constraints: ConstraintSet, multipliers: Mapping[str, float]
+        self,
+        constraints: ConstraintSet,
+        multipliers: Mapping[str, float],
+        objective: Optional[Posynomial] = None,
     ) -> GeometricProgram:
-        gp = GeometricProgram(self.objective_posynomial())
+        gp = GeometricProgram(
+            self.objective_posynomial() if objective is None else objective
+        )
         for constraint in constraints.timing:
             budget = constraint.spec * multipliers.get(constraint.name, 1.0)
-            gp.add_upper_bound(constraint.delay, budget, constraint.name)
+            row = constraint.row
+            gp.add_upper_bound(
+                constraint.delay if row is None else row, budget,
+                constraint.name,
+            )
         for slope in constraints.slopes:
             gp.add_upper_bound(slope.slope, slope.limit, slope.name)
         for noise in constraints.noise:
@@ -1224,11 +1273,12 @@ class SmartSizer:
         posynomial at the current point.
         """
         multipliers: Dict[str, float] = {}
-        for constraint in constraints.timing:
+        for constraint, predicted in zip(
+            constraints.timing, _predicted_delays(constraints.timing, env)
+        ):
             measured = realized.get(constraint.name)
             if measured is None or measured <= 0:
                 continue
-            predicted = constraint.delay.evaluate(env)
             delta = measured - predicted
             if abs(delta) < 1e-9:
                 continue
@@ -1236,3 +1286,16 @@ class SmartSizer:
             mult = target / constraint.spec
             multipliers[constraint.name] = min(1.5, max(0.3, mult))
         return multipliers
+
+
+def _predicted_delays(
+    timing: Sequence[TimingConstraint], env: Mapping[str, float]
+) -> List[float]:
+    """Every constraint's GP delay at ``env``: one array pass over the
+    compiled rows when they share an arc table, else each posynomial."""
+    rows = [constraint.row for constraint in timing]
+    if rows and all(
+        row is not None and row.index is rows[0].index for row in rows
+    ):
+        return evaluate_rows(rows, env).tolist()
+    return [constraint.delay.evaluate(env) for constraint in timing]

@@ -21,18 +21,24 @@ bound that proves ``max_i F_i > 0`` over the whole box: that bound is the
 certificate :class:`GPInfeasibleError` carries, inside an ``infeasible``
 :class:`GPSolution`.
 
-Every log-sum-exp row is evaluated through one :class:`StackedLogSumExp`: all
-terms of all rows in one sparse exponent matrix, so a Newton step costs a
-fixed handful of numpy operations plus one dense Cholesky however many rows
-the program has.  Variables with ``lower == upper`` are folded into the rows
-as constants, so every solved variable has a nonempty interior.
+A program is compiled once (:meth:`GeometricProgram.compile`, cached until
+the next ``add_*`` or ``set_bounds``) into a :class:`CompiledProgram`: every
+term of the objective and of each row as a raw coefficient and one exponent
+CSR over the sorted variable names.  The pre-solve lint
+(:func:`repro.lint.rules_gp.lint_gp`) screens those arrays and the solver
+stacks them: every log-sum-exp row is evaluated through one
+:class:`StackedLogSumExp`, all terms of all rows in one sparse exponent
+matrix, so a Newton step costs a fixed handful of numpy operations plus one
+dense Cholesky however many rows the program has.  Variables with
+``lower == upper`` are folded into the rows as constants, so every solved
+variable has a nonempty interior.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import linalg, sparse
@@ -40,6 +46,7 @@ from scipy import linalg, sparse
 from ..netlist.sizing_vars import DEFAULT_BOUNDS
 from ..obs import metrics, trace
 from ..posy import Posynomial, as_posynomial
+from ..posy.rows import PosyRow
 
 #: Surrogate duality gap (log-objective units) and dual-residual norm at
 #: which a solve stops, and the margin by which phase 1's infeasibility
@@ -93,12 +100,33 @@ class GPInfeasibleError(GPError):
         self.solution = solution
 
 
-@dataclass
 class GPConstraint:
-    """One inequality constraint ``expr <= 1`` with a diagnostic name."""
+    """One inequality constraint ``expr <= 1`` with a diagnostic name.
 
-    expr: Posynomial
-    name: str = ""
+    A constraint added as a :class:`~repro.posy.rows.PosyRow` ``row``
+    bounded by ``limit`` compiles from the row's arrays; its ``expr``
+    (``row.posynomial() / limit``) is built only when read.
+    """
+
+    __slots__ = ("name", "row", "limit", "_expr")
+
+    def __init__(
+        self,
+        expr: Optional[Posynomial] = None,
+        name: str = "",
+        row: Optional[PosyRow] = None,
+        limit: float = 1.0,
+    ):
+        self._expr = expr
+        self.name = name
+        self.row = row
+        self.limit = limit
+
+    @property
+    def expr(self) -> Posynomial:
+        if self._expr is None:
+            self._expr = self.row.posynomial() / self.limit
+        return self._expr
 
     def margin(self, env: Mapping[str, float]) -> float:
         """``1 - expr(env)``; nonnegative when satisfied."""
@@ -161,6 +189,7 @@ class GeometricProgram:
         self.inequalities: List[GPConstraint] = []
         self._bounds: Dict[str, Tuple[float, float]] = {}
         self._default_bounds = DEFAULT_BOUNDS
+        self._compiled: Optional[CompiledProgram] = None
 
     # -- construction ------------------------------------------------------
 
@@ -175,29 +204,51 @@ class GeometricProgram:
                     f"constraint {name or expr!r} is constant and violated"
                 )
             return
-        self.inequalities.append(GPConstraint(expr, name or f"ineq{len(self.inequalities)}"))
+        self._append(GPConstraint(expr, name))
 
-    def add_upper_bound(self, expr: Posynomial, limit: float, name: str = "") -> None:
-        """Add ``expr <= limit`` for ``limit > 0``."""
+    def add_upper_bound(
+        self, expr: Union[Posynomial, PosyRow], limit: float, name: str = ""
+    ) -> None:
+        """Add ``expr <= limit`` for ``limit > 0``.  ``expr`` may be a
+        :class:`~repro.posy.rows.PosyRow`, which compiles without being
+        turned into a posynomial."""
         if limit <= 0:
             raise GPError(f"upper bound for {name!r} must be positive, got {limit}")
-        self.add_inequality(as_posynomial(expr) / limit, name)
+        if not isinstance(expr, PosyRow):
+            self.add_inequality(as_posynomial(expr) / limit, name)
+            return
+        if len(expr) == 0:
+            return
+        if expr.is_constant():
+            self.add_inequality(expr.posynomial() / limit, name)
+            return
+        self._append(GPConstraint(None, name, row=expr, limit=limit))
+
+    def _append(self, constraint: GPConstraint) -> None:
+        constraint.name = constraint.name or f"ineq{len(self.inequalities)}"
+        self.inequalities.append(constraint)
+        self._compiled = None
 
     def set_bounds(self, variable: str, lower: float, upper: float) -> None:
         """Box bounds ``lower <= x <= upper`` (both strictly positive)."""
         if not 0 < lower <= upper:
             raise GPError(f"invalid bounds for {variable}: [{lower}, {upper}]")
         self._bounds[variable] = (lower, upper)
+        self._compiled = None
 
     def bounds(self, variable: str) -> Tuple[float, float]:
         return self._bounds.get(variable, self._default_bounds)
 
     def variables(self) -> List[str]:
-        names = set(self.objective.variables())
-        for constraint in self.inequalities:
-            names.update(constraint.expr.variables())
-        names.update(self._bounds)
-        return sorted(names)
+        return list(self.compile().names)
+
+    def compile(self) -> "CompiledProgram":
+        """This program as arrays, compiled on the first call after the
+        last change (``gp.compiles`` counts the compilations)."""
+        if self._compiled is None:
+            self._compiled = CompiledProgram(self)
+            metrics.counter("gp.compiles").inc()
+        return self._compiled
 
     # -- solving -----------------------------------------------------------
 
@@ -207,24 +258,15 @@ class GeometricProgram:
         Raises :class:`GPInfeasibleError`, with phase 1's certificate, when
         phase 1 proves that no point of the box satisfies every row.
         """
-        names = self.variables()
-        fixed = {}
-        free = []
-        for name in names:
-            lo, hi = self.bounds(name)
-            if lo == hi:
-                fixed[name] = math.log(lo)
-            else:
-                free.append(name)
+        program = self.compile()
+        names = list(program.names)
+        free, fixed = program.free, program.fixed
         index = {name: i for i, name in enumerate(free)}
-
-        lower = np.array([math.log(self.bounds(n)[0]) for n in free])
-        upper = np.array([math.log(self.bounds(n)[1]) for n in free])
+        lower, upper = program.log_box()
 
         y0 = self._initial_point(free, index, lower, upper, initial)
 
-        objective = StackedLogSumExp([self.objective], index, fixed)
-        rows = StackedLogSumExp([c.expr for c in self.inequalities], index, fixed)
+        objective, rows = program.stacks()
         metrics.counter("gp.solves").inc()
         trace.add_attrs(
             variables=len(names),
@@ -232,10 +274,11 @@ class GeometricProgram:
             terms=rows.terms,
             nonzeros=rows.nonzeros,
         )
+        passes = rows.passes
         try:
             run = _minimize(y0, objective, rows, lower, upper)
         finally:
-            metrics.counter("gp.exponent_passes").inc(rows.passes)
+            metrics.counter("gp.exponent_passes").inc(rows.passes - passes)
         metrics.counter("gp.line_search_trials").inc(run.trials)
         trace.add_attrs(
             phase1_steps=run.phase1_steps,
@@ -330,6 +373,184 @@ class GeometricProgram:
         # The interior-point method needs every box row strictly satisfied.
         margin = INTERIOR * (upper - lower)
         return np.clip(y0, lower + margin, upper - margin)
+
+
+class CompiledProgram:
+    """A :class:`GeometricProgram` as arrays.
+
+    Row 0 is the objective and row ``i + 1`` inequality ``i``
+    (``row_names`` holds ``"objective"`` and the constraint names); row
+    ``r`` owns the next ``counts[r]`` terms, in sorted-signature order.
+    ``coeffs`` are the terms' raw coefficients (a row-backed constraint's
+    divided by its limit exactly as :meth:`GeometricProgram.add_upper_bound`
+    divides a posynomial) and ``indptr`` / ``columns`` / ``exponents`` their
+    exponent CSR over ``names``, the sorted program variables.  ``lower``
+    and ``upper`` are every variable's box bounds; ``free`` are the
+    variables with a nonempty box and ``fixed`` the others, at their log
+    value.  :meth:`stacks` builds the solver's two
+    :class:`StackedLogSumExp` once.
+    """
+
+    def __init__(self, gp: "GeometricProgram"):
+        #: Posynomial pieces share one growing name table.
+        posy_names: Dict[str, int] = {}
+        pieces: list = []
+        pending: List[Posynomial] = [gp.objective]
+        group: List[GPConstraint] = []
+
+        def flush_posynomials() -> None:
+            if not pending:
+                return
+            coeffs: List[float] = []
+            counts: List[int] = []
+            nnz: List[int] = []
+            columns: List[int] = []
+            exponents: List[float] = []
+            for posy in pending:
+                terms = sorted(posy.items())
+                counts.append(len(terms))
+                for sig, coeff in terms:
+                    coeffs.append(coeff)
+                    nnz.append(len(sig))
+                    for name, exp in sig:
+                        columns.append(posy_names.setdefault(name, len(posy_names)))
+                        exponents.append(exp)
+            pieces.append((
+                np.array(coeffs, dtype=float), counts,
+                np.array(nnz, dtype=np.intp), np.array(columns, dtype=np.intp),
+                np.array(exponents, dtype=float), None,
+            ))
+            pending.clear()
+
+        def flush_rows() -> None:
+            if not group:
+                return
+            index = group[0].row.index
+            ids = np.concatenate([c.row.ids for c in group])
+            coeffs = np.concatenate(
+                [c.row.coeffs * (1.0 / c.limit) for c in group]
+            )
+            nnz, positions = index.nonzeros(ids)
+            pieces.append((
+                coeffs, [len(c.row) for c in group], nnz,
+                index.columns[positions], index.exponents[positions],
+                index.names,
+            ))
+            group.clear()
+
+        for constraint in gp.inequalities:
+            row = constraint.row
+            if row is None:
+                flush_rows()
+                pending.append(constraint.expr)
+                continue
+            flush_posynomials()
+            if group and group[0].row.index is not row.index:
+                flush_rows()
+            group.append(constraint)
+        flush_posynomials()
+        flush_rows()
+
+        used = set(posy_names)
+        for _c, _n, _z, columns, _e, local in pieces:
+            if local is not None:
+                used.update(local[i] for i in np.unique(columns).tolist())
+        used.update(gp._bounds)
+        self.names: Tuple[str, ...] = tuple(sorted(used))
+        column = {name: i for i, name in enumerate(self.names)}
+        posy_map = np.array(
+            [column[name] for name in posy_names], dtype=np.intp
+        )
+
+        def mapped(columns, local):
+            if local is None:
+                return posy_map[columns]
+            return np.array(
+                [column.get(name, -1) for name in local], dtype=np.intp
+            )[columns]
+
+        self.row_names: List[str] = ["objective"] + [
+            c.name for c in gp.inequalities
+        ]
+        self.coeffs = np.concatenate([p[0] for p in pieces])
+        self.counts = np.array(
+            [n for p in pieces for n in p[1]], dtype=np.intp
+        )
+        nnz = np.concatenate([p[2] for p in pieces])
+        self.indptr = np.zeros(len(nnz) + 1, dtype=np.intp)
+        np.cumsum(nnz, out=self.indptr[1:])
+        self.columns = np.concatenate(
+            [mapped(p[3], p[5]) for p in pieces]
+        ).astype(np.intp, copy=False)
+        self.exponents = np.concatenate([p[4] for p in pieces])
+        bounds = [gp.bounds(name) for name in self.names]
+        self.lower = np.array([lo for lo, _hi in bounds], dtype=float)
+        self.upper = np.array([hi for _lo, hi in bounds], dtype=float)
+        self._free = self.lower != self.upper
+        self.free: List[str] = [
+            name for name, free in zip(self.names, self._free) if free
+        ]
+        self.fixed: Dict[str, float] = {
+            name: math.log(lo)
+            for name, (lo, hi) in zip(self.names, bounds) if lo == hi
+        }
+        self._stacks: Optional[Tuple[StackedLogSumExp, StackedLogSumExp]] = None
+
+    @property
+    def terms(self) -> int:
+        return len(self.coeffs)
+
+    def term_rows(self) -> np.ndarray:
+        """Row of every term."""
+        return np.repeat(np.arange(len(self.counts)), self.counts)
+
+    def log_box(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(log lower, log upper)`` of the free variables."""
+        return (
+            np.array([math.log(lo) for lo in self.lower[self._free].tolist()]),
+            np.array([math.log(hi) for hi in self.upper[self._free].tolist()]),
+        )
+
+    def stacks(self) -> Tuple["StackedLogSumExp", "StackedLogSumExp"]:
+        """``(objective, rows)`` over the free variables, fixed ones folded
+        into the log-coefficients in each term's signature order (the
+        arithmetic of :class:`StackedLogSumExp`'s posynomial constructor,
+        so the stacks are bit for bit the same)."""
+        if self._stacks is not None:
+            return self._stacks
+        width = len(self.free)
+        free_column = np.full(len(self.names), -1, dtype=np.intp)
+        free_column[self._free] = np.arange(width)
+        fixed_log = np.zeros(len(self.names))
+        fixed_log[~self._free] = list(self.fixed.values())
+        b = np.array([math.log(c) for c in self.coeffs.tolist()])
+        nnz = np.diff(self.indptr)
+        term_of = np.repeat(np.arange(self.terms), nnz)
+        folded = free_column[self.columns] < 0
+        if folded.any():
+            slot = np.arange(len(self.columns)) - self.indptr[term_of]
+            for k in range(int(slot[folded].max()) + 1):
+                at = folded & (slot == k)
+                columns = self.columns[at]
+                b[term_of[at]] += self.exponents[at] * fixed_log[columns]
+        kept = ~folded
+        free_nnz = np.bincount(term_of[kept], minlength=self.terms)
+        indices = free_column[self.columns[kept]]
+        data = self.exponents[kept]
+        edges = np.zeros(self.terms + 1, dtype=np.intp)
+        np.cumsum(free_nnz, out=edges[1:])
+        split = int(self.counts[0])
+        cut = edges[split]
+        objective = StackedLogSumExp.from_arrays(
+            b[:split], edges[:split + 1], indices[:cut], data[:cut],
+            self.counts[:1], width,
+        )
+        rows = StackedLogSumExp.from_arrays(
+            b[split:], edges[split:] - cut, indices[cut:], data[cut:],
+            self.counts[1:], width,
+        )
+        self._stacks = objective, rows
+        return self._stacks
 
 
 @dataclass
@@ -578,10 +799,7 @@ class StackedLogSumExp:
         index: Mapping[str, int],
         fixed: Optional[Mapping[str, float]] = None,
     ):
-        width = len(index)
         counts = np.array([len(p) for p in posynomials], dtype=np.intp)
-        if (counts == 0).any():
-            raise GPError("every stacked row needs at least one term")
         b: List[float] = []
         cols: List[int] = []
         data: List[float] = []
@@ -598,16 +816,40 @@ class StackedLogSumExp:
                     data.append(exp)
                 b.append(e)
                 indptr.append(len(cols))
+        self._setup(
+            np.array(b), np.array(indptr), np.array(cols, dtype=np.intp),
+            np.array(data), counts, len(index),
+        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        b: np.ndarray,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        data: np.ndarray,
+        counts: np.ndarray,
+        width: int,
+    ) -> "StackedLogSumExp":
+        """Rows from a compiled term program: log-coefficients ``b``, the
+        free-variable CSR ``(indptr, indices, data)`` and ``counts`` terms
+        per row."""
+        stack = cls.__new__(cls)
+        stack._setup(b, indptr, indices, data, counts, width)
+        return stack
+
+    def _setup(self, b, indptr, indices, data, counts, width) -> None:
+        if (counts == 0).any():
+            raise GPError("every stacked row needs at least one term")
         self.rows = len(counts)
         self.terms = len(b)
-        self.nonzeros = len(cols)
+        self.nonzeros = len(indices)
         self.passes = 0
         self._width = width
         self._A = sparse.csr_matrix(
-            (np.array(data), np.array(cols, dtype=np.intp), np.array(indptr)),
-            shape=(self.terms, width),
+            (data, indices, indptr), shape=(self.terms, width),
         )
-        self._b = np.array(b)
+        self._b = b
         self._starts = np.cumsum(counts) - counts
         self._term_row = np.repeat(np.arange(self.rows), counts)
         self._nonzero_term = np.repeat(

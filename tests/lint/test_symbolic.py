@@ -16,6 +16,7 @@ import pytest
 
 from repro.lint import lint_circuit
 from repro.lint.symbolic import extract, slice_certificate
+from repro.lint.symbolic.extract import extract_cached
 from repro.lint.symbolic.mutate import MUTATIONS, rebind_pin
 from repro.macros.base import MacroBuilder, MacroSpec
 from repro.macros.mux import mux_golden_spec
@@ -285,6 +286,28 @@ class TestCleanCorpus:
         proved = extract(circuit, circuit.functional_spec, exact_budget=11)
         assert proved.proved
         assert proved.n_assignments == 2 ** 11
+
+
+class TestExtractionMemo:
+    def test_input_phase_declaration_recomputes(self):
+        """Declaring input phases on a built circuit, without ``forget``,
+        changes which inputs precharge: the memoized extraction must be
+        recomputed and equal a fresh circuit's with the same phases."""
+
+        def declare(circuit):
+            for net in sorted(circuit.primary_inputs):
+                circuit.declare_input_phase(net, "mono_fall")
+
+        circuit = _generate("mux/unsplit_domino", "mux", 4)
+        budgets = {"exact_budget": 10, "samples": 64}
+        before = extract_cached(circuit, circuit.functional_spec, **budgets)
+        declare(circuit)
+        after = extract_cached(circuit, circuit.functional_spec, **budgets)
+        assert after is not before
+        fresh = _generate("mux/unsplit_domino", "mux", 4)
+        declare(fresh)
+        assert after == extract(fresh, fresh.functional_spec, **budgets)
+        assert extract_cached(circuit, circuit.functional_spec, **budgets) is after
 
 
 # ---------------------------------------------------------------------------

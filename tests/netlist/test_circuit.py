@@ -117,6 +117,36 @@ class TestAccounting:
         assert numeric > 0.0
         assert mux.clock_load_posynomial().evaluate(env) == pytest.approx(numeric)
 
+    def test_width_totals_expand_once(self, database, tech, monkeypatch):
+        """Area and clock load come from one expansion, summed as the
+        separate sums would be (bit for bit)."""
+        from repro.core.cost import evaluate_cost
+        from repro.macros import MacroSpec
+        from repro.models import ModelLibrary
+        from repro.netlist.circuit import Circuit
+
+        mux = database.generate("mux/unsplit_domino", MacroSpec("mux", 4), tech)
+        env = mux.size_table.default_env()
+        devices = mux.expand_transistors(env)
+        clocks = set(mux.clock_nets())
+        expected = (
+            sum(t.width for t in devices),
+            sum(t.width for t in devices if t.gate in clocks),
+        )
+        calls = []
+        expand = Circuit.expand_transistors
+
+        def counted(circuit, widths):
+            calls.append(1)
+            return expand(circuit, widths)
+
+        monkeypatch.setattr(Circuit, "expand_transistors", counted)
+        assert mux.width_totals(env) == expected
+        calls.clear()
+        cost = evaluate_cost(mux, ModelLibrary(tech), env)
+        assert (cost.area, cost.clock_load) == expected
+        assert len(calls) == 1
+
     def test_clock_load_zero_for_static(self):
         c = build_chain()
         assert c.clock_load_width({"P0": 1, "N0": 1, "P1": 1, "N1": 1}) == 0.0

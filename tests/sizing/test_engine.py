@@ -252,3 +252,66 @@ class TestPruningIntegration:
             DelaySpec(data=nom), prune=False
         )
         assert full.area == pytest.approx(pruned.area, rel=0.05)
+
+
+class TestAuditReusesFrontEnd:
+    """A fresh result's certificate audits the sizer's own constraint set
+    when nothing it depends on has changed since the sizer built it."""
+
+    @staticmethod
+    def _mux(database, tech):
+        from repro.macros import MacroSpec
+
+        return database.generate(
+            "mux/strong_mutex_passgate", MacroSpec("mux", 4, output_load=30.0), tech
+        )
+
+    def test_certificate_generates_no_second_constraint_set(
+        self, database, tech, library, monkeypatch
+    ):
+        from repro.cache.store import SizingCache
+        from repro.lint.solution.certificate import SolutionCertificateStore
+        from repro.sizing.constraints import ConstraintGenerator
+
+        circuit = self._mux(database, tech)
+        spec = DelaySpec(data=1.1 * nominal_delay(circuit, library))
+        generated = []
+        generate = ConstraintGenerator.generate
+
+        def counted(generator, paths):
+            generated.append(generator)
+            return generate(generator, paths)
+
+        monkeypatch.setattr(ConstraintGenerator, "generate", counted)
+        cache = SizingCache(certificates=SolutionCertificateStore())
+        result = SmartSizer(circuit, library, cache=cache).size(spec)
+        assert result.certificate is not None and result.certificate["ok"]
+        assert len(generated) == 1
+        assert set(result.certificate["specs"]) == set(result.specs)
+
+    def test_front_end_held_only_for_the_same_state(self, database, tech, library):
+        import dataclasses
+
+        from repro.netlist.memo import forget
+
+        circuit = self._mux(database, tech)
+        spec = DelaySpec(data=1.1 * nominal_delay(circuit, library))
+        sizer = SmartSizer(circuit, library)
+        sizer.size(spec)
+        held = sizer._latest_front_end(spec, prune=True)
+        assert held is not None and held[1].timing
+        assert sizer._latest_front_end(spec, prune=False) is None
+        other = dataclasses.replace(spec, data=spec.data * 1.1)
+        assert sizer._latest_front_end(other, prune=True) is None
+        sizer.otb_borrow = 5.0
+        assert sizer._latest_front_end(spec, prune=True) is None
+        sizer.otb_borrow = 0.0
+        name = circuit.size_table.free_names()[0]
+        var = circuit.size_table[name]
+        original = circuit.size_table._vars[name]
+        circuit.size_table.pin(name, var.lower)
+        assert sizer._latest_front_end(spec, prune=True) is None
+        circuit.size_table._vars[name] = original
+        assert sizer._latest_front_end(spec, prune=True)[1] is held[1]
+        forget(circuit)
+        assert sizer._latest_front_end(spec, prune=True) is None

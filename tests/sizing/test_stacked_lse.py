@@ -157,3 +157,41 @@ def test_results_are_read_only():
 def test_empty_row_is_rejected():
     with pytest.raises(GPError):
         StackedLogSumExp([Posynomial.zero()], INDEX)
+
+
+def test_compiled_program_stacks_bit_for_bit():
+    """``GeometricProgram.compile().stacks()`` builds from arrays the very
+    stacks the posynomial constructor builds (``math.log`` per term, fixed
+    variables folded in signature order), on a program large enough that
+    numpy's SIMD ``log`` would differ from libm's in some last bit."""
+    from repro.sizing.gp import GeometricProgram
+
+    rng = np.random.default_rng(7)
+
+    def posynomial(terms):
+        monos = []
+        for _ in range(terms):
+            names = rng.choice(NAMES, size=rng.integers(0, 4), replace=False)
+            monos.append(Monomial(
+                float(10.0 ** rng.uniform(-6, 6)),
+                {str(n): float(rng.choice(EXPONENTS)) for n in names},
+            ))
+        return Posynomial.from_terms(monos)
+
+    gp = GeometricProgram(posynomial(40))
+    for i in range(600):
+        expr = posynomial(80)
+        if not expr.is_constant():
+            gp.add_upper_bound(expr, float(rng.uniform(0.5, 50.0)), f"c{i}")
+    gp.set_bounds("w3", 2.0, 2.0)
+    program = gp.compile()
+    index = {name: i for i, name in enumerate(program.free)}
+    expected = (
+        StackedLogSumExp([gp.objective], index, program.fixed),
+        StackedLogSumExp([c.expr for c in gp.inequalities], index, program.fixed),
+    )
+    assert program.terms > 30_000
+    for got, want in zip(program.stacks(), expected):
+        assert got._b.tobytes() == want._b.tobytes()
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got._A, part), getattr(want._A, part))
