@@ -43,7 +43,6 @@ from ...obs import perf, trace
 from ...obs.log import get_logger
 from ...sizing.constraints import ConstraintGenerator, ConstraintSet, DelaySpec
 from ...sizing.engine import SmartSizer, measure_constraints
-from ...sizing.gp import StackedLogSumExp
 from ...sizing.pruning import PruneResult
 from .certificate import SolutionCertificate, widths_digest
 
@@ -290,36 +289,35 @@ class SolutionAudit:
         env, violations = self._normalize_env(widths)
         if env is None:
             return {"ok": False, "violations": violations, "gap_rel": None}
-        gp = self._sizer._build_gp(self.frozen_constraints(), {})
-        names = sorted(env)
-        index = {name: i for i, name in enumerate(names)}
+        # The program the solver saw, as its own compiled stacks: every
+        # variable is a free label, so ``env`` covers them all.
+        program = self._sizer._build_gp(self.frozen_constraints(), {}).compile()
+        objective, rows = program.stacks()
+        names = program.free
         y = np.array([math.log(env[name]) for name in names])
-        g0 = StackedLogSumExp([gp.objective], index).jacobian(y)[0]
+        log_lower, log_upper = program.log_box()
+        g0 = objective.jacobian(y)[0]
 
-        inequalities = [
-            c for c in gp.inequalities if c.expr.variables() <= index.keys()
-        ]
-        rows = StackedLogSumExp([c.expr for c in inequalities], index)
         values = rows.values(y)  # <= 0 when satisfied
         active = np.flatnonzero(values >= -_ACTIVE_TOL)
         columns: List[np.ndarray] = list(rows.jacobian(y)[active])
-        active_names = [inequalities[i].name for i in active]
+        active_names = [program.row_names[i + 1] for i in active]
         slacks = [abs(float(values[i])) for i in active]
         diam_sq = 0.0
-        for name in names:
-            lower, upper = gp.bounds(name)
-            span = math.log(upper) - math.log(lower)
+        for i, name in enumerate(names):
+            lower, upper = log_lower[i], log_upper[i]
+            span = upper - lower
             diam_sq += span * span
             unit = np.zeros(len(names))
-            unit[index[name]] = 1.0
-            if y[index[name]] - math.log(lower) <= _ACTIVE_TOL:
+            unit[i] = 1.0
+            if y[i] - lower <= _ACTIVE_TOL:
                 columns.append(-unit)     # lower bound active: l - y <= 0
                 active_names.append(f"lb:{name}")
-                slacks.append(abs(y[index[name]] - math.log(lower)))
-            if math.log(upper) - y[index[name]] <= _ACTIVE_TOL:
+                slacks.append(abs(y[i] - lower))
+            if upper - y[i] <= _ACTIVE_TOL:
                 columns.append(unit)      # upper bound active: y - u <= 0
                 active_names.append(f"ub:{name}")
-                slacks.append(abs(math.log(upper) - y[index[name]]))
+                slacks.append(abs(upper - y[i]))
         diameter = math.sqrt(diam_sq)
 
         if columns:

@@ -59,7 +59,7 @@ from .pruning import PruneResult, PruneStats, prune_paths
 
 log = get_logger(__name__)
 
-#: Above this raw path count, switch from enumerate-then-prune to
+#: Above this raw path count, switch from pruning the whole path space to
 #: representative extraction (pruning applied during the walk).
 ENUMERATION_THRESHOLD = 20_000
 
@@ -630,9 +630,10 @@ class SmartSizer:
     def _extract(self, prune: bool) -> PruneResult:
         """Path extraction + Section-5.2 reduction (one Figure-4 front end).
 
-        Enumerates and prunes when the raw count is tractable; falls back to
-        representative extraction (pruning applied during the walk) above
-        :data:`ENUMERATION_THRESHOLD`.
+        Prunes the whole path space in one walk of the stage graph
+        (:func:`~repro.sizing.pruning.prune_paths` without a path list) when
+        the raw count is tractable; falls back to representative extraction
+        above :data:`ENUMERATION_THRESHOLD`.
         """
         from .pruning import PruneStats
 
@@ -655,10 +656,9 @@ class SmartSizer:
                     mode="representative", kept_paths=len(representative)
                 )
             elif prune:
-                raw_paths = extractor.extract()
-                prune_result = prune_paths(self.circuit, raw_paths)
+                prune_result = prune_paths(self.circuit)
                 extract_span.set_attrs(
-                    mode="enumerate+prune", kept_paths=len(prune_result.paths)
+                    mode="prune", kept_paths=len(prune_result.paths)
                 )
             else:
                 raw_paths = extractor.extract()

@@ -23,7 +23,7 @@ from ..netlist.circuit import Circuit
 from ..netlist.stages import StageKind
 from ..sim.timing import StaticTimingAnalyzer
 from .constraints import ConstraintGenerator, DelaySpec
-from .paths import PathExtractor, StructuralPath
+from .paths import StructuralPath
 from .pruning import prune_paths
 
 
@@ -76,7 +76,7 @@ def analyze_borrowing(
         return OTBReport(records=[])
 
     if paths is None:
-        paths = prune_paths(circuit, PathExtractor(circuit).extract()).paths
+        paths = prune_paths(circuit).paths
     generator = ConstraintGenerator(circuit, library, spec)
     analyzer = StaticTimingAnalyzer(circuit, library)
     phase_budget = spec.for_kind("segment")

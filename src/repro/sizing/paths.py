@@ -122,11 +122,11 @@ class PathExtractor:
         path per distinct class sequence — the paper's "small set of
         meaningful paths" — while the raw space is combinatorial.
         """
-        from ..netlist.nets import PinSpeed
-        from .pruning import stage_keys  # regularity identity
+        from .pruning import precedence_pins, stage_keys
 
         circuit = self.circuit
         keys = stage_keys(circuit)
+        prunable = precedence_pins(circuit)
 
         def net_class(net_name: str) -> Tuple:
             driver = circuit.driver_of(net_name)
@@ -171,10 +171,7 @@ class PathExtractor:
                 result.append(((), net))
             taken = set()
             for stage, pin in fanout:
-                if pin.speed is PinSpeed.FAST and any(
-                    p.speed is PinSpeed.SLOW and p.pin_class is pin.pin_class
-                    for p in stage.inputs
-                ):
+                if pin.name in prunable.get(stage.name, ()):
                     continue
                 branch_key = keys[stage.name] + (
                     pin.pin_class.value,

@@ -22,19 +22,24 @@ Three techniques, applied in sequence:
 
 On the paper's 64-bit dynamic adder these take >32,000 paths to ~120 — a
 factor of >250.  The reproduction benchmark checks the same shape.
+
+:func:`prune_paths` runs the three passes over a path list, or — given no
+list — over the circuit's whole path space in one walk of the stage graph
+that never materialises a raw path (:func:`_prune_graph`), with the same
+result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..netlist.circuit import Circuit
 from ..netlist.memo import circuit_memo
 from ..netlist.nets import PinSpeed
 from ..netlist.stages import Stage
 from ..obs import metrics, trace
-from .paths import StructuralPath
+from .paths import PathExtractor, PathStep, StructuralPath
 
 #: Regularity identity of a stage: (kind, canonical size-label signature).
 StageKey = Tuple[str, Tuple[str, ...]]
@@ -138,6 +143,20 @@ def path_signature(circuit: Circuit, path: StructuralPath) -> Tuple:
 _Signed = Tuple[StructuralPath, Tuple]
 
 
+def _step_keys(
+    circuit: Circuit, keys: Dict[str, StageKey]
+) -> Dict[str, Dict[str, StepKey]]:
+    """``{stage: {pin: step key}}`` from the stage-key table ``keys``: a
+    step's regularity identity is its stage's key plus the pin's class."""
+    return {
+        stage.name: {
+            pin.name: keys[stage.name] + (pin.pin_class.value,)
+            for pin in stage.inputs
+        }
+        for stage in circuit.stages
+    }
+
+
 def _signed(
     circuit: Circuit,
     paths: Sequence[StructuralPath],
@@ -145,13 +164,7 @@ def _signed(
 ) -> List[_Signed]:
     """Every path with its :func:`path_signature`, read from one step-key
     lookup built from the stage-key table ``keys``."""
-    step_keys: Dict[str, Dict[str, StepKey]] = {
-        stage.name: {
-            pin.name: keys[stage.name] + (pin.pin_class.value,)
-            for pin in stage.inputs
-        }
-        for stage in circuit.stages
-    }
+    step_keys = _step_keys(circuit, keys)
     net = circuit.net
     return [
         (
@@ -170,6 +183,22 @@ def _signed(
 # ---------------------------------------------------------------------------
 
 
+def precedence_pins(circuit: Circuit) -> Dict[str, FrozenSet[str]]:
+    """For each stage that has any, its FAST pins that have a SLOW pin of
+    the same class: the edges pin precedence prunes."""
+    prunable: Dict[str, FrozenSet[str]] = {}
+    for stage in circuit.stages:
+        slow = {p.pin_class for p in stage.inputs if p.speed is PinSpeed.SLOW}
+        fast = frozenset(
+            p.name
+            for p in stage.inputs
+            if p.speed is PinSpeed.FAST and p.pin_class in slow
+        )
+        if fast:
+            prunable[stage.name] = fast
+    return prunable
+
+
 def prune_pin_precedence(
     circuit: Circuit,
     paths: Sequence[StructuralPath],
@@ -180,18 +209,7 @@ def prune_pin_precedence(
 
     When ``drops`` is given, each pruned path records the FAST step that
     justified dropping it."""
-    # stage -> its FAST pins that have a SLOW pin of the same class
-    prunable: Dict[str, set] = {}
-    for stage in circuit.stages:
-        slow = {p.pin_class for p in stage.inputs if p.speed is PinSpeed.SLOW}
-        fast = {
-            p.name
-            for p in stage.inputs
-            if p.speed is PinSpeed.FAST and p.pin_class in slow
-        }
-        if fast:
-            prunable[stage.name] = fast
-
+    prunable = precedence_pins(circuit)
     kept = []
     for path in paths:
         for step in path.steps:
@@ -320,7 +338,7 @@ def _regularity(
 
 def prune_paths(
     circuit: Circuit,
-    paths: Sequence[StructuralPath],
+    paths: Optional[Sequence[StructuralPath]] = None,
     use_precedence: bool = True,
     use_dominance: bool = True,
     use_regularity: bool = True,
@@ -329,38 +347,65 @@ def prune_paths(
     """Run the (selected) pruning passes in the paper's order and account for
     the reduction at each step.  Flags support the ablation benchmark.
 
+    ``paths`` defaults to every structural path of the circuit
+    (:meth:`PathExtractor.extract`).  With all three passes and no
+    certificate, that default input is never materialised:
+    :func:`_prune_graph` computes the same result in one walk of the stage
+    graph.  A given list runs the list passes.
+
     With ``certify=True`` the result carries a :class:`PruningCertificate`
     claiming, per input path, why dropping it was sound; verify with
     :func:`repro.lint.coverage.verify_pruning`."""
+    certificate = None
+    with trace.span("prune_paths") as sp:
+        if paths is None and not certify and (
+            use_precedence and use_dominance and use_regularity
+        ):
+            route = "graph"
+            survivors, stats = _prune_graph(circuit)
+        else:
+            route = "list"
+            if paths is None:
+                paths = PathExtractor(circuit).extract()
+            survivors, stats, certificate = _prune_list(
+                circuit, paths, use_precedence, use_dominance,
+                use_regularity, certify,
+            )
+        counts = asdict(stats)
+        sp.set_attrs(route=route, **counts)
+    gauges = metrics.registry()
+    for name, value in counts.items():
+        gauges.gauge(f"prune.{name}").set(value)
+    metrics.counter("prune.runs").inc()
+    return PruneResult(paths=survivors, stats=stats, certificate=certificate)
+
+
+def _prune_list(
+    circuit: Circuit,
+    paths: Sequence[StructuralPath],
+    use_precedence: bool,
+    use_dominance: bool,
+    use_regularity: bool,
+    certify: bool,
+) -> Tuple[List[StructuralPath], PruneStats, Optional[PruningCertificate]]:
+    """:func:`prune_paths` over a materialised path list, one pass after
+    the other."""
     initial = len(paths)
     current = list(paths)
     drops: Optional[Dict[StructuralPath, DropWitness]] = {} if certify else None
     if use_precedence:
-        with trace.span("prune_pin_precedence", before=initial) as sp:
-            current = prune_pin_precedence(circuit, current, drops=drops)
-            sp.set_attrs(after=len(current))
+        current = prune_pin_precedence(circuit, current, drops=drops)
     after_precedence = len(current)
     keys = stage_keys(circuit)
     signed = _signed(circuit, current, keys)
     dominant: Dict[StageKey, str] = {}
     pruned: List[_Signed] = []
     if use_dominance:
-        with trace.span("prune_fanout_dominance", before=after_precedence) as sp:
-            dominant = _dominant(circuit, keys)
-            signed, pruned = _dominance(signed, keys, dominant, drops)
-            sp.set_attrs(after=len(signed))
+        dominant = _dominant(circuit, keys)
+        signed, pruned = _dominance(signed, keys, dominant, drops)
     after_dominance = len(signed)
     if use_regularity:
-        with trace.span("prune_regularity", before=after_dominance) as sp:
-            signed = _regularity(signed, drops)
-            sp.set_attrs(after=len(signed))
-    after_regularity = len(signed)
-    gauges = metrics.registry()
-    gauges.gauge("prune.initial").set(initial)
-    gauges.gauge("prune.after_precedence").set(after_precedence)
-    gauges.gauge("prune.after_dominance").set(after_dominance)
-    gauges.gauge("prune.after_regularity").set(after_regularity)
-    metrics.counter("prune.runs").inc()
+        signed = _regularity(signed, drops)
     survivors = [path for path, _sig in signed]
     certificate = None
     if certify:
@@ -375,13 +420,135 @@ def prune_paths(
             dropped=drops,
             dominant=dominant,
         )
-    return PruneResult(
-        paths=survivors,
-        stats=PruneStats(
-            initial=initial,
-            after_precedence=after_precedence,
-            after_dominance=after_dominance,
-            after_regularity=after_regularity,
-        ),
-        certificate=certificate,
+    stats = PruneStats(
+        initial=initial,
+        after_precedence=after_precedence,
+        after_dominance=after_dominance,
+        after_regularity=len(survivors),
     )
+    return survivors, stats, certificate
+
+
+#: Where the first suffix of one signature below a net goes: the step out
+#: of the net, the net that step reaches and the signature id of the rest
+#: of the suffix there.  ``None`` is the empty suffix of a net that ends
+#: paths.
+_Hop = Optional[Tuple[PathStep, str, int]]
+
+
+class _Suffixes(NamedTuple):
+    """The path suffixes below one net, as the three passes see them.
+
+    ``raw`` counts all of them, ``kept`` those that enter no FAST pin
+    pruned by pin precedence, ``through_dominant`` those kept ones whose
+    every stage is its group's dominant stage.  ``first`` and
+    ``first_dominant`` map each signature id of the kept and of the
+    through-dominant suffixes to the first such suffix in DFS order, in
+    order of first occurrence.
+    """
+
+    raw: int
+    kept: int
+    through_dominant: int
+    first: Dict[int, _Hop]
+    first_dominant: Dict[int, _Hop]
+
+
+def _prune_graph(circuit: Circuit) -> Tuple[List[StructuralPath], PruneStats]:
+    """``_prune_list`` over ``PathExtractor(circuit).extract()`` with all
+    three passes, without materialising a raw path: the same survivors in
+    the same order and the same :class:`PruneStats`.
+
+    Pin precedence is an edge filter, so the walk skips pruned pins.  The
+    list passes then keep the first through-dominant path of each
+    signature, followed by the first path of each signature that no
+    through-dominant path has.  DFS order is lexicographic in fan-out
+    index, so the first path of a signature below a net is its first
+    fan-out edge that reaches the signature, continued by the first suffix
+    of the rest below that edge: both kinds of first path decompose net
+    by net (:class:`_Suffixes`).  A signature id interns one step key
+    followed by the id of the rest; 0 is the empty suffix.
+    """
+    keys = stage_keys(circuit)
+    dominant = _dominant(circuit, keys)
+    step_keys = _step_keys(circuit, keys)
+    prunable = precedence_pins(circuit)
+    ends = set(circuit.primary_outputs)
+    step_ids: Dict[StepKey, int] = {}
+    sig_ids: Dict[Tuple[int, int], int] = {}
+    memo: Dict[str, _Suffixes] = {}
+
+    def extend(into: Dict[int, _Hop], step, net, step_id, tails) -> None:
+        for tail in tails:
+            sig = sig_ids.setdefault((step_id, tail), len(sig_ids) + 1)
+            if sig not in into:
+                into[sig] = (step, net, tail)
+
+    def walk(net: str, source: bool = False) -> _Suffixes:
+        fanout = circuit.fanout_of(net)
+        # A source starts paths; any other net ends one when it is an
+        # output or unloaded (the extractor's sink rule).
+        ends_here = not source and (net in ends or not fanout)
+        raw = kept = through = int(ends_here)
+        first: Dict[int, _Hop] = {0: None} if ends_here else {}
+        first_dominant = dict(first)
+        for stage, pin in fanout:
+            out = stage.output.name
+            below = memo.get(out)
+            if below is None:
+                below = memo[out] = walk(out)
+            raw += below.raw
+            if pin.name in prunable.get(stage.name, ()):
+                continue
+            step = PathStep(stage.name, pin.name)
+            step_key = step_keys[stage.name][pin.name]
+            step_id = step_ids.setdefault(step_key, len(step_ids))
+            kept += below.kept
+            extend(first, step, out, step_id, below.first)
+            if dominant[keys[stage.name]] == stage.name:
+                through += below.through_dominant
+                extend(
+                    first_dominant, step, out, step_id, below.first_dominant
+                )
+        return _Suffixes(raw, kept, through, first, first_dominant)
+
+    # Path signatures: (source kind, suffix signature id) -> (source, hop).
+    first: Dict[Tuple[str, int], Tuple[str, _Hop]] = {}
+    first_dominant: Dict[Tuple[str, int], Tuple[str, _Hop]] = {}
+    raw = kept = through = 0
+    for source in PathExtractor(circuit).source_nets():
+        below = walk(source, source=True)
+        kind = circuit.net(source).kind.value
+        raw += below.raw
+        kept += below.kept
+        through += below.through_dominant
+        for sig, hop in below.first.items():
+            first.setdefault((kind, sig), (source, hop))
+        for sig, hop in below.first_dominant.items():
+            first_dominant.setdefault((kind, sig), (source, hop))
+
+    def materialise(start: str, hop: _Hop, dominant_only: bool):
+        steps = []
+        while hop is not None:
+            step, net, tail = hop
+            steps.append(step)
+            below = memo[net]
+            hop = (below.first_dominant if dominant_only else below.first)[tail]
+        return StructuralPath(start_net=start, steps=tuple(steps), end_net=net)
+
+    survivors = [
+        materialise(start, hop, True) for start, hop in first_dominant.values()
+    ]
+    uncovered = [
+        materialise(start, hop, False)
+        for sig, (start, hop) in first.items()
+        if sig not in first_dominant
+    ]
+    survivors.extend(uncovered)
+    stats = PruneStats(
+        initial=raw,
+        after_precedence=kept,
+        after_dominance=through + len(uncovered),
+        after_regularity=len(survivors),
+    )
+    return survivors, stats

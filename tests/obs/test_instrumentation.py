@@ -2,9 +2,9 @@
 
 The tentpole contract: a ``test_fig4_convergence``-style sizing run records
 one ``iteration_record`` trace event per :class:`IterationRecord`, nested
-spans for path extraction, each pruning pass, and every GP⇄STA refinement
-iteration (with residual) — and the CLI's ``--trace`` file replays into a
-readable report.
+spans for path extraction, pruning (one span carrying the four path
+counts) and every GP⇄STA refinement iteration (with residual) — and the
+CLI's ``--trace`` file replays into a readable report.
 """
 
 import json
@@ -69,9 +69,7 @@ class TestEngineTracing:
         names = [s.name for s in tracer.spans]
         assert "size" in names
         assert "path_extraction" in names
-        assert "prune_pin_precedence" in names
-        assert "prune_fanout_dominance" in names
-        assert "prune_regularity" in names
+        assert names.count("prune_paths") == 1
         assert "constraint_generation" in names
         assert names.count("iteration") >= 1
         assert names.count("gp_solve") >= 1
@@ -94,9 +92,11 @@ class TestEngineTracing:
         for span in tracer.spans:
             if span.name in ("iteration", "path_extraction"):
                 assert span.parent_id == size_span.span_id
+        prune_span = next(s for s in tracer.spans if s.name == "prune_paths")
+        assert by_id[prune_span.parent_id].name == "path_extraction"
 
     def test_metrics_recorded(self, run):
-        result, _, reg = run
+        result, tracer, reg = run
         assert reg.counter("engine.iterations").value == result.iterations
         assert reg.counter("gp.solves").value >= result.iterations
         assert reg.counter("sta.analyses").value >= 1
@@ -104,6 +104,13 @@ class TestEngineTracing:
         assert reg.gauge("prune.initial").value >= reg.gauge(
             "prune.after_regularity"
         ).value
+        # The one pruning span carries the four counts the gauges hold.
+        prune_span = next(s for s in tracer.spans if s.name == "prune_paths")
+        for count in (
+            "initial", "after_precedence", "after_dominance", "after_regularity"
+        ):
+            assert prune_span.attrs[count] == reg.gauge(f"prune.{count}").value
+            assert prune_span.attrs[count] == getattr(result.prune_stats, count)
         residuals = reg.histogram("engine.residual_ps")
         assert residuals.count == len(
             [r for r in result.history if r.worst_violation == r.worst_violation]
@@ -233,17 +240,18 @@ class TestCliTraceFlow:
         assert "metrics:" in out
 
         # trace file is valid JSONL with the required nested spans
-        names = set()
+        spans = {}
         with open(trace_path) as fh:
             for line in fh:
                 obj = json.loads(line)
                 if obj.get("type") == "span":
-                    names.add(obj["name"])
+                    spans[obj["name"]] = obj["attrs"]
         assert {
-            "path_extraction", "prune_pin_precedence",
-            "prune_fanout_dominance", "prune_regularity",
-            "iteration", "gp_solve", "sta",
-        } <= names
+            "path_extraction", "prune_paths", "iteration", "gp_solve", "sta",
+        } <= spans.keys()
+        assert {
+            "initial", "after_precedence", "after_dominance", "after_regularity",
+        } <= spans["prune_paths"].keys()
 
         # global tracer was uninstalled after the command
         assert not trace.enabled()

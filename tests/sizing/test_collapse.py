@@ -9,6 +9,7 @@ from repro.macros.adder import StaticRippleAdder
 from repro.macros.base import MacroSpec
 from repro.macros.incrementor import RippleIncrementor
 from repro.netlist.fingerprint import facet_fingerprints
+from repro.obs import metrics
 from repro.sizing import DelaySpec, RegularityCollapsedSizer, SmartSizer
 from repro.sizing.engine import nominal_delay
 
@@ -119,6 +120,18 @@ class TestPerBitCorpus:
         assert (
             abs(collapsed.result.area - full.area) / full.area <= area_tol
         )
+
+    def test_kkt_audit_reads_the_compiled_program(self, tech, library):
+        """OPT702's stationarity fit reads the GP's compiled rows, so a
+        certified run with the KKT audit builds no path delay posynomial."""
+        circuit = _adder(tech, 16, 1)
+        with metrics.metrics_scope() as registry:
+            collapsed = RegularityCollapsedSizer(
+                circuit, library, with_kkt=True
+            ).size(_spec(circuit, library))
+        assert collapsed.certificate.ok
+        assert collapsed.certificate.kkt_gap_rel is not None
+        assert registry.counter("constraints.delay_posynomials").value == 0
 
 
 class TestFallback:

@@ -3,7 +3,7 @@ certificates, and agreement with the SLSQP oracle in ``reference_gp.py``."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.posy import Monomial, Posynomial, var
 from repro.sizing.gp import GeometricProgram, GPInfeasibleError
@@ -177,8 +177,26 @@ def _verdict(gp, initial):
     return sol.status, sol.objective, None
 
 
+def _row_meets_box_corner():
+    """A program whose optimum sits where the active row ``x*y >= 45.16``
+    meets the bound ``y <= 50``.  Along that row the objective changes by
+    less than 3e-6 relative, and SLSQP without the oracle's polish stopped at
+    ``y = 32.3``, 2.6e-6 above the optimum."""
+    x, y = var("x"), var("y")
+    gp = GeometricProgram(
+        2.27819 / (x * y) + 0.5 * x / y + 2.35014 * x**2 * y**2
+    )
+    for name in VARS:
+        gp.set_bounds(name, 0.1, 50.0)
+    gp.add_inequality(7.22611 / (x * y), "c0")
+    gp.add_inequality(45.1632 / (x * y), "tight0")
+    gp.add_inequality(9.59596 * x / y, "tight1")
+    return gp, {"x": 2.1694420058368564, "y": 4.163573741164901}, False
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_verdict_gp())
+@example(_row_meets_box_corner())
 def test_interior_point_matches_slsqp_oracle(problem):
     """Same raise/no-raise verdict as the SLSQP oracle, and optimal
     objectives within 1e-6 relative."""
