@@ -24,10 +24,10 @@ def adder64(database, tech):
 
 @pytest.fixture(scope="module")
 def adder64_counts(adder64):
-    extractor = PathExtractor(adder64)
-    raw = extractor.count()
-    representative = extractor.extract_representative()
-    return raw, len(representative)
+    """(raw paths, paths the sizer constrains): one exact walk of the
+    whole path space, the sizer's own front end."""
+    stats = prune_paths(adder64).stats
+    return stats.initial, stats.final
 
 
 def test_section52_table(adder64_counts):

@@ -1,9 +1,9 @@
 """Independent post-solve audits behind the OPT70x rules.
 
 :class:`SolutionAudit` re-derives everything about a claimed width
-assignment from first principles — same engine-parity front end the sizer
-uses (representative path extraction, constraint generation, true-slope
-STA), but none of the solver's own residual bookkeeping:
+assignment from first principles — the sizer's own front end
+(:meth:`SmartSizer._front_end`: path pruning and constraint generation)
+and true-slope STA, but none of the solver's own residual bookkeeping:
 
 * :meth:`feasibility` (OPT701) — primal feasibility of every GP constraint
   at the point.  Timing constraints are re-measured with the full STA (the
@@ -41,9 +41,8 @@ from ...netlist.circuit import Circuit
 from ...netlist.fingerprint import facet_fingerprints
 from ...obs import perf, trace
 from ...obs.log import get_logger
-from ...sizing.constraints import ConstraintGenerator, ConstraintSet, DelaySpec
+from ...sizing.constraints import ConstraintSet, DelaySpec
 from ...sizing.engine import SmartSizer, measure_constraints
-from ...sizing.pruning import PruneResult
 from .certificate import SolutionCertificate, widths_digest
 
 log = get_logger(__name__)
@@ -64,9 +63,9 @@ _SOLVER_REL_TOL = 1e-6
 
 class SolutionAudit:
     """Re-derive the OPT70x verdicts for one circuit + spec (see module
-    docstring).  Path extraction and per-point measurements are memoized,
-    so composing checks over the same point (as :meth:`certify` does) pays
-    for one STA pass, not three."""
+    docstring).  Per-point measurements are memoized, so composing checks
+    over the same point (as :meth:`certify` does) pays for one STA pass,
+    not three."""
 
     def __init__(
         self,
@@ -77,18 +76,12 @@ class SolutionAudit:
         otb_borrow: float = 0.0,
         objective: str = "area",
         analysis_library: Optional[ModelLibrary] = None,
-        front_end: Optional[Tuple[PruneResult, ConstraintSet]] = None,
     ):
-        """``front_end`` is a sizer's ``(prune result, constraint set)``
-        for this very circuit state, library, spec and OTB window (see
-        :meth:`SmartSizer._latest_front_end`); the audit then reads it
-        instead of extracting and generating again."""
         self.circuit = circuit
         self.library = library
         self.spec = spec
         self.tolerance = tolerance
-        # Engine-parity front end: same extraction mode, same constraint
-        # generator, same analyzer the sizer itself would use.
+        # The sizer's own front end, library and analyzer.
         self._sizer = SmartSizer(
             circuit,
             library,
@@ -97,38 +90,7 @@ class SolutionAudit:
             analysis_library=analysis_library,
             pre_screen=False,
         )
-        self._paths: Optional[list] = None
-        self._frozen_constraints: Optional[ConstraintSet] = None
-        if front_end is not None:
-            self._paths = front_end[0].paths
-            self._frozen_constraints = front_end[1]
         self._measure_memo: Dict[str, tuple] = {}
-        self._gen: Optional[ConstraintGenerator] = None
-
-    # -- shared front end --------------------------------------------------
-
-    def _extract_paths(self) -> list:
-        if self._paths is None:
-            self._paths = self._sizer._extract(prune=True).paths
-        return self._paths
-
-    def _generator(self) -> ConstraintGenerator:
-        # One shared instance: the generator is stateless across generate()
-        # calls except for its load-posynomial cache, which is worth keeping.
-        if self._gen is None:
-            self._gen = ConstraintGenerator(
-                self.circuit, self.library, self.spec,
-                otb_borrow=self._sizer.otb_borrow,
-            )
-        return self._gen
-
-    def frozen_constraints(self) -> ConstraintSet:
-        """The constraint set — exactly the GP the engine solves."""
-        if self._frozen_constraints is None:
-            self._frozen_constraints = self._generator().generate(
-                self._extract_paths()
-            )
-        return self._frozen_constraints
 
     def measure(
         self, env: Mapping[str, float]
@@ -137,12 +99,14 @@ class SolutionAudit:
 
         Returns ``(constraints, realized delays, worst residual, worst
         constraint name)`` — the engine's convergence criterion recomputed
-        from scratch at the audited point, over :meth:`frozen_constraints`.
+        from scratch at the audited point, over the sizer's constraint set
+        for the spec (:meth:`SmartSizer._front_end`), exactly the GP the
+        engine solves.
         """
         digest = widths_digest(env)
         memo = self._measure_memo.get(digest)
         if memo is None:
-            constraints = self.frozen_constraints()
+            constraints = self._sizer._front_end(self.spec)[1]
             measurement = measure_constraints(
                 self._sizer.analyzer, constraints.timing, env,
                 self.spec.input_slope,
@@ -291,7 +255,9 @@ class SolutionAudit:
             return {"ok": False, "violations": violations, "gap_rel": None}
         # The program the solver saw, as its own compiled stacks: every
         # variable is a free label, so ``env`` covers them all.
-        program = self._sizer._build_gp(self.frozen_constraints(), {}).compile()
+        program = self._sizer._build_gp(
+            self._sizer._front_end(self.spec)[1], {}
+        ).compile()
         objective, rows = program.stacks()
         names = program.free
         y = np.array([math.log(env[name]) for name in names])

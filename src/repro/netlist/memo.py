@@ -7,6 +7,9 @@ dict per circuit, each under a key naming what else it read:
   content and size-table state;
 * the pruning stage-key table (:func:`repro.sizing.pruning.stage_keys`):
   size-table state;
+* the sizer's front end, pruned paths and constraint set
+  (:meth:`repro.sizing.engine.SmartSizer._front_end`): size-table state,
+  library content, delay spec and OTB window;
 * the DFA303 box-interval solution
   (:func:`repro.lint.dataflow.interval.box_intervals`): library content,
   size-table state, box bounds and input slope;

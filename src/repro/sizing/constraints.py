@@ -21,9 +21,11 @@ a path from the designer's input slope (halved on clock nets), and each slope
 constraint sees the designer's input slope on the stage input.
 
 A path constraint's delay is compiled straight from the arc table's arrays
-(:meth:`ConstraintGenerator.path_row`) into a
-:class:`~repro.posy.rows.PosyRow`, the form the GP compiles; its posynomial
-(:attr:`TimingConstraint.delay`) is built from that row only when read.
+(:class:`PathRows`) into a :class:`~repro.posy.rows.PosyRow`, the form the
+GP compiles, on first read, and its posynomial
+(:attr:`TimingConstraint.delay`) is built from that row only when read.  No
+constraint holds the circuit, so a constraint set can live in the
+circuit's memo.
 """
 
 from __future__ import annotations
@@ -91,40 +93,121 @@ class DelaySpec:
         )
 
 
+class PathRows:
+    """Compiles path delays to :class:`~repro.posy.rows.PosyRow` form over
+    one :class:`~repro.sim.timing.ArcProgram` (see :meth:`row`).
+
+    It holds the arc program and the hop weights, never the circuit, so
+    constraints that keep it for lazy compilation can live in the
+    circuit's memo (:func:`~repro.netlist.memo.circuit_memo`).
+    """
+
+    __slots__ = ("program", "_sens", "_weights")
+
+    def __init__(self, program: ArcProgram, slope_sensitivity: float):
+        self.program = program
+        self._sens = slope_sensitivity
+        #: Hop weights ``w_0 = 0``, ``w_{k+1} = sens + LEAK·w_k``, grown on
+        #: demand.
+        self._weights: List[float] = [0.0]
+
+    def _hop_weights(self, n: int) -> List[float]:
+        weights = self._weights
+        while len(weights) <= n:
+            weights.append(self._sens + SLOPE_LEAK * weights[-1])
+        return weights
+
+    def row(self, hops: Sequence[Hop], start: float) -> PosyRow:
+        """Path delay with *posynomial slope chaining*, the first hop
+        entered at input slope ``start``.
+
+        The input slope of each stage along the path is the previous stage's
+        output slope — itself a posynomial of upstream widths — so the GP
+        sees the slope/size coupling instead of a frozen constant (equation
+        (1)'s ``t_in_slope`` term stays inside the optimization).  Only the
+        very first hop uses a constant, ``start``.
+
+        Hop ``k`` of ``n`` enters with ``LEAK^k·start + Σ_{j<k}
+        LEAK^(k-1-j)·s_j`` (``s_j`` the arc slopes), so the chained sum is
+        ``Σ d_k + Σ_j w_j·s_j + w_start·start`` with ``w_j = sens·Σ_{m <
+        n-1-j} LEAK^m``.  The weights run back to front (``w_{n-1} = 0``,
+        ``w_j = sens + LEAK·w_{j+1}``, ``w_start`` one step past ``w_0``).
+
+        The row gathers, last hop first, each hop's delay segment and its
+        weighted slope segment, then the weighted start slope, and merges
+        like terms with one ``bincount``: every coefficient is summed in
+        the order :meth:`Posynomial.weighted_sum` over the same
+        ``(weight, posynomial)`` pairs sums it, so the coefficients and the
+        insertion order are bit for bit that sum's.
+        """
+        program = self.program
+        n = len(hops)
+        if n == 0:
+            empty = np.zeros(0, dtype=np.intp)
+            return PosyRow(program.index, empty, np.zeros(0))
+        weights = self._hop_weights(n)
+        arc_ids = program.arc_ids
+        arcs = np.array([arc_ids[hop] for hop in reversed(hops)], dtype=np.intp)
+        seg_start = np.empty(2 * n + 1, dtype=np.intp)
+        seg_len = np.empty(2 * n + 1, dtype=np.intp)
+        seg_weight = np.empty(2 * n + 1)
+        seg_start[0:2 * n:2] = program.delay_start[arcs]
+        seg_len[0:2 * n:2] = program.delay_len[arcs]
+        seg_weight[0:2 * n:2] = 1.0
+        seg_start[1:2 * n:2] = program.slope_start[arcs]
+        seg_len[1:2 * n:2] = program.slope_len[arcs]
+        seg_weight[1:2 * n:2] = weights[:n]
+        seg_start[2 * n] = program.constant_slot
+        seg_len[2 * n] = 1
+        seg_weight[2 * n] = weights[n] * start
+        # weighted_sum skips zero weights: the last hop's slope always.
+        keep = seg_weight != 0.0
+        seg_start = seg_start[keep]
+        seg_len = seg_len[keep]
+        seg_weight = seg_weight[keep]
+        positions = gather_positions(seg_start, seg_len)
+        ids = program.term_ids[positions]
+        values = program.term_coeffs[positions] * np.repeat(seg_weight, seg_len)
+        merged = np.bincount(ids, weights=values, minlength=len(program.index))
+        unique, first = np.unique(ids, return_index=True)
+        return PosyRow(program.index, unique, merged[unique], np.argsort(first))
+
+
 class TimingConstraint:
     """One posynomial path constraint ``delay <= spec``.
 
-    A generated constraint carries its path's compiled delay as
-    :attr:`row`; :attr:`delay`, the posynomial, is built from the row on
-    first read.  A constraint made with an explicit ``delay`` has no row.
+    :attr:`row`, the path's compiled delay, is built by ``rows`` on first
+    read, the first hop entered at input slope ``start``; :attr:`delay`,
+    the posynomial, is built from the row on first read.
     """
 
-    __slots__ = ("name", "spec", "kind", "hops", "_delay", "_generator", "_row")
+    __slots__ = (
+        "name", "spec", "kind", "hops", "_rows", "_start", "_row", "_delay",
+    )
 
     def __init__(
         self,
         name: str,
-        delay: Optional[Posynomial] = None,
-        spec: float = 0.0,
-        kind: str = "data",       # data / control / evaluate / precharge / segment
-        hops: Tuple[Hop, ...] = (),
-        generator: Optional["ConstraintGenerator"] = None,
+        spec: float,
+        kind: str,                # data / control / evaluate / precharge / segment
+        hops: Tuple[Hop, ...],
+        rows: PathRows,
+        start: float,
     ):
-        if delay is None and generator is None:
-            raise ValueError(f"timing constraint {name!r} needs a delay or a generator")
         self.name = name
         self.spec = spec
         self.kind = kind
         self.hops = hops
-        self._delay = delay
-        self._generator = generator
+        self._rows = rows
+        self._start = start
         self._row: Optional[PosyRow] = None
+        self._delay: Optional[Posynomial] = None
 
     @property
-    def row(self) -> Optional[PosyRow]:
-        """The compiled path delay (``None`` for an explicit ``delay``)."""
-        if self._row is None and self._generator is not None:
-            self._row = self._generator.path_row(self.hops)
+    def row(self) -> PosyRow:
+        """The compiled path delay."""
+        if self._row is None:
+            self._row = self._rows.row(self.hops, self._start)
         return self._row
 
     @property
@@ -190,10 +273,7 @@ class ConstraintGenerator:
         self.analyzer = StaticTimingAnalyzer(circuit, library)
         #: (stage, pin) -> [(input transition, hop, output transition)]
         self._step_arcs: Dict[Tuple[str, str], list] = {}
-        #: Hop weights ``w_0 = 0``, ``w_{k+1} = sens + LEAK·w_k`` (see
-        #: :meth:`path_row`), grown on demand.
-        self._weights: List[float] = [0.0]
-        self._program: Optional[ArcProgram] = None
+        self._rows: Optional[PathRows] = None
         #: (stage, pin) -> :meth:`_pin_flags`
         self._flags: Dict[Tuple[str, str], Tuple[bool, bool, bool, bool]] = {}
 
@@ -323,75 +403,31 @@ class ConstraintGenerator:
         :meth:`path_row`."""
         return self.path_row(hops).posynomial()
 
-    def _hop_weights(self, n: int) -> List[float]:
-        weights = self._weights
-        if len(weights) <= n:
-            sens = self.library.tech.slope_sensitivity
-            while len(weights) <= n:
-                weights.append(sens + SLOPE_LEAK * weights[-1])
-        return weights
-
-    def path_row(self, hops: Sequence[Hop]) -> PosyRow:
-        """Path delay with *posynomial slope chaining*, compiled from the
-        arc table's arrays (:meth:`StaticTimingAnalyzer.arc_program`).
-
-        The input slope of each stage along the path is the previous stage's
-        output slope — itself a posynomial of upstream widths — so the GP
-        sees the slope/size coupling instead of a frozen constant (equation
-        (1)'s ``t_in_slope`` term stays inside the optimization).  Only the
-        very first hop uses a constant: the designer's input slope, halved
-        on clock nets.
-
-        Hop ``k`` of ``n`` enters with ``LEAK^k·start + Σ_{j<k}
-        LEAK^(k-1-j)·s_j`` (``s_j`` the arc slopes), so the chained sum is
-        ``Σ d_k + Σ_j w_j·s_j + w_start·start`` with ``w_j = sens·Σ_{m <
-        n-1-j} LEAK^m``.  The weights run back to front (``w_{n-1} = 0``,
-        ``w_j = sens + LEAK·w_{j+1}``, ``w_start`` one step past ``w_0``).
-
-        The row gathers, last hop first, each hop's delay segment and its
-        weighted slope segment, then the weighted start slope, and merges
-        like terms with one ``bincount``: every coefficient is summed in
-        the order :meth:`Posynomial.weighted_sum` over the same
-        ``(weight, posynomial)`` pairs sums it, so the coefficients and the
-        insertion order are bit for bit that sum's.
-        """
-        program = self._program
-        if program is None:
-            program = self._program = self.analyzer.arc_program()
-        n = len(hops)
-        if n == 0:
-            empty = np.zeros(0, dtype=np.intp)
-            return PosyRow(program.index, empty, np.zeros(0))
+    def _start_slope(self, hops: Sequence[Hop]) -> float:
+        """The designer's input slope, halved on clock nets: the constant
+        slope a path's first hop is entered with."""
         start = self.spec.input_slope
         first_pin = self.circuit.stage(hops[0][0]).pin(hops[0][1])
         if first_pin.net.kind is NetKind.CLOCK:
             start *= 0.5
-        weights = self._hop_weights(n)
-        arc_ids = program.arc_ids
-        arcs = np.array([arc_ids[hop] for hop in reversed(hops)], dtype=np.intp)
-        seg_start = np.empty(2 * n + 1, dtype=np.intp)
-        seg_len = np.empty(2 * n + 1, dtype=np.intp)
-        seg_weight = np.empty(2 * n + 1)
-        seg_start[0:2 * n:2] = program.delay_start[arcs]
-        seg_len[0:2 * n:2] = program.delay_len[arcs]
-        seg_weight[0:2 * n:2] = 1.0
-        seg_start[1:2 * n:2] = program.slope_start[arcs]
-        seg_len[1:2 * n:2] = program.slope_len[arcs]
-        seg_weight[1:2 * n:2] = weights[:n]
-        seg_start[2 * n] = program.constant_slot
-        seg_len[2 * n] = 1
-        seg_weight[2 * n] = weights[n] * start
-        # weighted_sum skips zero weights: the last hop's slope always.
-        keep = seg_weight != 0.0
-        seg_start = seg_start[keep]
-        seg_len = seg_len[keep]
-        seg_weight = seg_weight[keep]
-        positions = gather_positions(seg_start, seg_len)
-        ids = program.term_ids[positions]
-        values = program.term_coeffs[positions] * np.repeat(seg_weight, seg_len)
-        merged = np.bincount(ids, weights=values, minlength=len(program.index))
-        unique, first = np.unique(ids, return_index=True)
-        return PosyRow(program.index, unique, merged[unique], np.argsort(first))
+        return start
+
+    def path_rows(self) -> PathRows:
+        """The :class:`PathRows` over this circuit's arc program
+        (:meth:`StaticTimingAnalyzer.arc_program`), built on first use."""
+        if self._rows is None:
+            self._rows = PathRows(
+                self.analyzer.arc_program(),
+                self.library.tech.slope_sensitivity,
+            )
+        return self._rows
+
+    def path_row(self, hops: Sequence[Hop]) -> PosyRow:
+        """Path delay with posynomial slope chaining, compiled from the arc
+        table's arrays (:meth:`PathRows.row`), entered at the designer's
+        input slope (halved on clock nets)."""
+        start = self._start_slope(hops) if hops else self.spec.input_slope
+        return self.path_rows().row(hops, start)
 
     # -- top level -------------------------------------------------------------------
 
@@ -550,7 +586,8 @@ class ConstraintGenerator:
         # delay is empty.
         constraints.timing.append(
             TimingConstraint(
-                name=name, spec=spec, kind=kind, hops=hops, generator=self
+                name, spec, kind, hops, self.path_rows(),
+                self._start_slope(hops),
             )
         )
 

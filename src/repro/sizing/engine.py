@@ -27,11 +27,10 @@ Constraint kinds wired into the GP (Figure 4's constraint taxonomy):
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..cache.fingerprint import (
     CacheKey,
@@ -54,14 +53,9 @@ from .constraints import (
     ConstraintGenerator, ConstraintSet, DelaySpec, TimingConstraint,
 )
 from .gp import GeometricProgram, GPInfeasibleError
-from .paths import PathExtractor
 from .pruning import PruneResult, PruneStats, prune_paths
 
 log = get_logger(__name__)
-
-#: Above this raw path count, switch from pruning the whole path space to
-#: representative extraction (pruning applied during the walk).
-ENUMERATION_THRESHOLD = 20_000
 
 
 class SizingError(Exception):
@@ -231,9 +225,9 @@ def measure_class_delays(
     sizer uses.
     """
     sizer = SmartSizer(circuit, library)
-    paths = sizer._extract(prune=True).paths
-    spec = DelaySpec(data=1.0, input_slope=input_slope)
-    timing = ConstraintGenerator(circuit, library, spec).generate(paths).timing
+    timing = sizer._front_end(
+        DelaySpec(data=1.0, input_slope=input_slope)
+    )[1].timing
     realized = measure_constraints(
         sizer.analyzer, timing, widths, input_slope
     ).realized
@@ -365,9 +359,6 @@ class SmartSizer:
         self._analysis_library = analysis_library
         self._cache_key: Optional[CacheKey] = None
         self._cache_hit_runtime = 0.0
-        #: (circuit memo, state key, prune result, constraints) of the
-        #: latest front end; see :meth:`_latest_front_end`.
-        self._front: Optional[tuple] = None
 
     def cache_key(self, spec: DelaySpec, tolerance: float = 2.0) -> CacheKey:
         """Content address of the :meth:`size` problem this sizer would solve
@@ -430,7 +421,6 @@ class SmartSizer:
         spec: DelaySpec,
         tolerance: float = 2.0,
         max_outer_iterations: int = 8,
-        prune: bool = True,
         initial: Optional[Mapping[str, float]] = None,
     ) -> SizingResult:
         """Run the Figure-4 loop to convergence.
@@ -443,7 +433,7 @@ class SmartSizer:
         ) as run_span:
             t_start = time.perf_counter()
             result = self._size_traced(
-                spec, tolerance, max_outer_iterations, prune, initial
+                spec, tolerance, max_outer_iterations, initial
             )
             result.runtime_s = time.perf_counter() - t_start
             self._cache_settle(result, spec, tolerance)
@@ -618,7 +608,6 @@ class SmartSizer:
                     otb_borrow=self.otb_borrow,
                     objective=self.objective,
                     analysis_library=self._analysis_library,
-                    front_end=self._latest_front_end(spec, prune=True),
                 ).certify(result.widths, cache_key=key, with_kkt=False)
             result.certificate = cert_store.put(certificate)
         except Exception as exc:  # pragma: no cover - defensive
@@ -627,51 +616,16 @@ class SmartSizer:
                 "will re-verify via STA", self.circuit.name, exc,
             )
 
-    def _extract(self, prune: bool) -> PruneResult:
-        """Path extraction + Section-5.2 reduction (one Figure-4 front end).
-
-        Prunes the whole path space in one walk of the stage graph
-        (:func:`~repro.sizing.pruning.prune_paths` without a path list) when
-        the raw count is tractable; falls back to representative extraction
-        above :data:`ENUMERATION_THRESHOLD`.
-        """
-        from .pruning import PruneStats
-
-        extractor = PathExtractor(self.circuit)
+    def _extract(self) -> PruneResult:
+        """Path extraction + Section-5.2 reduction: the whole path space
+        pruned in one walk of the stage graph
+        (:func:`~repro.sizing.pruning.prune_paths` without a path list)."""
         with trace.span("path_extraction") as extract_span:
-            raw_count = extractor.count()
-            extract_span.set_attrs(raw_paths=raw_count)
-            if prune and raw_count > ENUMERATION_THRESHOLD:
-                representative = extractor.extract_representative()
-                prune_result = PruneResult(
-                    paths=representative,
-                    stats=PruneStats(
-                        initial=raw_count,
-                        after_precedence=raw_count,
-                        after_dominance=len(representative),
-                        after_regularity=len(representative),
-                    ),
-                )
-                extract_span.set_attrs(
-                    mode="representative", kept_paths=len(representative)
-                )
-            elif prune:
-                prune_result = prune_paths(self.circuit)
-                extract_span.set_attrs(
-                    mode="prune", kept_paths=len(prune_result.paths)
-                )
-            else:
-                raw_paths = extractor.extract()
-                prune_result = PruneResult(
-                    paths=list(raw_paths),
-                    stats=PruneStats(
-                        len(raw_paths), len(raw_paths), len(raw_paths),
-                        len(raw_paths),
-                    ),
-                )
-                extract_span.set_attrs(
-                    mode="enumerate", kept_paths=len(raw_paths)
-                )
+            prune_result = prune_paths(self.circuit)
+            extract_span.set_attrs(
+                raw_paths=prune_result.stats.initial,
+                kept_paths=len(prune_result.paths),
+            )
         return prune_result
 
     def pre_solve_lint(self, spec: DelaySpec):
@@ -681,12 +635,7 @@ class SmartSizer:
         Returns a :class:`repro.lint.LintReport`; the same screen gates
         every :meth:`size` run.
         """
-        prune_result = self._extract(prune=True)
-        generator = ConstraintGenerator(
-            self.circuit, self.library, spec, otb_borrow=self.otb_borrow
-        )
-        constraints = generator.generate(prune_result.paths)
-        return self._lint_gp(self._build_gp(constraints, {}))
+        return self._lint_gp(self._build_gp(self._front_end(spec)[1], {}))
 
     def _interval_screen(self, spec: DelaySpec):
         """Interval-STA verdict for ``spec``, or ``None`` if the screen
@@ -710,38 +659,43 @@ class SmartSizer:
         report.subject = f"{self.circuit.name}:gp"
         return report
 
-    def _front_state(self, spec: DelaySpec, prune: bool) -> tuple:
-        """What a front end's output depends on besides the circuit's
-        structure: size-table state, library content, spec, OTB window and
-        pruning."""
-        return (
-            self.circuit.size_table.state(), self.library.content_key(),
-            spec, self.otb_borrow, prune,
-        )
-
-    def _latest_front_end(
-        self, spec: DelaySpec, prune: bool
-    ) -> Optional[Tuple[PruneResult, ConstraintSet]]:
-        """The latest :meth:`_front_end` output when it still holds for
-        ``spec`` and ``prune``: same circuit memo (an in-place edit drops
-        it) and same :meth:`_front_state`; ``None`` otherwise."""
-        front = self._front
-        if (
-            front is None
-            or front[0] is not circuit_memo(self.circuit)
-            or front[1] != self._front_state(spec, prune)
-        ):
-            return None
-        return front[2], front[3]
-
-    def _front_end(
-        self, spec: DelaySpec, prune: bool
-    ) -> Tuple[PruneResult, ConstraintSet]:
+    def _front_end(self, spec: DelaySpec) -> Tuple[PruneResult, ConstraintSet]:
         """Path extraction, pruning and constraint generation for ``spec``
         (the Figure-4 front end); raises :class:`SizingError` when no
-        timing constraint comes out."""
-        prune_result = self._extract(prune)
-        stats = prune_result.stats
+        timing constraint comes out.
+
+        The result is a pure function of the circuit's structure, its
+        size-table state, the library content, ``spec`` and the OTB
+        window, so it is kept in the circuit's memo
+        (:func:`~repro.netlist.memo.circuit_memo`) under those: every
+        sizer and audit of the same circuit state reads one front end, and
+        a pin, a tie or an in-place edit gets a fresh one.  Callers must
+        not modify it.
+        """
+        memo = circuit_memo(self.circuit)
+        key = (
+            "front_end", self.circuit.size_table.state(),
+            self.library.content_key(), spec, self.otb_borrow,
+        )
+        front = memo.get(key)
+        if front is None:
+            prune_result = self._extract()
+            generator = ConstraintGenerator(
+                self.circuit, self.library, spec, otb_borrow=self.otb_borrow
+            )
+            with trace.span("constraint_generation") as gen_span:
+                constraints = generator.generate(prune_result.paths)
+                gen_span.set_attrs(
+                    timing=len(constraints.timing),
+                    slopes=len(constraints.slopes),
+                    noise=len(constraints.noise),
+                )
+            if not constraints.timing:
+                raise SizingError(
+                    f"{self.circuit.name}: no timing constraints were generated"
+                )
+            front = memo[key] = (prune_result, constraints)
+        stats = front[0].stats
         metrics.gauge("paths.initial").set(stats.initial)
         metrics.gauge("paths.final").set(stats.final)
         log.debug(
@@ -749,32 +703,13 @@ class SmartSizer:
             self.circuit.name, stats.initial, stats.final,
             stats.reduction_factor if stats.final else 0.0,
         )
-        generator = ConstraintGenerator(
-            self.circuit, self.library, spec, otb_borrow=self.otb_borrow
-        )
-        with trace.span("constraint_generation") as gen_span:
-            constraints = generator.generate(prune_result.paths)
-            gen_span.set_attrs(
-                timing=len(constraints.timing),
-                slopes=len(constraints.slopes),
-                noise=len(constraints.noise),
-            )
-        if not constraints.timing:
-            raise SizingError(
-                f"{self.circuit.name}: no timing constraints were generated"
-            )
-        self._front = (
-            circuit_memo(self.circuit), self._front_state(spec, prune),
-            prune_result, constraints,
-        )
-        return prune_result, constraints
+        return front
 
     def _size_traced(
         self,
         spec: DelaySpec,
         tolerance: float,
         max_outer_iterations: int,
-        prune: bool,
         initial: Optional[Mapping[str, float]],
     ) -> SizingResult:
         if self.pre_screen:
@@ -787,13 +722,7 @@ class SmartSizer:
                 )
 
         # The cache is consulted before the front end: an admitted negative
-        # entry or certificate-admitted exact hit needs no paths at all, so
-        # the front end runs (once) only for whatever asks for constraints.
-        front_end: Callable[[], Tuple[PruneResult, ConstraintSet]] = (
-            functools.lru_cache(maxsize=None)(
-                lambda: self._front_end(spec, prune)
-            )
-        )
+        # entry or certificate-admitted exact hit needs no paths at all.
         cache_mode = ""
         self._cache_key = None
         self._cache_hit_runtime = 0.0
@@ -805,7 +734,7 @@ class SmartSizer:
                 self._replay_negative(entry, key)
                 entry = None
             if entry is not None:
-                hit = self._exact_hit(entry, key, spec, tolerance, front_end)
+                hit = self._exact_hit(entry, key, spec, tolerance)
                 if hit is not None:
                     return hit
                 self.cache.stats.verify_failures += 1
@@ -815,7 +744,7 @@ class SmartSizer:
                     "re-solving from scratch",
                     self.circuit.name,
                 )
-        prune_result, constraints = front_end()
+        prune_result, constraints = self._front_end(spec)
 
         multipliers: Dict[str, float] = {}
         env: Optional[Dict[str, float]] = dict(initial) if initial else None
@@ -1091,7 +1020,6 @@ class SmartSizer:
         key: CacheKey,
         spec: DelaySpec,
         tolerance: float,
-        front_end: Callable[[], Tuple[PruneResult, ConstraintSet]],
     ) -> Optional[SizingResult]:
         """The sizing an exact cache hit stands for, or ``None`` when the
         entry cannot be admitted and the caller re-solves (the cache is an
@@ -1103,9 +1031,9 @@ class SmartSizer:
         own convergence criterion: every timing constraint's realized
         delay, measured with true slope propagation, within ``tolerance``
         of its spec.  A certificate-admitted hit takes its specs from the
-        certificate and its pruning counts from the entry, so it calls
-        ``front_end`` (path extraction and constraint generation) only when
-        either record predates those fields.
+        certificate and its pruning counts from the entry, so it reads
+        :meth:`_front_end` (path extraction and constraint generation) only
+        when either record predates those fields.
         """
         raw = entry.get("env")
         if not isinstance(raw, Mapping):
@@ -1134,7 +1062,7 @@ class SmartSizer:
             specs = _float_map(certificate.get("specs"))
             prune_stats = _stored_prune_stats(entry.get("prune_stats"))
             if specs is None or prune_stats is None:
-                prune_result, constraints = front_end()
+                prune_result, constraints = self._front_end(spec)
                 specs = {c.name: c.spec for c in constraints.timing}
                 prune_stats = prune_result.stats
             self.cache.stats.cert_hits += 1
@@ -1145,7 +1073,7 @@ class SmartSizer:
                 self.circuit.name, worst,
             )
         else:
-            prune_result, constraints = front_end()
+            prune_result, constraints = self._front_end(spec)
             with trace.span("cache_verify", key=key.key[:12]):
                 measurement = measure_constraints(
                     self.analyzer, constraints.timing, env, spec.input_slope
@@ -1241,11 +1169,7 @@ class SmartSizer:
         )
         for constraint in constraints.timing:
             budget = constraint.spec * multipliers.get(constraint.name, 1.0)
-            row = constraint.row
-            gp.add_upper_bound(
-                constraint.delay if row is None else row, budget,
-                constraint.name,
-            )
+            gp.add_upper_bound(constraint.row, budget, constraint.name)
         for slope in constraints.slopes:
             gp.add_upper_bound(slope.slope, slope.limit, slope.name)
         for noise in constraints.noise:
@@ -1273,9 +1197,10 @@ class SmartSizer:
         posynomial at the current point.
         """
         multipliers: Dict[str, float] = {}
-        for constraint, predicted in zip(
-            constraints.timing, _predicted_delays(constraints.timing, env)
-        ):
+        predicted_delays = evaluate_rows(
+            [constraint.row for constraint in constraints.timing], env
+        ).tolist()
+        for constraint, predicted in zip(constraints.timing, predicted_delays):
             measured = realized.get(constraint.name)
             if measured is None or measured <= 0:
                 continue
@@ -1286,16 +1211,3 @@ class SmartSizer:
             mult = target / constraint.spec
             multipliers[constraint.name] = min(1.5, max(0.3, mult))
         return multipliers
-
-
-def _predicted_delays(
-    timing: Sequence[TimingConstraint], env: Mapping[str, float]
-) -> List[float]:
-    """Every constraint's GP delay at ``env``: one array pass over the
-    compiled rows when they share an arc table, else each posynomial."""
-    rows = [constraint.row for constraint in timing]
-    if rows and all(
-        row is not None and row.index is rows[0].index for row in rows
-    ):
-        return evaluate_rows(rows, env).tolist()
-    return [constraint.delay.evaluate(env) for constraint in timing]

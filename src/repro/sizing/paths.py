@@ -11,7 +11,8 @@ Section 5.3.
 A combinational circuit can have an enormous path count — the paper measures
 >32,000 on a 64-bit adder — so extraction supports both full enumeration
 (with a safety cap) and counting via dynamic programming without
-materialization.
+materialization.  The sizer reads neither: it prunes the whole path space
+in one walk of the stage graph (:func:`repro.sizing.pruning.prune_paths`).
 """
 
 from __future__ import annotations
@@ -121,6 +122,13 @@ class PathExtractor:
         For wide regular macros (the 64-bit adder) this yields roughly one
         path per distinct class sequence — the paper's "small set of
         meaningful paths" — while the raw space is combinatorial.
+
+        Unsound as a constraint set: the class graph can be cyclic (a
+        carry chain's nets share one class), and the recursion guard
+        that breaks those cycles drops the deep carry-chain paths, so a
+        sizing over these paths can miss its spec on the full STA.  The
+        sizer prunes exactly instead (:func:`~repro.sizing.pruning.prune_paths`);
+        this sampler has no caller in the package.
         """
         from .pruning import precedence_pins, stage_keys
 
@@ -210,31 +218,25 @@ class PathExtractor:
     def _walk(
         self, start: str, net: str, steps: Tuple[PathStep, ...]
     ) -> Iterator[StructuralPath]:
-        fanout = self.circuit.fanout_of(net)
-        terminal = self._is_sink(net)
-        if terminal and steps:
+        # Outputs that also feed other logic still end a constraint path.
+        if steps and self._is_sink(net):
             yield StructuralPath(start_net=start, steps=steps, end_net=net)
-        if net in self.circuit.primary_outputs and not terminal and steps:
-            # Outputs that also feed other logic still end a constraint path.
-            yield StructuralPath(start_net=start, steps=steps, end_net=net)
-        for stage, pin in fanout:
+        for stage, pin in self.circuit.fanout_of(net):
             step = PathStep(stage.name, pin.name)
             yield from self._walk(start, stage.output.name, steps + (step,))
 
     # -- counting without materialization ----------------------------------------
 
     def count(self, include_clock: bool = True) -> int:
-        """Path count by DP over the (acyclic) stage graph."""
+        """Path count by DP over the (acyclic) stage graph:
+        ``len(self.extract(include_clock))`` without materialization."""
         memo: Dict[str, int] = {}
 
         def paths_from(net: str) -> int:
             if net in memo:
                 return memo[net]
-            fanout = self.circuit.fanout_of(net)
             total = 1 if self._is_sink(net) else 0
-            if net in self.circuit.primary_outputs and fanout:
-                total += 1
-            for stage, _pin in fanout:
+            for stage, _pin in self.circuit.fanout_of(net):
                 total += paths_from(stage.output.name)
             memo[net] = total
             return total

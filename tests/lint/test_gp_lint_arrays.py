@@ -97,7 +97,7 @@ def _sizer_program(topology, macro, width, factor, params=(), collapse=False):
         sizer._tie(sizer.equivalence_classes())
     spec = DelaySpec(data=factor * nominal_delay(circuit, LIB))
     sizer = SmartSizer(circuit, LIB)
-    _paths, constraints = sizer._front_end(spec, prune=True)
+    _paths, constraints = sizer._front_end(spec)
     return sizer._build_gp(constraints, {}), circuit.size_table
 
 

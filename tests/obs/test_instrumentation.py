@@ -135,7 +135,7 @@ class TestArcTableCounters:
         sizer = SmartSizer(circuit, library)
         spec = DelaySpec(data=300.0)
         timing = ConstraintGenerator(circuit, library, spec).generate(
-            sizer._extract(prune=True).paths
+            sizer._extract().paths
         ).timing
         arcs = sum(
             len(stage_arcs(stage, pin))

@@ -57,7 +57,7 @@ def chains_of(circuit):
     expanded into its source-to-sink transition paths."""
     generator = ConstraintGenerator(circuit, LIB, SPEC)
     chains = []
-    for path in SmartSizer(circuit, LIB)._extract(prune=True).paths:
+    for path in SmartSizer(circuit, LIB)._extract().paths:
         for hops in generator.transition_paths(path):
             if hops:
                 chains.append((hops, generator.path_delay_posynomial(hops)))

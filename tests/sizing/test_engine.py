@@ -148,15 +148,23 @@ class TestRetargetClamp:
 
     @staticmethod
     def _retarget_for(measured, predicted, spec=100.0, damping=1.0):
-        from repro.posy import const
+        import numpy as np
+
+        from repro.posy.rows import MonomialIndex, PosyRow
         from repro.sizing.constraints import ConstraintSet, TimingConstraint
+
+        class ConstantRows:
+            """A row source whose every path delays ``predicted`` ps."""
+
+            def row(self, hops, start):
+                return PosyRow(
+                    MonomialIndex(()), np.zeros(1, dtype=np.intp),
+                    np.array([predicted]),
+                )
 
         constraints = ConstraintSet(
             timing=[
-                TimingConstraint(
-                    name="p0", delay=const(predicted), spec=spec,
-                    kind="data", hops=(),
-                )
+                TimingConstraint("p0", spec, "data", (), ConstantRows(), 30.0)
             ]
         )
         sizer = SmartSizer.__new__(SmartSizer)  # _retarget needs no state
@@ -245,18 +253,31 @@ class TestPruningIntegration:
         assert result.prune_stats is not None
         assert result.prune_stats.initial >= result.prune_stats.final
 
-    def test_disable_pruning_same_answer(self, inverter_chain, library):
+    def test_disable_pruning_same_answer(
+        self, inverter_chain, library, monkeypatch
+    ):
+        from repro.netlist.memo import forget
+        from repro.sizing import PathExtractor, engine, prune_paths
+
         nom = nominal_delay(inverter_chain, library)
         pruned = SmartSizer(inverter_chain, library).size(DelaySpec(data=nom))
-        full = SmartSizer(inverter_chain, library).size(
-            DelaySpec(data=nom), prune=False
+        forget(inverter_chain)
+        monkeypatch.setattr(
+            engine, "prune_paths",
+            lambda circuit: prune_paths(
+                circuit, PathExtractor(circuit).extract(),
+                use_precedence=False, use_dominance=False,
+                use_regularity=False,
+            ),
         )
+        full = SmartSizer(inverter_chain, library).size(DelaySpec(data=nom))
+        assert full.prune_stats.final == full.prune_stats.initial
         assert full.area == pytest.approx(pruned.area, rel=0.05)
 
 
 class TestAuditReusesFrontEnd:
-    """A fresh result's certificate audits the sizer's own constraint set
-    when nothing it depends on has changed since the sizer built it."""
+    """Every sizer and audit of one circuit state reads one front end, kept
+    in the circuit's memo; anything it depends on gets a fresh one."""
 
     @staticmethod
     def _mux(database, tech):
@@ -292,26 +313,118 @@ class TestAuditReusesFrontEnd:
     def test_front_end_held_only_for_the_same_state(self, database, tech, library):
         import dataclasses
 
+        from repro.models import ModelLibrary
         from repro.netlist.memo import forget
 
         circuit = self._mux(database, tech)
         spec = DelaySpec(data=1.1 * nominal_delay(circuit, library))
         sizer = SmartSizer(circuit, library)
         sizer.size(spec)
-        held = sizer._latest_front_end(spec, prune=True)
-        assert held is not None and held[1].timing
-        assert sizer._latest_front_end(spec, prune=False) is None
+        held = sizer._front_end(spec)
+        assert held[1].timing
+        assert SmartSizer(circuit, ModelLibrary(tech))._front_end(spec) is held
         other = dataclasses.replace(spec, data=spec.data * 1.1)
-        assert sizer._latest_front_end(other, prune=True) is None
+        assert sizer._front_end(other) is not held
         sizer.otb_borrow = 5.0
-        assert sizer._latest_front_end(spec, prune=True) is None
+        assert sizer._front_end(spec) is not held
         sizer.otb_borrow = 0.0
+        slower = ModelLibrary(dataclasses.replace(tech, slope_sensitivity=0.3))
+        assert SmartSizer(circuit, slower)._front_end(spec) is not held
         name = circuit.size_table.free_names()[0]
         var = circuit.size_table[name]
         original = circuit.size_table._vars[name]
         circuit.size_table.pin(name, var.lower)
-        assert sizer._latest_front_end(spec, prune=True) is None
+        assert sizer._front_end(spec) is not held
         circuit.size_table._vars[name] = original
-        assert sizer._latest_front_end(spec, prune=True)[1] is held[1]
+        tied = circuit.size_table.free_names()[1]
+        circuit.size_table._vars[tied] = dataclasses.replace(
+            circuit.size_table[tied], ratio_of=(name, 1.0)
+        )
+        assert sizer._front_end(spec) is not held
+        circuit.size_table._vars[tied] = dataclasses.replace(
+            circuit.size_table[tied], ratio_of=None
+        )
+        assert sizer._front_end(spec) is held
         forget(circuit)
-        assert sizer._latest_front_end(spec, prune=True) is None
+        assert sizer._front_end(spec) is not held
+
+    def test_infeasible_front_end_is_not_held(
+        self, inverter_chain, library, monkeypatch
+    ):
+        from repro.sizing.constraints import ConstraintGenerator, ConstraintSet
+
+        calls = []
+
+        def empty(generator, paths):
+            calls.append(generator)
+            return ConstraintSet()
+
+        monkeypatch.setattr(ConstraintGenerator, "generate", empty)
+        sizer = SmartSizer(inverter_chain, library)
+        for _ in range(2):
+            with pytest.raises(SizingError, match="no timing constraints"):
+                sizer._front_end(DelaySpec(data=100.0))
+        assert len(calls) == 2
+
+    def test_circuit_dies_with_its_sizer_and_audit(self, database, tech, library):
+        import gc
+        import weakref
+
+        from repro.cache.store import SizingCache
+        from repro.lint.solution.audit import SolutionAudit
+        from repro.lint.solution.certificate import SolutionCertificateStore
+
+        circuit = self._mux(database, tech)
+        spec = DelaySpec(data=1.1 * nominal_delay(circuit, library))
+        cache = SizingCache(certificates=SolutionCertificateStore())
+        sizer = SmartSizer(circuit, library, cache=cache)
+        result = sizer.size(spec)
+        audit = SolutionAudit(circuit, library, spec)
+        assert audit.feasibility(result.widths)["ok"]
+        alive = weakref.ref(circuit)
+        del circuit, sizer, audit
+        gc.collect()
+        assert alive() is None
+
+
+class TestWideAdderMeetsSpec:
+    """The default-labelled 16-bit ripple adder has 655,319 raw paths and
+    a 32-stage carry chain.  The sizer constrains the exact pruned path
+    set, so a converged result meets its spec on the full STA, and the
+    audit, which reads the same set, agrees; a spec the carry chain cannot
+    meet is refused with phase 1's certificate."""
+
+    @pytest.fixture(scope="class")
+    def adder16(self, database, tech, library):
+        from repro.macros import MacroSpec
+
+        circuit = database.generate(
+            "adder/static_ripple", MacroSpec("adder", 16), tech
+        )
+        return circuit, nominal_delay(circuit, library)
+
+    def test_converged_result_meets_spec_on_full_sta(self, adder16, library):
+        from repro.lint.solution.audit import SolutionAudit
+
+        circuit, nom = adder16
+        spec = DelaySpec(data=0.75 * nom)
+        tolerance = 2.0
+        result = SmartSizer(circuit, library).size(spec, tolerance=tolerance)
+        assert result.converged
+        worst = StaticTimingAnalyzer(circuit, library).analyze(
+            result.widths, input_slope=spec.input_slope
+        ).worst(circuit.primary_outputs)
+        assert worst <= spec.data + tolerance
+        certificate = SolutionAudit(
+            circuit, library, spec, tolerance=tolerance
+        ).certify(result.widths, cache_key="adder16", with_kkt=False)
+        assert certificate.ok
+        assert max(certificate.realized.values()) == pytest.approx(
+            worst, abs=tolerance
+        )
+
+    def test_unreachable_spec_refused_with_certificate(self, adder16, library):
+        circuit, nom = adder16
+        with pytest.raises(SizingError) as info:
+            SmartSizer(circuit, library).size(DelaySpec(data=0.6 * nom))
+        assert info.value.certificate is not None

@@ -74,7 +74,7 @@ def _case(label):
         data=0.9 * nominal_delay(circuit, LIB), phase_budget=None,
     )
     sizer = SmartSizer(circuit, LIB)
-    return circuit, delay_spec, sizer, sizer._extract(prune=True).paths
+    return circuit, delay_spec, sizer, sizer._extract().paths
 
 
 @pytest.mark.parametrize("label", sorted(CASES))

@@ -35,6 +35,24 @@ class TestEnumeration:
         extractor = PathExtractor(adder)
         assert extractor.count() == len(extractor.extract())
 
+    def test_count_matches_enumeration_with_fanning_output(self, tech):
+        """An output that also feeds logic ends one path, however it is
+        walked: ``a -> m -> o`` with ``m`` an output too has two paths."""
+        from repro.macros.base import MacroBuilder
+
+        builder = MacroBuilder("tapped", tech)
+        a = builder.input("a")
+        m = builder.output("m", load=5.0)
+        o = builder.output("o", load=5.0)
+        for label in ("P0", "N0", "P1", "N1"):
+            builder.size(label)
+        builder.inv("i0", a, m, "P0", "N0")
+        builder.inv("i1", m, o, "P1", "N1")
+        extractor = PathExtractor(builder.done())
+        paths = extractor.extract()
+        assert [p.end_net for p in paths] == ["m", "o"]
+        assert extractor.count() == len(paths) == 2
+
     def test_clock_paths_optional(self, domino_mux):
         extractor = PathExtractor(domino_mux)
         with_clock = extractor.count(include_clock=True)

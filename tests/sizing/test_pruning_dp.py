@@ -16,8 +16,10 @@ from repro.netlist.nets import NetKind, Pin, PinClass, PinSpeed
 from repro.netlist.stages import Stage, StageKind
 from repro.obs import metrics
 from repro.sizing import PathExtractor, prune_paths
-from repro.sizing.engine import ENUMERATION_THRESHOLD
 
+#: The registry sweep enumerates every raw path, so it stops at the first
+#: width whose raw path count exceeds this.
+MAX_ENUMERATED = 20_000
 LABELINGS = ((), (("label_group", 1),))
 #: 2-16 bits, plus 32 for the comparators, which apply at no other width.
 WIDTHS = tuple(range(2, 17)) + (32,)
@@ -41,9 +43,9 @@ def _assert_same_as_list_passes(circuit):
     "topology", [generator.name for generator in default_database().topologies()]
 )
 def test_matches_list_passes_on_every_registry_topology(database, tech, topology):
-    """Every width and both labelings up to the enumeration threshold
-    (path counts grow with width, so the sweep stops at the first width
-    above it).  A topology that ignores ``label_group`` builds the same
+    """Every width and both labelings up to :data:`MAX_ENUMERATED` raw
+    paths (path counts grow with width, so the sweep stops at the first
+    width above it).  A topology that ignores ``label_group`` builds the same
     circuit twice; the second copy is skipped."""
     generator = database.generator(topology)
     seen = set()
@@ -53,7 +55,7 @@ def test_matches_list_passes_on_every_registry_topology(database, tech, topology
             if not generator.applicable(spec):
                 continue
             circuit = generator.generate(spec, tech)
-            if PathExtractor(circuit).count() > ENUMERATION_THRESHOLD:
+            if PathExtractor(circuit).count() > MAX_ENUMERATED:
                 break
             labels = tuple(stage.labels() for stage in circuit.stages)
             if (width, labels) in seen:
