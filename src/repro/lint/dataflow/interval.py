@@ -39,9 +39,10 @@ slope (halved on clock nets) entering the first hop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ...models.gates import SLOPE_LEAK, ModelLibrary
 from ...netlist.circuit import Circuit
@@ -50,7 +51,8 @@ from ...netlist.nets import NetKind, PinClass
 from ...netlist.sizing_vars import DEFAULT_BOUNDS
 from ...netlist.stages import Stage, StageKind
 from ...obs import metrics, trace
-from ...sim.timing import StaticTimingAnalyzer, stage_arcs
+from ...posy.rows import enclose_posynomials
+from ...sim.timing import ArcHulls, StaticTimingAnalyzer
 from ...sizing.constraints import ConstraintGenerator
 from ..diagnostics import Diagnostic, LintReport, Location, Severity
 from ..registry import Rule, register
@@ -122,6 +124,24 @@ def box_bounds(circuit: Circuit) -> Callable[[str], Tuple[float, float]]:
     return bounds
 
 
+def nominal_bounds(circuit: Circuit) -> Callable[[str], Tuple[float, float]]:
+    """The degenerate box at the nominal sizing the solver starts from: each
+    free label at its :meth:`~repro.netlist.sizing_vars.SizeTable.default_env`
+    width, any other variable at the geometric mean of its
+    :func:`box_bounds`."""
+    env = circuit.size_table.default_env()
+    bounds = box_bounds(circuit)
+
+    def point(name: str) -> Tuple[float, float]:
+        width = env.get(name)
+        if width is None:
+            lower, upper = bounds(name)
+            width = (lower * upper) ** 0.5
+        return (width, width)
+
+    return point
+
+
 def box_intervals(
     circuit: Circuit, library: ModelLibrary, input_slope: float
 ) -> SolveResult:
@@ -135,11 +155,27 @@ def box_intervals(
     the size-table state, the box bounds and the input slope — everything
     the propagation reads besides the circuit's structure, whose in-place
     edits :func:`~repro.netlist.memo.forget` the memo.  Its ``values`` are
-    read-only.
+    read-only; ``extra["hulls"]`` holds the box's :class:`ArcHulls`.
     """
+    return _solve_once(circuit, library, input_slope, "box_intervals", box_bounds)
+
+
+def point_intervals(
+    circuit: Circuit, library: ModelLibrary, input_slope: float
+) -> SolveResult:
+    """:func:`box_intervals` with the box collapsed to the nominal sizing
+    (:func:`nominal_bounds`): the propagation DFA303's feasibility proof
+    reads, memoised under the same key, so a circuit sized again skips
+    it."""
+    return _solve_once(
+        circuit, library, input_slope, "point_intervals", nominal_bounds
+    )
+
+
+def _solve_once(circuit, library, input_slope, tag, bounds_of) -> SolveResult:
     table = circuit.size_table
     key = (
-        "box_intervals",
+        tag,
         library.content_key(),
         table.state(),
         tuple((var.lower, var.upper) for var in table),
@@ -151,11 +187,10 @@ def box_intervals(
         metrics.counter("lint.dataflow.interval.reused").inc()
         trace.add_attrs(interval_reused=True)
         return result
-    result = solve_forward(
-        circuit,
-        IntervalAnalysis(circuit, library, input_slope, box_bounds(circuit)),
-    )
+    analysis = IntervalAnalysis(circuit, library, input_slope, bounds_of(circuit))
+    result = solve_forward(circuit, analysis)
     result.values = MappingProxyType(result.values)
+    result.extra["hulls"] = analysis.hulls
     memo[key] = result
     return result
 
@@ -176,7 +211,17 @@ class IntervalAnalysis(ForwardAnalysis):
         self.input_slope = input_slope
         self.bounds = bounds
         self.analyzer = StaticTimingAnalyzer(circuit, library)
-        self._hop_cache: Dict[Tuple[str, str], Tuple[float, float, float, float]] = {}
+        self._hulls: Optional[ArcHulls] = None
+
+    @property
+    def hulls(self) -> ArcHulls:
+        """Every arc's delay and slope enclosed over the box: one hull pass
+        over the circuit's :class:`~repro.sim.timing.ArcProgram`, on first
+        use."""
+        if self._hulls is None:
+            self._hulls = self.analyzer.arc_program().enclose(self.bounds)
+            metrics.counter("lint.dataflow.interval.hull_passes").inc()
+        return self._hulls
 
     # -- lattice -----------------------------------------------------------
 
@@ -229,23 +274,7 @@ class IntervalAnalysis(ForwardAnalysis):
         """(d_lo, d_hi, s_lo, s_hi): delay and base-slope hulls over every
         transition arc through ``pin`` (arc minima may mix arcs — the lo
         side only needs to stay a lower bound)."""
-        key = (stage.name, pin.name)
-        cached = self._hop_cache.get(key)
-        if cached is not None:
-            return cached
-        d_lo = s_lo = float("inf")
-        d_hi = s_hi = 0.0
-        for _in_trans, out_trans in stage_arcs(stage, pin):
-            delay, slope = self.analyzer.arc_posynomials(stage, pin, out_trans)
-            lo, hi = delay.enclose(self.bounds)
-            d_lo, d_hi = min(d_lo, lo), max(d_hi, hi)
-            lo, hi = slope.enclose(self.bounds)
-            s_lo, s_hi = min(s_lo, lo), max(s_hi, hi)
-        if d_lo == float("inf"):  # no arcs through this pin
-            d_lo = s_lo = 0.0
-        result = (d_lo, d_hi, s_lo, s_hi)
-        self._hop_cache[key] = result
-        return result
+        return self.hulls.pins[(stage.name, pin.name)]
 
     # -- transfer ----------------------------------------------------------
 
@@ -425,17 +454,21 @@ def screen_feasibility(
                 )
         # The generator's slope and noise constraints, one per stage (no
         # regularity dedupe: every failing stage is named).
-        for slope in generator.slope_constraints():
-            lo, _ = slope.slope.enclose(bounds)
-            if lo > slope.limit * (1.0 + _EPS):
+        hulls = result.extra["hulls"]
+        leak = SLOPE_LEAK * spec.input_slope
+        for name, hop, limit, net in generator.slope_arcs():
+            lo = math.nextafter(hulls.slope(hop)[0] + leak, -math.inf)
+            if lo > limit * (1.0 + _EPS):
                 emit(
                     f"minimum achievable slope {lo:.1f} ps exceeds the "
-                    f"{slope.limit:.1f} ps limit over the whole size box",
-                    net=slope.net,
-                    constraint=slope.name,
+                    f"{limit:.1f} ps limit over the whole size box",
+                    net=net,
+                    constraint=name,
                 )
-        for noise in generator.noise_constraints():
-            lo, _ = noise.expr.enclose(bounds)
+        noise_constraints = list(generator.noise_constraints())
+        for noise, (lo, _) in zip(noise_constraints, enclose_posynomials(
+            [noise.expr for noise in noise_constraints], bounds
+        )):
             if lo > 1.0 + _EPS:
                 emit(
                     f"charge-sharing ratio is at least {lo:.2f}x the allowed "
@@ -450,7 +483,7 @@ def screen_feasibility(
             verdict = "unknown"
         else:
             verdict = _try_prove_feasible(
-                circuit, library, spec, sink_values, bounds, generator
+                circuit, library, spec, sink_values, generator
             )
 
         span.set_attrs(verdict=verdict, sinks=len(sink_values))
@@ -472,29 +505,16 @@ def _try_prove_feasible(
     library: ModelLibrary,
     spec,
     sink_values,
-    bounds,
     generator: ConstraintGenerator,
 ) -> str:
-    """Point certificate: rerun the propagation with the box collapsed to
-    the nominal sizing and check every budget's ``hi`` side."""
+    """Point certificate: the propagation with the box collapsed to the
+    nominal sizing (:func:`point_intervals`) meets every budget on its
+    ``hi`` side."""
     if any(v.segments() > 1 for v in sink_values.values()):
         # Multi-phase: per-segment budgets cannot be certified from a
         # whole-path hull without unsoundly splitting it.
         return "unknown"
-    env = circuit.size_table.default_env()
-
-    def point_bounds(name: str) -> Tuple[float, float]:
-        width = env.get(name)
-        if width is None:
-            lower, upper = bounds(name)
-            width = (lower * upper) ** 0.5
-        return (width, width)
-
-    analysis = IntervalAnalysis(
-        circuit, library, spec.input_slope, point_bounds
-    )
-    analysis.analyzer = generator.analyzer
-    result = solve_forward(circuit, analysis)
+    result = point_intervals(circuit, library, spec.input_slope)
     if result.widened:
         return "unknown"
     for name in sink_values:
@@ -503,12 +523,13 @@ def _try_prove_feasible(
             return "unknown"
         if value.arr_hi > _min_budget(spec, value):
             return "unknown"
-    for slope in generator.slope_constraints():
-        _, hi = slope.slope.enclose(point_bounds)
-        if hi > slope.limit:
+    hulls = result.extra["hulls"]
+    leak = SLOPE_LEAK * spec.input_slope
+    for _name, hop, limit, _net in generator.slope_arcs():
+        if math.nextafter(hulls.slope(hop)[1] + leak, math.inf) > limit:
             return "unknown"
-    for noise in generator.noise_constraints():
-        _, hi = noise.expr.enclose(point_bounds)
+    noise = [item.expr for item in generator.noise_constraints()]
+    for _, hi in enclose_posynomials(noise, nominal_bounds(circuit)):
         if hi > 1.0:
             return "unknown"
     return "provably-feasible"

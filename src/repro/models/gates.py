@@ -37,6 +37,7 @@ from ..netlist.nets import Pin, PinClass
 from ..netlist.sizing_vars import SizeTable
 from ..netlist.stages import Stage, StageKind
 from ..posy import Posynomial, as_posynomial
+from ..posy.express import Expression
 from .technology import Technology
 
 LN2 = math.log(2.0)
@@ -69,10 +70,12 @@ class ModelError(Exception):
 class StageModel:
     """Base template: static CMOS complementary gate.
 
-    Subclasses override the resistance/capacitance pieces; :meth:`arc`
-    assembles equations (1)/(2) from them in one place, so they keep one
-    shape across families (a subclass extends :meth:`arc` only to add a
-    term, as the select paths of pass gates and tri-states do).
+    Subclasses override the pieces — capacitance, :meth:`resistance` and
+    :meth:`extra_delay` — and never :meth:`arc`, which assembles equations
+    (1)/(2) from them in one place, so every family keeps one shape.  The
+    timing analyzer compiles a circuit's arcs from the same pieces as
+    arrays (:mod:`repro.sim.timing`); :meth:`arc` is the posynomial form of
+    that compilation.
     """
 
     def __init__(self, tech: Technology):
@@ -150,7 +153,19 @@ class StageModel:
         pass-gate/tri-state merge nodes charge all their parasitics.
         """
         rc = self.resistance(stage, pin, transition, table) * as_posynomial(load)
-        return LN2 * rc, self.tech.slope_gain * rc
+        delay = LN2 * rc
+        extra = self.extra_delay(stage, pin, table)
+        if extra is not None:
+            delay = delay + extra
+        return delay, self.tech.slope_gain * rc
+
+    def extra_delay(
+        self, stage: Stage, pin: Pin, table: SizeTable
+    ) -> Optional[Expression]:
+        """Delay an arc through ``pin`` adds after the ``R·C`` product, ps —
+        the local select inverter of pass gates and tri-states; ``None``
+        when there is none."""
+        return None
 
 
 class PassGateModel(StageModel):
@@ -182,24 +197,17 @@ class PassGateModel(StageModel):
         r_pass = self.tech.pass_parallel * self.tech.r_nmos
         return as_posynomial(r_pass / w_pass)
 
-    def arc(
-        self,
-        stage: Stage,
-        pin: Pin,
-        transition: Transition,
-        load: Posynomial,
-        table: SizeTable,
-    ) -> Tuple[Posynomial, Posynomial]:
-        delay, slope = super().arc(stage, pin, transition, load, table)
-        if pin.pin_class is PinClass.SELECT:
-            # Select path first traverses the local complement inverter
-            # (it must switch before the PMOS half conducts).
-            w_inv = table.monomial(stage.label("sel_inv"))
-            w_pass = table.monomial(stage.label("pass"))
-            r_inv = (self.tech.r_pmos + self.tech.r_nmos) / 2.0
-            inv_delay = LN2 * ((r_inv / w_inv) * (self.tech.c_gate * w_pass))
-            delay = delay + inv_delay
-        return delay, slope
+    def extra_delay(
+        self, stage: Stage, pin: Pin, table: SizeTable
+    ) -> Optional[Expression]:
+        if pin.pin_class is not PinClass.SELECT:
+            return None
+        # Select path first traverses the local complement inverter
+        # (it must switch before the PMOS half conducts).
+        w_inv = table.monomial(stage.label("sel_inv"))
+        w_pass = table.monomial(stage.label("pass"))
+        r_inv = (self.tech.r_pmos + self.tech.r_nmos) / 2.0
+        return LN2 * ((r_inv / w_inv) * (self.tech.c_gate * w_pass))
 
 
 class TriStateModel(StageModel):
@@ -215,23 +223,16 @@ class TriStateModel(StageModel):
             0.25 * self.tech.c_gate * (w_up + w_dn)
         )
 
-    def arc(
-        self,
-        stage: Stage,
-        pin: Pin,
-        transition: Transition,
-        load: Posynomial,
-        table: SizeTable,
-    ) -> Tuple[Posynomial, Posynomial]:
-        delay, slope = super().arc(stage, pin, transition, load, table)
-        if pin.pin_class is PinClass.SELECT:
-            # Enable inverter is a fixed 0.25x relation of the drive devices
-            # and loads only their enable gates, so its delay is a size-
-            # independent constant: ln2 * (r_inv / 0.25W) * (c_gate * W).
-            r_inv = (self.tech.r_pmos + self.tech.r_nmos) / 2.0
-            inv_delay = LN2 * (r_inv / 0.25) * self.tech.c_gate
-            delay = delay + inv_delay
-        return delay, slope
+    def extra_delay(
+        self, stage: Stage, pin: Pin, table: SizeTable
+    ) -> Optional[Expression]:
+        if pin.pin_class is not PinClass.SELECT:
+            return None
+        # Enable inverter is a fixed 0.25x relation of the drive devices
+        # and loads only their enable gates, so its delay is a size-
+        # independent constant: ln2 * (r_inv / 0.25W) * (c_gate * W).
+        r_inv = (self.tech.r_pmos + self.tech.r_nmos) / 2.0
+        return LN2 * (r_inv / 0.25) * self.tech.c_gate
 
 
 class DominoModel(StageModel):

@@ -154,13 +154,13 @@ class Circuit:
             self._rebind_net(self.nets[net_name])
 
     def _rebind_net(self, net: Net) -> None:
-        """Point every stage pin/output at a replacement Net object."""
-        for stage in self.stages:
-            if stage.output.name == net.name:
-                stage.output = net
-            for pin in stage.inputs:
-                if pin.net.name == net.name:
-                    pin.net = net
+        """Point the pins and outputs on ``net``'s name at a replacement Net
+        object: only the net's drivers and fanout pins, read from the
+        indexes, so marking every output of a wide macro stays linear."""
+        for stage in self._all_drivers.get(net.name, ()):
+            stage.output = net
+        for _stage, pin in self._fanout.get(net.name, ()):
+            pin.net = net
 
     # -- queries -----------------------------------------------------------
 

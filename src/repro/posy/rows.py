@@ -19,14 +19,16 @@ monomials.  This module holds the array form the sizer compiles to:
     builds that dict form on first read.
 
 :func:`evaluate_rows` evaluates rows that share an index with
-:meth:`Posynomial.evaluate`'s arithmetic, and :func:`enclose_rows` is the
-vector form of :meth:`Posynomial.enclose`: a sound box enclosure of every
-row of a CSR term program at once.
+:meth:`Posynomial.evaluate`'s arithmetic, :func:`merge_like_terms` sums
+like terms the way a posynomial's term dict does, and :func:`enclose_rows`
+is the vector form of :meth:`Posynomial.enclose`: a sound box enclosure of
+every row of a CSR term program at once (:func:`enclose_posynomials` applies
+it to a list of posynomials).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -149,6 +151,27 @@ def evaluate_rows(rows: Sequence[PosyRow], env: Mapping[str, float]) -> np.ndarr
     return np.bincount(row_of, weights=values, minlength=len(rows))
 
 
+def merge_like_terms(
+    groups: np.ndarray, sigs: np.ndarray, values: np.ndarray, n_sigs: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Like terms merged per group, as a term dict accumulates them.
+
+    Term ``t`` adds ``values[t]`` to signature ``sigs[t]`` (an id below
+    ``n_sigs``) of group ``groups[t]``; terms arrive group by group.  The
+    result lists each ``(group, signature)`` once, in the order of its first
+    term, with the sum of its values taken left to right from ``0.0`` — bit
+    for bit the ``terms[sig] = terms.get(sig, 0.0) + value`` loop of
+    :class:`~repro.posy.terms.Posynomial` over the same terms.  Returns
+    ``(groups, sigs, sums)``.
+    """
+    key = groups * n_sigs + sigs
+    _keys, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    sums = np.bincount(inverse.ravel(), weights=values, minlength=len(first))
+    order = np.argsort(first)
+    at = first[order]
+    return groups[at], sigs[at], sums[order]
+
+
 def enclose_rows(
     coeffs: np.ndarray,
     indptr: np.ndarray,
@@ -195,3 +218,30 @@ def enclose_rows(
     hi = np.bincount(row_of, v_hi + v_hi * ops * _ULP, minlength=len(counts))
     pad = (np.abs(lo) + np.abs(hi)) * np.maximum(1, counts) * _ULP
     return lo - pad, hi + pad
+
+
+def enclose_posynomials(
+    posys: Sequence[Posynomial], bounds: Callable[[str], Tuple[float, float]]
+) -> List[Tuple[float, float]]:
+    """:func:`enclose_rows` over ``posys``: a sound ``(lo, hi)`` per
+    posynomial over the box ``bounds(name) = (lower, upper)``, each summed in
+    sorted signature order as :meth:`Posynomial.enclose` sums it."""
+    if not posys:
+        return []
+    index = MonomialIndex(sig for posy in posys for sig, _ in posy.items())
+    ids = index.ids
+    rows = [sorted((ids[sig], coeff) for sig, coeff in posy.items()) for posy in posys]
+    term_ids = np.array([i for row in rows for i, _ in row], dtype=np.intp)
+    coeffs = np.array([c for row in rows for _, c in row], dtype=float)
+    counts = np.array([len(row) for row in rows], dtype=np.intp)
+    nnz, positions = index.nonzeros(term_ids)
+    indptr = np.zeros(len(term_ids) + 1, dtype=np.intp)
+    np.cumsum(nnz, out=indptr[1:])
+    box = [bounds(name) for name in index.names]
+    lower = np.array([b[0] for b in box], dtype=float)
+    upper = np.array([b[1] for b in box], dtype=float)
+    lo, hi = enclose_rows(
+        coeffs, indptr, index.columns[positions], index.exponents[positions],
+        counts, lower, upper,
+    )
+    return list(zip(lo.tolist(), hi.tolist()))

@@ -145,12 +145,12 @@ class Monomial:
     @classmethod
     def variable(cls, name: str) -> "Monomial":
         """The monomial consisting of a single variable ``x``."""
-        return cls(1.0, {name: 1.0})
+        return cls._view(1.0, ((name, 1.0),))
 
     @classmethod
     def constant(cls, value: Number) -> "Monomial":
         """A constant monomial (no variables)."""
-        return cls(value, {})
+        return cls._from_signature(value, ())
 
     @classmethod
     def _from_signature(cls, coefficient: Number, signature: Signature) -> "Monomial":
@@ -251,7 +251,12 @@ class Monomial:
 
     def __rtruediv__(self, other: Number) -> "Monomial":
         if isinstance(other, (int, float)):
-            return Monomial.constant(other) / self
+            # ``Monomial.constant(other) * self ** -1``, without building
+            # the constant: the same coefficient product and signature.
+            inverse = self ** -1
+            return Monomial._from_signature(
+                _checked(other) * inverse.coefficient, inverse._signature
+            )
         return NotImplemented
 
     def __pow__(self, power: Number) -> "Monomial":
@@ -292,7 +297,9 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
     def as_posynomial(self) -> "Posynomial":
-        return Posynomial.from_terms([self])
+        if self.coefficient > _COEFF_EPS:
+            return Posynomial({self._signature: self.coefficient})
+        return Posynomial.zero()
 
 
 class Posynomial:

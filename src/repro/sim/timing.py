@@ -25,8 +25,9 @@ same arcs as arrays (:class:`ArcProgram`), built once per table.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,8 +37,9 @@ from ..netlist.memo import circuit_memo
 from ..netlist.nets import NetKind, Pin, PinClass
 from ..netlist.stages import Stage, StageKind
 from ..obs import metrics, trace
-from ..posy import Posynomial, posy_sum
-from ..posy.rows import MonomialIndex
+from ..posy import Posynomial, as_posynomial, posy_sum
+from ..posy.rows import MonomialIndex, enclose_rows, merge_like_terms
+from ..posy.terms import _COEFF_EPS, Signature, _merge
 
 #: A hop along a timing path: (stage name, input pin name, output transition).
 Hop = Tuple[str, str, Transition]
@@ -152,64 +154,166 @@ def stage_arcs(stage: Stage, pin: Pin) -> List[Tuple[Transition, Transition]]:
 
 
 class ArcProgram:
-    """Every arc of an :class:`ArcTable` as term segments over one
+    """Every arc of a circuit as term segments over one
     :class:`~repro.posy.rows.MonomialIndex`.
 
-    ``arc_ids`` numbers the arcs in schedule order.  Arc ``a``'s delay
-    terms are ``term_ids`` / ``term_coeffs`` over
-    ``delay_start[a] : delay_start[a] + delay_len[a]`` in the delay
-    posynomial's insertion order, and likewise its slope terms;
-    ``constant_slot`` is one extra entry, the constant monomial with
-    coefficient 1.
+    ``hops`` lists the arcs stage by stage in declaration order, pin by pin
+    (so a cyclic circuit compiles too), and ``arc_ids`` numbers them;
+    ``sources`` holds each arc's input node.  Arc ``a``'s delay terms are
+    ``term_ids`` / ``term_coeffs`` over ``delay_start[a] : delay_start[a] +
+    delay_len[a]`` in the delay posynomial's insertion order, and likewise
+    its slope terms, right after; ``constant_slot`` is one extra entry, the
+    constant monomial with coefficient 1.  ``pin_ids`` numbers the
+    ``(stage, pin)`` pairs, whose arcs start at ``pin_start``.
     """
 
     __slots__ = (
-        "index", "arc_ids", "term_ids", "term_coeffs", "delay_start",
-        "delay_len", "slope_start", "slope_len", "constant_slot",
+        "index", "hops", "arc_ids", "sources", "term_ids", "term_coeffs",
+        "delay_start", "delay_len", "slope_start", "slope_len",
+        "constant_slot", "pin_ids", "pin_start", "_term_csr",
     )
 
     def __init__(
         self,
         hops: Sequence[Hop],
-        arcs: Sequence[Tuple[Posynomial, Posynomial]],
+        sources: Sequence[NetKey],
+        index: MonomialIndex,
+        term_ids: np.ndarray,
+        term_coeffs: np.ndarray,
+        delay_len: np.ndarray,
+        slope_len: np.ndarray,
     ):
-        self.index = MonomialIndex(
-            sig for pair in arcs for posy in pair for sig, _ in posy.items()
-        )
-        ids = self.index.ids
-        self.arc_ids = {hop: a for a, hop in enumerate(hops)}
-        term_ids: List[int] = []
-        term_coeffs: List[float] = []
-        bounds: List[int] = []
-        for pair in arcs:
-            for posy in pair:
-                bounds.append(len(term_ids))
-                for sig, coeff in posy.items():
-                    term_ids.append(ids[sig])
-                    term_coeffs.append(coeff)
-        bounds.append(len(term_ids))
+        self.index = index
+        self.hops = list(hops)
+        self.arc_ids = {hop: a for a, hop in enumerate(self.hops)}
+        self.sources = list(sources)
         self.constant_slot = len(term_ids)
-        term_ids.append(ids[()])
-        term_coeffs.append(1.0)
-        self.term_ids = np.array(term_ids, dtype=np.intp)
-        self.term_coeffs = np.array(term_coeffs)
-        edges = np.array(bounds, dtype=np.intp)
-        lengths = np.diff(edges)
+        self.term_ids = np.append(term_ids, index.ids[()]).astype(np.intp)
+        self.term_coeffs = np.append(term_coeffs, 1.0)
+        lengths = np.empty(2 * len(self.hops), dtype=np.intp)
+        lengths[0::2] = delay_len
+        lengths[1::2] = slope_len
+        edges = np.zeros(len(lengths) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=edges[1:])
         self.delay_start = edges[:-1:2]
         self.delay_len = lengths[::2]
         self.slope_start = edges[1:-1:2]
         self.slope_len = lengths[1::2]
+        self.pin_ids: Dict[Tuple[str, str], int] = {}
+        starts: List[int] = []
+        for a, (stage, pin, _trans) in enumerate(self.hops):
+            if (stage, pin) not in self.pin_ids:
+                self.pin_ids[(stage, pin)] = len(starts)
+                starts.append(a)
+        self.pin_start = np.array(starts, dtype=np.intp)
+        self._term_csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
+    def arc(self, a: int) -> Tuple[Posynomial, Posynomial]:
+        """Arc ``a``'s ``(delay, slope)`` in dict form, terms in insertion
+        order."""
+        sigs = self.index.signatures
+        pair = []
+        for start, length in (
+            (self.delay_start[a], self.delay_len[a]),
+            (self.slope_start[a], self.slope_len[a]),
+        ):
+            ids = self.term_ids[start:start + length].tolist()
+            coeffs = self.term_coeffs[start:start + length].tolist()
+            pair.append(Posynomial({sigs[i]: c for i, c in zip(ids, coeffs)}))
+        return pair[0], pair[1]
+
+    def enclose(self, bounds: Callable[[str], Tuple[float, float]]) -> "ArcHulls":
+        """One hull pass: every arc's delay and slope enclosed over the box
+        ``bounds(name) = (lower, upper)`` by a single
+        :func:`~repro.posy.rows.enclose_rows` call."""
+        if self._term_csr is None:
+            nnz, positions = self.index.nonzeros(
+                self.term_ids[:self.constant_slot]
+            )
+            indptr = np.zeros(len(nnz) + 1, dtype=np.intp)
+            np.cumsum(nnz, out=indptr[1:])
+            self._term_csr = (
+                indptr,
+                self.index.columns[positions],
+                self.index.exponents[positions],
+            )
+        indptr, columns, exponents = self._term_csr
+        box = [bounds(name) for name in self.index.names]
+        lower = np.array([b[0] for b in box], dtype=float)
+        upper = np.array([b[1] for b in box], dtype=float)
+        counts = np.empty(2 * len(self.hops), dtype=np.intp)
+        counts[0::2] = self.delay_len
+        counts[1::2] = self.slope_len
+        lo, hi = enclose_rows(
+            self.term_coeffs[:self.constant_slot], indptr, columns, exponents,
+            counts, lower, upper,
+        )
+        return ArcHulls(self, lo[0::2], hi[0::2], lo[1::2], hi[1::2])
+
+
+class ArcHulls:
+    """One box's enclosures of an :class:`ArcProgram`: per arc ``d_lo``,
+    ``d_hi`` (delay) and ``s_lo``, ``s_hi`` (slope), and per ``(stage,
+    pin)`` in ``pins`` the hulls over the pin's arcs, ``(d_lo, d_hi, s_lo,
+    s_hi)``."""
+
+    __slots__ = ("program", "d_lo", "d_hi", "s_lo", "s_hi", "pins")
+
+    def __init__(self, program: ArcProgram, d_lo, d_hi, s_lo, s_hi):
+        self.program = program
+        self.d_lo, self.d_hi, self.s_lo, self.s_hi = d_lo, d_hi, s_lo, s_hi
+        self.pins: Dict[Tuple[str, str], Tuple[float, float, float, float]] = {}
+        if len(program.pin_start):
+            at = program.pin_start
+            self.pins = dict(zip(program.pin_ids, zip(
+                np.minimum.reduceat(d_lo, at).tolist(),
+                np.maximum.reduceat(d_hi, at).tolist(),
+                np.minimum.reduceat(s_lo, at).tolist(),
+                np.maximum.reduceat(s_hi, at).tolist(),
+            )))
+
+    def slope(self, hop: Hop) -> Tuple[float, float]:
+        """``(lo, hi)`` of one arc's slope."""
+        a = self.program.arc_ids[hop]
+        return float(self.s_lo[a]), float(self.s_hi[a])
+
+
+class _ArcView(abc.Mapping):
+    """``hop -> (delay, slope, source)`` over an :class:`ArcProgram`, each
+    arc's posynomials built on first read and then kept."""
+
+    __slots__ = ("_program", "_built")
+
+    def __init__(self, program: ArcProgram):
+        self._program = program
+        self._built: Dict[Hop, Tuple[Posynomial, Posynomial, NetKey]] = {}
+
+    def __getitem__(self, hop: Hop) -> Tuple[Posynomial, Posynomial, NetKey]:
+        arc = self._built.get(hop)
+        if arc is None:
+            a = self._program.arc_ids[hop]
+            arc = self._built[hop] = (
+                *self._program.arc(a), self._program.sources[a]
+            )
+        return arc
+
+    def __iter__(self):
+        return iter(self._program.hops)
+
+    def __len__(self) -> int:
+        return len(self._program.hops)
 
 
 class ArcTable:
     """The compiled hop model of one circuit under one size-table state.
 
-    Filled on first use and then only read: per arc ``(stage, pin, output
-    transition)`` the ``(delay, slope)`` posynomials at zero input slope,
-    Elmore wire terms included, plus the timing-graph node the arc leaves
-    from; the load posynomial per net and, per wired net, the far-side
-    capacitance of its Elmore term; and
-    ``schedule``, every arc in topological stage order, for :meth:`analyze
+    Compiled on first use and then only read: ``program``, every arc
+    ``(stage, pin, output transition)`` as arrays (:class:`ArcProgram`),
+    the ``(delay, slope)`` at zero input slope, Elmore wire terms included;
+    ``arcs``, the same arcs as ``(delay, slope, source node)`` posynomials,
+    each built when first read; the load posynomial per net and, per wired
+    net, the far-side capacitance of its Elmore term; and ``schedule``,
+    every arc in topological stage order, for :meth:`analyze
     <StaticTimingAnalyzer.analyze>`.  It also keeps the numeric arc values
     of the latest width point, so an ``analyze`` followed by any number of
     ``path_delay`` calls at the same widths evaluates each arc once.
@@ -221,16 +325,15 @@ class ArcTable:
     circuit shares it, whichever library object it was given; it dies
     with the circuit, and an in-place edit drops it
     (:func:`~repro.netlist.memo.forget`).  A table holds names,
-    posynomials and floats only — never the circuit.  ``program``, the
-    array form of every arc, is built on first use by
-    :meth:`StaticTimingAnalyzer.arc_program`.
+    posynomials, arrays and floats only — never the circuit.
     """
 
-    __slots__ = ("arcs", "loads", "far_caps", "schedule", "point", "program")
+    __slots__ = ("program", "arcs", "loads", "far_caps", "schedule", "point")
 
     def __init__(self) -> None:
+        self.program: Optional[ArcProgram] = None
         #: hop -> (delay, slope, (input net, input transition))
-        self.arcs: Dict[Hop, Tuple[Posynomial, Posynomial, NetKey]] = {}
+        self.arcs: Optional[Mapping[Hop, Tuple[Posynomial, Posynomial, NetKey]]] = None
         self.loads: Dict[str, Posynomial] = {}
         #: wired net -> capacitance beyond its wire resistance
         self.far_caps: Dict[str, Posynomial] = {}
@@ -240,7 +343,6 @@ class ArcTable:
         #: The latest evaluation: (widths as given, resolved widths,
         #: {hop: (delay, slope, source node)}).
         self.point: Optional[Point] = None
-        self.program: Optional[ArcProgram] = None
 
 
 class StaticTimingAnalyzer:
@@ -286,24 +388,181 @@ class StaticTimingAnalyzer:
     def _arc(
         self, table: ArcTable, hop: Hop
     ) -> Tuple[Posynomial, Posynomial, NetKey]:
-        arc = table.arcs.get(hop)
-        if arc is not None:
-            return arc
-        stage_name, pin_name, out_trans = hop
-        stage = self.circuit.stage(stage_name)
-        pin = stage.pin(pin_name)
-        out = stage.output
-        delay, slope = self.library.arc(
-            stage, pin, out_trans, self._load(table, out.name),
-            self.circuit.size_table,
+        if table.arcs is None:
+            self._compile(table)
+        try:
+            return table.arcs[hop]
+        except KeyError:
+            raise KeyError(f"{self.circuit.name}: no timing arc {hop}") from None
+
+    def _compile(self, table: ArcTable) -> ArcProgram:
+        """Compile every arc of the circuit into ``table.program`` (and its
+        posynomial view ``table.arcs``) straight from the stage models'
+        pieces, as :meth:`StageModel.arc <repro.models.gates.StageModel.arc>`
+        assembles them plus the Elmore wire term.
+
+        Each net's load is compiled once.  Every arc's ``R·C`` product is
+        expanded with array operations in :func:`~repro.posy.terms._product`'s
+        order — load terms sorted in the outer loop, resistance terms sorted
+        in the inner one — and scaled by ``ln 2`` (delay) and the slope gain
+        (slope); the delay then adds the model's extra term
+        (:meth:`~repro.models.gates.StageModel.extra_delay`) and both add
+        the wire's ``R_wire·C_far`` terms.  :func:`merge_like_terms` sums
+        like terms as the posynomial sums do, so every coefficient and the
+        term order equal, bit for bit, the posynomials ``ModelLibrary.arc``
+        and the wire term would build.
+        """
+        circuit = self.circuit
+        size_table = circuit.size_table
+        tech = self.library.tech
+        sigs: List[Signature] = []
+        sig_ids: Dict[Signature, int] = {}
+
+        def intern(sig: Signature) -> int:
+            at = sig_ids.get(sig)
+            if at is None:
+                at = sig_ids[sig] = len(sigs)
+                sigs.append(sig)
+            return at
+
+        def block(posy: Posynomial, ordered: bool, ids: list, coeffs: list) -> int:
+            items = sorted(posy.items()) if ordered else posy.items()
+            for sig, coeff in items:
+                ids.append(intern(sig))
+                coeffs.append(coeff)
+            return len(posy)
+
+        hops: List[Hop] = []
+        sources: List[NetKey] = []
+        r_ids: List[int] = []
+        r_coeffs: List[float] = []
+        r_len: List[int] = []
+        #: per-net load terms (sorted) and far-cap terms (insertion order)
+        loads: Dict[str, Tuple[int, int]] = {}
+        l_ids: List[int] = []
+        l_coeffs: List[float] = []
+        arc_load: List[Tuple[int, int]] = []
+        x_arc: List[int] = []
+        x_ids: List[int] = []
+        x_coeffs: List[float] = []
+        w_arc: List[int] = []
+        w_ids: List[int] = []
+        w_coeffs: List[float] = []
+        w_factors: List[Tuple[float, float]] = []
+        for stage in circuit.stages:
+            model = self.library.model(stage)
+            out = stage.output
+            load = loads.get(out.name)
+            if load is None:
+                start = len(l_ids)
+                count = block(self._load(table, out.name), True, l_ids, l_coeffs)
+                load = loads[out.name] = (start, count)
+            far: List[Tuple[int, float]] = []
+            if out.wire_res > 0.0:
+                far = list(self._far_cap(table, out.name).items())
+                factors = (LN2 * out.wire_res, tech.slope_gain * out.wire_res)
+            for pin in stage.inputs:
+                extra = model.extra_delay(stage, pin, size_table)
+                extra_terms = (
+                    [] if extra is None else list(as_posynomial(extra).items())
+                )
+                for in_trans, out_trans in stage_arcs(stage, pin):
+                    a = len(hops)
+                    hops.append((stage.name, pin.name, out_trans))
+                    sources.append((pin.net.name, in_trans))
+                    r_len.append(block(
+                        model.resistance(stage, pin, out_trans, size_table),
+                        True, r_ids, r_coeffs,
+                    ))
+                    arc_load.append(load)
+                    for sig, coeff in extra_terms:
+                        x_arc.append(a)
+                        x_ids.append(intern(sig))
+                        x_coeffs.append(coeff)
+                    for sig, coeff in far:
+                        w_arc.append(a)
+                        w_ids.append(intern(sig))
+                        w_coeffs.append(coeff)
+                        w_factors.append(factors)
+
+        # R·C: per arc, every (load term, resistance term) pair, load major.
+        n_arcs = len(hops)
+        k = np.array(r_len, dtype=np.intp)
+        r_start = np.cumsum(k) - k
+        l_start = np.array([start for start, _ in arc_load], dtype=np.intp)
+        m = np.array([count for _, count in arc_load], dtype=np.intp)
+        counts = k * m
+        pair_arc = np.repeat(np.arange(n_arcs), counts)
+        offset = np.arange(len(pair_arc)) - np.repeat(np.cumsum(counts) - counts, counts)
+        inner = k[pair_arc]
+        outer = offset // np.maximum(inner, 1)
+        r_at = r_start[pair_arc] + offset - outer * inner
+        l_at = l_start[pair_arc] + outer
+        r_ids_a = np.array(r_ids, dtype=np.int64)
+        l_ids_a = np.array(l_ids, dtype=np.int64)
+        values = np.array(r_coeffs)[r_at] * np.array(l_coeffs)[l_at]
+        if not np.all(np.isfinite(values) & (values > 0.0)):
+            raise ValueError(
+                f"{circuit.name}: an R·C product coefficient is not positive "
+                "and finite"
+            )
+        keep = values > _COEFF_EPS
+        n_base = len(sigs)
+        pairs, pair_of = np.unique(
+            r_ids_a[r_at][keep] * n_base + l_ids_a[l_at][keep],
+            return_inverse=True,
         )
-        if out.wire_res > 0.0:
-            far = self._far_cap(table, out.name)
-            delay = delay + LN2 * out.wire_res * far
-            slope = slope + self.library.tech.slope_gain * out.wire_res * far
-        source = (pin.net.name, arc_input_transition(stage, pin, out_trans))
-        arc = table.arcs[hop] = (delay, slope, source)
-        return arc
+        merged = np.array(
+            [intern(_merge(sigs[p // n_base], sigs[p % n_base])) for p in pairs.tolist()],
+            dtype=np.int64,
+        )
+        n_sigs = len(sigs)
+        rc_arc, rc_sig, rc_val = merge_like_terms(
+            pair_arc[keep], merged[pair_of.ravel()], values[keep], n_sigs
+        )
+
+        # Delay: ln2·RC, then the extra terms, then the wire terms, per arc.
+        w_arc_a = np.array(w_arc, dtype=np.intp)
+        w_sig_a = np.array(w_ids, dtype=np.int64)
+        w_coeff_a = np.array(w_coeffs)
+        w_factor_a = np.array(w_factors).reshape(-1, 2)
+        d_arc = np.concatenate([rc_arc, np.array(x_arc, dtype=np.intp), w_arc_a])
+        d_sig = np.concatenate([rc_sig, np.array(x_ids, dtype=np.int64), w_sig_a])
+        d_val = np.concatenate([
+            rc_val * LN2, np.array(x_coeffs), w_coeff_a * w_factor_a[:, 0]
+        ])
+        order = np.argsort(d_arc, kind="stable")
+        d_arc, d_sig, d_val = merge_like_terms(
+            d_arc[order], d_sig[order], d_val[order], n_sigs
+        )
+        # Slope: slope_gain·RC, then the wire terms.
+        s_arc = np.concatenate([rc_arc, w_arc_a])
+        s_sig = np.concatenate([rc_sig, w_sig_a])
+        s_val = np.concatenate([
+            rc_val * tech.slope_gain, w_coeff_a * w_factor_a[:, 1]
+        ])
+        order = np.argsort(s_arc, kind="stable")
+        s_arc, s_sig, s_val = merge_like_terms(
+            s_arc[order], s_sig[order], s_val[order], n_sigs
+        )
+
+        # Segments: each arc's delay terms, then its slope terms.
+        segment = np.concatenate([2 * d_arc, 2 * s_arc + 1])
+        order = np.argsort(segment, kind="stable")
+        local = np.concatenate([d_sig, s_sig])[order]
+        used = np.unique(local)
+        index = MonomialIndex(sigs[u] for u in used.tolist())
+        remap = np.zeros(n_sigs, dtype=np.intp)
+        remap[used] = [index.ids[sigs[u]] for u in used.tolist()]
+        lengths = np.bincount(segment, minlength=2 * n_arcs)
+        program = table.program = ArcProgram(
+            hops, sources, index, remap[local],
+            np.concatenate([d_val, s_val])[order],
+            lengths[0::2], lengths[1::2],
+        )
+        table.arcs = _ArcView(program)
+        metrics.counter("sta.arcs_compiled").inc(n_arcs)
+        return program
 
     def _load(self, table: ArcTable, net_name: str) -> Posynomial:
         total = table.loads.get(net_name)
@@ -408,10 +667,7 @@ class StaticTimingAnalyzer:
         compiled on the first call."""
         table = self._lookup()[0]
         if table.program is None:
-            hops = [hop for hop, _source, _node in self._schedule(table)]
-            table.program = ArcProgram(
-                hops, [self._arc(table, hop)[:2] for hop in hops]
-            )
+            return self._compile(table)
         return table.program
 
     def net_load(self, net_name: str, widths: Mapping[str, float]) -> float:

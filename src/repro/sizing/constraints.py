@@ -506,11 +506,11 @@ class ConstraintGenerator:
                 stage=stage.name,
             )
 
-    def slope_constraints(self) -> Iterator[SlopeConstraint]:
-        """One slope constraint per (stage, output transition), with the
-        designer's input slope on the stage input (no regularity dedupe)."""
+    def slope_arcs(self) -> Iterator[Tuple[str, Hop, float, str]]:
+        """``(name, hop, limit, net)`` of each slope constraint, one per
+        (stage, output transition): the first arc through the stage's pins
+        that launches the transition."""
         outputs = set(self.circuit.primary_outputs)
-        leak = SLOPE_LEAK * self.spec.input_slope
         for stage in self.circuit.stages:
             net = stage.output.name
             limit = (
@@ -524,15 +524,23 @@ class ConstraintGenerator:
                     if out_trans in covered:
                         continue
                     covered.add(out_trans)
-                    _delay, slope = self.analyzer.arc_posynomials(
-                        stage, pin, out_trans
+                    yield (
+                        f"slope.{stage.name}.{out_trans.value}",
+                        (stage.name, pin.name, out_trans),
+                        limit,
+                        net,
                     )
-                    yield SlopeConstraint(
-                        name=f"slope.{stage.name}.{out_trans.value}",
-                        slope=slope + leak,
-                        limit=limit,
-                        net=net,
-                    )
+
+    def slope_constraints(self) -> Iterator[SlopeConstraint]:
+        """One slope constraint per (stage, output transition)
+        (:meth:`slope_arcs`), with the designer's input slope on the stage
+        input (no regularity dedupe)."""
+        leak = SLOPE_LEAK * self.spec.input_slope
+        for name, hop, limit, net in self.slope_arcs():
+            _delay, slope = self.analyzer.path_arcs([hop])[0]
+            yield SlopeConstraint(
+                name=name, slope=slope + leak, limit=limit, net=net
+            )
 
     def _add_phase_constraints(
         self,

@@ -21,6 +21,8 @@ from repro.lint.dataflow.interval import (
     IntervalAnalysis,
     box_bounds,
     box_intervals,
+    nominal_bounds,
+    point_intervals,
     screen_feasibility,
 )
 from repro.macros import MacroSpec
@@ -398,3 +400,56 @@ class TestSharedBoxSolution:
         before = self._check(circuit, library)
         retarget_load(circuit, circuit.primary_outputs[0], 90.0)
         self._check(circuit, library, before)
+
+
+class TestSharedPointSolution:
+    """``point_intervals``: the nominal-point propagation of DFA303's
+    feasibility proof, memoised like the box solution, so a circuit
+    screened again (sized again) skips it."""
+
+    @staticmethod
+    def _circuit(database, tech):
+        return database.generate(
+            "zero_detect/domino", MacroSpec("zero_detect", 8), tech
+        )
+
+    @staticmethod
+    def _fresh(circuit, library, slope=30.0):
+        analysis = IntervalAnalysis(
+            circuit, library, slope, nominal_bounds(circuit)
+        )
+        return solve_forward(circuit, analysis).values
+
+    def test_second_screen_runs_no_propagation(self, database, tech, library):
+        circuit = self._circuit(database, tech)
+        spec = DelaySpec(data=1.2 * nominal_delay(circuit, library))
+        with metrics.metrics_scope() as reg:
+            first = screen_feasibility(circuit, library, spec)
+            assert first.feasible
+            assert reg.counter("lint.dataflow.interval.runs").value == 2
+            assert reg.counter("lint.dataflow.interval.hull_passes").value == 2
+            again = screen_feasibility(circuit, library, spec)
+            assert again.verdict == first.verdict
+            assert reg.counter("lint.dataflow.interval.runs").value == 2
+            assert reg.counter("lint.dataflow.interval.hull_passes").value == 2
+            assert reg.counter("lint.dataflow.interval.reused").value == 2
+
+    def test_keyed_on_everything_it_reads(self, database, tech, library):
+        circuit = self._circuit(database, tech)
+        first = point_intervals(circuit, library, 30.0)
+        assert dict(first.values) == self._fresh(circuit, library)
+        assert point_intervals(circuit, ModelLibrary(tech), 30.0) is first
+        assert point_intervals(circuit, library, 45.0) is not first
+        assert point_intervals(circuit, library, 30.0) is not box_intervals(
+            circuit, library, 30.0
+        )
+        for var in circuit.size_table:
+            var.upper *= 2.0
+        moved = point_intervals(circuit, library, 30.0)
+        assert moved is not first
+        assert dict(moved.values) == self._fresh(circuit, library)
+        label = circuit.size_table.names()[0]
+        pin_sizes(circuit, {label: circuit.size_table[label].lower})
+        pinned = point_intervals(circuit, library, 30.0)
+        assert pinned is not moved
+        assert dict(pinned.values) == self._fresh(circuit, library)

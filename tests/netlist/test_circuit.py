@@ -244,3 +244,104 @@ class TestInputPhases:
         sub2.declare_input_phase("in", "async")
         mapping = top2.merge(sub2, prefix="u0")
         assert top2.input_phase(mapping["in"]) == "async"
+
+
+class TestRebindNet:
+    """``mark_output`` (and every other replacement of a net object)
+    rebinds only the net's drivers and fanout pins, read from the circuit's
+    indexes, instead of scanning every stage."""
+
+    @staticmethod
+    def _rebind_by_scan(circuit, net):
+        """The full scan the indexes replace."""
+        for stage in circuit.stages:
+            if stage.output.name == net.name:
+                stage.output = net
+            for pin in stage.inputs:
+                if pin.net.name == net.name:
+                    pin.net = net
+
+    @staticmethod
+    def _bound_consistently(circuit):
+        return all(
+            stage.output is circuit.nets[stage.output.name]
+            and all(pin.net is circuit.nets[pin.net.name] for pin in stage.inputs)
+            for stage in circuit.stages
+        )
+
+    def test_registry_fingerprints_unchanged(self, monkeypatch):
+        from repro.macros import MacroSpec, default_database
+        from repro.netlist.fingerprint import circuit_fingerprint
+
+        from ..sim.test_arc_compile import registry_circuits
+
+        database = default_database()
+        generators = database.topologies()
+        indexed = [
+            [circuit_fingerprint(c) for c in registry_circuits(g)]
+            for g in generators
+        ]
+        monkeypatch.setattr(Circuit, "_rebind_net", self._rebind_by_scan)
+        scanned = [
+            [circuit_fingerprint(c) for c in registry_circuits(g)]
+            for g in generators
+        ]
+        monkeypatch.undo()
+        assert indexed == scanned
+        wired = database.generate(
+            "mux/tristate",
+            MacroSpec("mux", 4, output_load=60.0, params=(("wire_res", 0.8),)),
+            TECH,
+        )
+        assert self._bound_consistently(wired)
+
+    def test_rebinding_one_net_touches_only_its_stages(self, monkeypatch):
+        from repro.macros import MacroSpec, default_database
+        from repro.netlist import Pin, Stage
+
+        circuit = default_database().generate(
+            "decoder/predecoded", MacroSpec("decoder", 6), TECH
+        )
+        # An internal net with both drivers and loads, marked as an output.
+        net = next(
+            name for name in circuit.nets
+            if circuit.drivers_of(name) and circuit.fanout_of(name)
+        )
+        drivers = {stage.name for stage in circuit.drivers_of(net)}
+        loads = {(stage.name, pin.name) for stage, pin in circuit.fanout_of(net)}
+
+        class CountingList(list):
+            iterations = 0
+
+            def __iter__(self):
+                CountingList.iterations += 1
+                return super().__iter__()
+
+        stages = circuit.stages
+        circuit.stages = CountingList(stages)
+        touched = []
+        owner = {id(pin): stage.name for stage in stages for pin in stage.inputs}
+
+        def count_stage(stage, name, value):
+            if name == "output":
+                touched.append(("output", stage.name))
+            object.__setattr__(stage, name, value)
+
+        def count_pin(pin, name, value):
+            if name == "net":
+                touched.append(("pin", (owner.get(id(pin)), pin.name)))
+            object.__setattr__(pin, name, value)
+
+        monkeypatch.setattr(Stage, "__setattr__", count_stage)
+        monkeypatch.setattr(Pin, "__setattr__", count_pin)
+        circuit.mark_output(net, external_load=77.0)
+        monkeypatch.undo()
+        circuit.stages = stages
+
+        assert CountingList.iterations == 0
+        assert drivers and loads
+        assert {n for kind, n in touched if kind == "output"} == drivers
+        assert {n for kind, n in touched if kind == "pin"} == loads
+        assert len(touched) == len(drivers) + len(loads)
+        assert circuit.net(net).external_load == 77.0
+        assert self._bound_consistently(circuit)

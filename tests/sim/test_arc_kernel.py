@@ -1,13 +1,13 @@
 """Arc tables are the same posynomials, term order included, whichever
-product kernel built them.
+way they are built.
 
 Every circuit the advise benchmark's requests can generate (one per
-applicable topology) is compiled twice: with the signature-level products
-of :mod:`repro.posy.terms`, and with the object-by-object oracle of
-``tests/posy/reference_posy.py`` patched in.  Each arc's delay and slope
-term dicts must be equal as ordered lists.  The model hook
-:meth:`StageModel.arc` is also checked against the per-line formulas it
-replaced.
+applicable topology) is compiled twice: by the analyzer's array compiler,
+and as ``ModelLibrary.arc`` posynomials (``reference_arcs.py``) with the
+object-by-object products of ``tests/posy/reference_posy.py`` patched in.
+Each arc's delay and slope term dicts must be equal as ordered lists.  The
+posynomial form :meth:`StageModel.arc` is also checked against the
+per-line formulas it replaced.
 """
 
 import pytest
@@ -21,6 +21,7 @@ from repro.sim import StaticTimingAnalyzer
 from repro.sim.timing import stage_arcs
 
 from ..posy.reference_posy import use_reference_products
+from .reference_arcs import posynomial_program
 
 TECH = Technology()
 LIB = ModelLibrary(TECH)
@@ -56,14 +57,17 @@ def _hops(circuit):
     ]
 
 
-def _compiled(circuit):
-    """Every arc's (delay, slope) term lists, from a freshly built table."""
-    forget(circuit)
-    arcs = StaticTimingAnalyzer(circuit, LIB).path_arcs(_hops(circuit))
+def _terms(arcs):
     return [
         (list(delay._terms.items()), list(slope._terms.items()))
         for delay, slope in arcs
     ]
+
+
+def _compiled(circuit):
+    """Every arc's (delay, slope) term lists, from a freshly built table."""
+    forget(circuit)
+    return _terms(StaticTimingAnalyzer(circuit, LIB).path_arcs(_hops(circuit)))
 
 
 @pytest.mark.parametrize("request_", REQUESTS, ids=lambda r: f"{r[0]}{r[1]}")
@@ -72,7 +76,10 @@ def test_arc_tables_match_reference_products(request_, monkeypatch):
     assert circuits
     fast = [_compiled(circuit) for circuit in circuits]
     use_reference_products(monkeypatch)
-    slow = [_compiled(circuit) for circuit in circuits]
+    slow = [
+        _terms(posynomial_program(circuit, LIB, _hops(circuit))[1])
+        for circuit in circuits
+    ]
     monkeypatch.undo()
     for circuit, fast_arcs, slow_arcs in zip(circuits, fast, slow):
         assert fast_arcs == slow_arcs, circuit.name
