@@ -12,12 +12,14 @@ without ever extracting paths or building a GP.  It propagates, per net,
   over all paths and transition arcs, an upper bound on every path's delay
   at every point of the box;
 
-enclosing the generator's hop model
-(:meth:`StaticTimingAnalyzer.arc_posynomials`, Elmore wire terms included)
-hop by hop as :meth:`ConstraintGenerator.path_delay_posynomial` chains it:
+enclosing the generator's hop model (the circuit's
+:class:`~repro.sim.timing.ArcProgram`, Elmore wire terms included) hop by
+hop as :meth:`ConstraintGenerator.path_delay_posynomial` chains it:
 ``arr' = arr + delay + slope_sensitivity * slope`` and
 ``slope' = slope_out + SLOPE_LEAK * slope``, with the designer's input
-slope (halved on clock nets) entering the first hop.
+slope (halved on clock nets) entering the first hop.  Every arc's delay
+and slope hulls over a box come from one hull pass
+(:meth:`ArcProgram.enclose <repro.sim.timing.ArcProgram.enclose>`).
 
 **Soundness** (see DESIGN.md for the full argument):
 

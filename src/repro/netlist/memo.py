@@ -13,6 +13,9 @@ dict per circuit, each under a key naming what else it read:
 * the DFA303 box-interval solution
   (:func:`repro.lint.dataflow.interval.box_intervals`): library content,
   size-table state, box bounds and input slope;
+* the DFA303 nominal-point solution of the feasibility proof
+  (:func:`repro.lint.dataflow.interval.point_intervals`): the same key, the
+  point being each free label's geometric-mean width;
 * the switch-level channel graph
   (:func:`repro.lint.symbolic.switchlevel.channel_graph`): input-phase
   declarations;
@@ -28,8 +31,8 @@ built circuit in place (:mod:`repro.core.editing`, the wiring mutants of
 :mod:`repro.lint.symbolic.mutate`) calls :func:`forget` so no memo outlives
 the structure it was derived from.  Size-table changes (designer pins,
 regularity ties, bound edits) need no call: every memo that reads the
-table keys on its state (:meth:`SizeTable.state`), and the box-interval
-solution on the bounds too.
+table keys on its state (:meth:`SizeTable.state`), and the interval
+solutions on the bounds too.
 """
 
 from __future__ import annotations

@@ -16,11 +16,13 @@ Timing graph nodes are ``(net, transition)`` pairs.  Stage arcs:
 * domino nodes: data-RISE -> node FALL (evaluate), clock RISE -> node FALL
   (D1 evaluate via the foot), clock FALL -> node RISE (precharge).
 
-Each circuit's arcs are compiled once into an :class:`ArcTable` of
-posynomials that every analyzer, the constraint generator and the interval
-screen share; a measurement evaluates each arc once per sizing and then
-walks the graph with float arithmetic.  The constraint generator reads the
-same arcs as arrays (:class:`ArcProgram`), built once per table.
+Each circuit's arcs are compiled once, as arrays (:class:`ArcProgram`),
+into an :class:`ArcTable` that every analyzer, the constraint generator and
+the interval screen share: the constraint generator builds path rows from
+the arrays, the interval screen encloses them in one pass per box
+(:meth:`ArcProgram.enclose`), and each arc's posynomials are built from them
+on first read (``ArcTable.arcs``).  A measurement evaluates each arc once
+per sizing and then walks the graph with float arithmetic.
 """
 
 from __future__ import annotations
@@ -297,6 +299,9 @@ class _ArcView(abc.Mapping):
             )
         return arc
 
+    def __contains__(self, hop) -> bool:
+        return hop in self._program.arc_ids
+
     def __iter__(self):
         return iter(self._program.hops)
 
@@ -442,13 +447,15 @@ class StaticTimingAnalyzer:
         l_ids: List[int] = []
         l_coeffs: List[float] = []
         arc_load: List[Tuple[int, int]] = []
+        #: extra delay terms, and wire terms already scaled for the delay
+        #: (``ln2·R_wire``) and for the slope (``slope_gain·R_wire``)
         x_arc: List[int] = []
         x_ids: List[int] = []
         x_coeffs: List[float] = []
         w_arc: List[int] = []
         w_ids: List[int] = []
-        w_coeffs: List[float] = []
-        w_factors: List[Tuple[float, float]] = []
+        w_delay: List[float] = []
+        w_slope: List[float] = []
         for stage in circuit.stages:
             model = self.library.model(stage)
             out = stage.output
@@ -457,10 +464,11 @@ class StaticTimingAnalyzer:
                 start = len(l_ids)
                 count = block(self._load(table, out.name), True, l_ids, l_coeffs)
                 load = loads[out.name] = (start, count)
-            far: List[Tuple[int, float]] = []
+            far: List[Tuple[Signature, float]] = []
             if out.wire_res > 0.0:
                 far = list(self._far_cap(table, out.name).items())
-                factors = (LN2 * out.wire_res, tech.slope_gain * out.wire_res)
+                d_factor = LN2 * out.wire_res
+                s_factor = tech.slope_gain * out.wire_res
             for pin in stage.inputs:
                 extra = model.extra_delay(stage, pin, size_table)
                 extra_terms = (
@@ -482,8 +490,8 @@ class StaticTimingAnalyzer:
                     for sig, coeff in far:
                         w_arc.append(a)
                         w_ids.append(intern(sig))
-                        w_coeffs.append(coeff)
-                        w_factors.append(factors)
+                        w_delay.append(coeff * d_factor)
+                        w_slope.append(coeff * s_factor)
 
         # R·C: per arc, every (load term, resistance term) pair, load major.
         n_arcs = len(hops)
@@ -495,7 +503,7 @@ class StaticTimingAnalyzer:
         pair_arc = np.repeat(np.arange(n_arcs), counts)
         offset = np.arange(len(pair_arc)) - np.repeat(np.cumsum(counts) - counts, counts)
         inner = k[pair_arc]
-        outer = offset // np.maximum(inner, 1)
+        outer = offset // inner
         r_at = r_start[pair_arc] + offset - outer * inner
         l_at = l_start[pair_arc] + outer
         r_ids_a = np.array(r_ids, dtype=np.int64)
@@ -524,13 +532,9 @@ class StaticTimingAnalyzer:
         # Delay: ln2·RC, then the extra terms, then the wire terms, per arc.
         w_arc_a = np.array(w_arc, dtype=np.intp)
         w_sig_a = np.array(w_ids, dtype=np.int64)
-        w_coeff_a = np.array(w_coeffs)
-        w_factor_a = np.array(w_factors).reshape(-1, 2)
         d_arc = np.concatenate([rc_arc, np.array(x_arc, dtype=np.intp), w_arc_a])
         d_sig = np.concatenate([rc_sig, np.array(x_ids, dtype=np.int64), w_sig_a])
-        d_val = np.concatenate([
-            rc_val * LN2, np.array(x_coeffs), w_coeff_a * w_factor_a[:, 0]
-        ])
+        d_val = np.concatenate([rc_val * LN2, np.array(x_coeffs), np.array(w_delay)])
         order = np.argsort(d_arc, kind="stable")
         d_arc, d_sig, d_val = merge_like_terms(
             d_arc[order], d_sig[order], d_val[order], n_sigs
@@ -538,9 +542,7 @@ class StaticTimingAnalyzer:
         # Slope: slope_gain·RC, then the wire terms.
         s_arc = np.concatenate([rc_arc, w_arc_a])
         s_sig = np.concatenate([rc_sig, w_sig_a])
-        s_val = np.concatenate([
-            rc_val * tech.slope_gain, w_coeff_a * w_factor_a[:, 1]
-        ])
+        s_val = np.concatenate([rc_val * tech.slope_gain, np.array(w_slope)])
         order = np.argsort(s_arc, kind="stable")
         s_arc, s_sig, s_val = merge_like_terms(
             s_arc[order], s_sig[order], s_val[order], n_sigs
