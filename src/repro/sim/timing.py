@@ -563,7 +563,6 @@ class StaticTimingAnalyzer:
             lengths[0::2], lengths[1::2],
         )
         table.arcs = _ArcView(program)
-        metrics.counter("sta.arcs_compiled").inc(n_arcs)
         return program
 
     def _load(self, table: ArcTable, net_name: str) -> Posynomial:

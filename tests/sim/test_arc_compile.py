@@ -141,15 +141,6 @@ def test_wired_cases_carry_wire_terms():
         assert any(net.wire_res > 0.0 for net in circuit.nets.values()), case
 
 
-def test_view_keeps_each_posynomial():
-    circuit = DB.generate("mux/tristate", MacroSpec("mux", 4), TECH)
-    table_arcs = StaticTimingAnalyzer(circuit, LIB)
-    hop = table_arcs.arc_program().hops[0]
-    first = table_arcs.path_arcs([hop])[0]
-    again = StaticTimingAnalyzer(circuit, LIB).path_arcs([hop])[0]
-    assert first[0] is again[0] and first[1] is again[1]
-
-
 def test_unknown_hop_is_a_key_error():
     circuit = DB.generate("mux/unsplit_domino", MacroSpec("mux", 4), TECH)
     analyzer = StaticTimingAnalyzer(circuit, LIB)
