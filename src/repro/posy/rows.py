@@ -22,8 +22,9 @@ monomials.  This module holds the array form the sizer compiles to:
 :meth:`Posynomial.evaluate`'s arithmetic, :func:`merge_like_terms` sums
 like terms the way a posynomial's term dict does, and :func:`enclose_rows`
 is the vector form of :meth:`Posynomial.enclose`: a sound box enclosure of
-every row of a CSR term program at once (:func:`enclose_posynomials` applies
-it to a list of posynomials).
+every row of a CSR term program at once (:func:`enclose_terms` applies it to
+rows of an index's terms, :func:`enclose_posynomials` to a list of
+posynomials).
 """
 
 from __future__ import annotations
@@ -220,10 +221,32 @@ def enclose_rows(
     return lo - pad, hi + pad
 
 
+def enclose_terms(
+    index: MonomialIndex,
+    term_ids: np.ndarray,
+    coeffs: np.ndarray,
+    counts: np.ndarray,
+    bounds: Callable[[str], Tuple[float, float]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`enclose_rows` over rows of terms of ``index``: row ``r`` is the
+    next ``counts[r]`` of ``term_ids`` / ``coeffs``, the box is
+    ``bounds(name) = (lower, upper)``.  Returns ``(lo, hi)`` per row."""
+    nnz, positions = index.nonzeros(term_ids)
+    indptr = np.zeros(len(term_ids) + 1, dtype=np.intp)
+    np.cumsum(nnz, out=indptr[1:])
+    box = [bounds(name) for name in index.names]
+    lower = np.array([b[0] for b in box], dtype=float)
+    upper = np.array([b[1] for b in box], dtype=float)
+    return enclose_rows(
+        coeffs, indptr, index.columns[positions], index.exponents[positions],
+        counts, lower, upper,
+    )
+
+
 def enclose_posynomials(
     posys: Sequence[Posynomial], bounds: Callable[[str], Tuple[float, float]]
 ) -> List[Tuple[float, float]]:
-    """:func:`enclose_rows` over ``posys``: a sound ``(lo, hi)`` per
+    """:func:`enclose_terms` over ``posys``: a sound ``(lo, hi)`` per
     posynomial over the box ``bounds(name) = (lower, upper)``, each summed in
     sorted signature order as :meth:`Posynomial.enclose` sums it."""
     if not posys:
@@ -234,14 +257,5 @@ def enclose_posynomials(
     term_ids = np.array([i for row in rows for i, _ in row], dtype=np.intp)
     coeffs = np.array([c for row in rows for _, c in row], dtype=float)
     counts = np.array([len(row) for row in rows], dtype=np.intp)
-    nnz, positions = index.nonzeros(term_ids)
-    indptr = np.zeros(len(term_ids) + 1, dtype=np.intp)
-    np.cumsum(nnz, out=indptr[1:])
-    box = [bounds(name) for name in index.names]
-    lower = np.array([b[0] for b in box], dtype=float)
-    upper = np.array([b[1] for b in box], dtype=float)
-    lo, hi = enclose_rows(
-        coeffs, indptr, index.columns[positions], index.exponents[positions],
-        counts, lower, upper,
-    )
+    lo, hi = enclose_terms(index, term_ids, coeffs, counts, bounds)
     return list(zip(lo.tolist(), hi.tolist()))

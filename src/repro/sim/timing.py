@@ -40,7 +40,7 @@ from ..netlist.nets import NetKind, Pin, PinClass
 from ..netlist.stages import Stage, StageKind
 from ..obs import metrics, trace
 from ..posy import Posynomial, as_posynomial, posy_sum
-from ..posy.rows import MonomialIndex, enclose_rows, merge_like_terms
+from ..posy.rows import MonomialIndex, enclose_terms, merge_like_terms
 from ..posy.terms import _COEFF_EPS, Signature, _merge
 
 #: A hop along a timing path: (stage name, input pin name, output transition).
@@ -172,7 +172,7 @@ class ArcProgram:
     __slots__ = (
         "index", "hops", "arc_ids", "sources", "term_ids", "term_coeffs",
         "delay_start", "delay_len", "slope_start", "slope_len",
-        "constant_slot", "pin_ids", "pin_start", "_term_csr",
+        "constant_slot", "pin_ids", "pin_start",
     )
 
     def __init__(
@@ -208,7 +208,6 @@ class ArcProgram:
                 self.pin_ids[(stage, pin)] = len(starts)
                 starts.append(a)
         self.pin_start = np.array(starts, dtype=np.intp)
-        self._term_csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def arc(self, a: int) -> Tuple[Posynomial, Posynomial]:
         """Arc ``a``'s ``(delay, slope)`` in dict form, terms in insertion
@@ -227,28 +226,13 @@ class ArcProgram:
     def enclose(self, bounds: Callable[[str], Tuple[float, float]]) -> "ArcHulls":
         """One hull pass: every arc's delay and slope enclosed over the box
         ``bounds(name) = (lower, upper)`` by a single
-        :func:`~repro.posy.rows.enclose_rows` call."""
-        if self._term_csr is None:
-            nnz, positions = self.index.nonzeros(
-                self.term_ids[:self.constant_slot]
-            )
-            indptr = np.zeros(len(nnz) + 1, dtype=np.intp)
-            np.cumsum(nnz, out=indptr[1:])
-            self._term_csr = (
-                indptr,
-                self.index.columns[positions],
-                self.index.exponents[positions],
-            )
-        indptr, columns, exponents = self._term_csr
-        box = [bounds(name) for name in self.index.names]
-        lower = np.array([b[0] for b in box], dtype=float)
-        upper = np.array([b[1] for b in box], dtype=float)
+        :func:`~repro.posy.rows.enclose_terms` call."""
         counts = np.empty(2 * len(self.hops), dtype=np.intp)
         counts[0::2] = self.delay_len
         counts[1::2] = self.slope_len
-        lo, hi = enclose_rows(
-            self.term_coeffs[:self.constant_slot], indptr, columns, exponents,
-            counts, lower, upper,
+        lo, hi = enclose_terms(
+            self.index, self.term_ids[:self.constant_slot],
+            self.term_coeffs[:self.constant_slot], counts, bounds,
         )
         return ArcHulls(self, lo[0::2], hi[0::2], lo[1::2], hi[1::2])
 
